@@ -168,32 +168,6 @@ class StructureAlgebra:
             out = [v % p for v in out]
         return out
 
-    def mul_vec_basis(self, x, j: int) -> list:
-        """x * b_j for a coordinate vector x."""
-        f, d = self.field, self.dim
-        out = [0] * d if f.p is not None else f.vec_zero(d)
-        for i, xi in enumerate(x):
-            if xi:
-                for k, c in self.mul.at(i, j):
-                    out[k] = out[k] + xi * c
-        if f.p is not None:
-            p = f.p
-            out = [v % p for v in out]
-        return out
-
-    def mul_basis_vec(self, i: int, y) -> list:
-        """b_i * y for a coordinate vector y."""
-        f, d = self.field, self.dim
-        out = [0] * d if f.p is not None else f.vec_zero(d)
-        for j, yj in enumerate(y):
-            if yj:
-                for k, c in self.mul.at(i, j):
-                    out[k] = out[k] + yj * c
-        if f.p is not None:
-            p = f.p
-            out = [v % p for v in out]
-        return out
-
     # -- element-level operations ---------------------------------------------
 
     def multiply(self, x: "Element", y: "Element") -> "Element":

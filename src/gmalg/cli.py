@@ -24,7 +24,7 @@ from .fileformat import (context_fingerprint, context_to_dict, dumps_canonical,
                          map_to_dict, matrix_to_dict, save_atomic,
                          subspace_to_dict, context_from_dict, encode_vector)
 from .gma import assemble, generate_builtin, validate_context
-from .multilinear import (LeibnizWitness, MultilinearMap,
+from .multilinear import (MAX_SPACE_ARITY, LeibnizWitness, MultilinearMap,
                           n_lie_derivation_space)
 from .structure_analysis import (CheckStatus, center_data, derivation_space,
                                  lie_derivation_space, check_hypotheses)
@@ -82,6 +82,12 @@ def _emit(report: dict, out: Optional[str], started: float) -> int:
         sys.stdout.write(text)
     failed = any(c.get("status") == "fail" for c in report.get("checks", []))
     return EXIT_CHECK_FAILED if failed else EXIT_OK
+
+
+def _check_arity(command: str, arity: int, lowest: int) -> None:
+    if not lowest <= arity <= MAX_SPACE_ARITY:
+        raise SpecFileError(f"{command}: --arity {arity} is out of range "
+                            f"{lowest}..{MAX_SPACE_ARITY}")
 
 
 def _report_skeleton(command: str, options: dict, ctx=None) -> dict:
@@ -173,6 +179,7 @@ def _cmd_hypotheses(args) -> int:
 
 def _cmd_derivations(args) -> int:
     started = time.perf_counter()
+    _check_arity("derivations", args.arity, 1)
     ctx, _ = load_context(args.spec)
     g = assemble(ctx, validate=False)
     rep = _report_skeleton(
@@ -267,6 +274,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_verify(args) -> int:
     started = time.perf_counter()
+    _check_arity("verify", args.arity, 2)
     ctx, _ = load_context(args.spec)
     g = assemble(ctx, validate=False)
     vr = verify_decomposition(g, args.arity)

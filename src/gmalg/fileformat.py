@@ -38,6 +38,13 @@ def decode_scalar(field: FieldSpec, raw):
         raise SpecFileError(f"bad coefficient {raw!r} for field {field.name}: {exc}")
 
 
+def decode_index(raw, where: str) -> int:
+    """A JSON integer; bool, float, null and strings are refused, not cast."""
+    if type(raw) is not int:
+        raise SpecFileError(f"{where}: expected an integer, got {raw!r}")
+    return raw
+
+
 def encode_vector(field: FieldSpec, vec) -> list:
     return [encode_scalar(field, x) for x in vec]
 
@@ -55,8 +62,8 @@ def quads_to_table(field: FieldSpec, left: int, right: int, out: int,
     for item in raw:
         if not (isinstance(item, list) and len(item) == 4):
             raise SpecFileError(f"{where}: malformed quadruple {item!r}")
-        i, j, k, c = item
-        quads.append((int(i), int(j), int(k), decode_scalar(field, c)))
+        i, j, k = (decode_index(x, where) for x in item[:3])
+        quads.append((i, j, k, decode_scalar(field, item[3])))
     try:
         return BilinearTable.from_quadruples(field, left, right, out, quads)
     except GmalgError as exc:
@@ -93,9 +100,9 @@ def context_from_dict(data: dict) -> MoritaContext:
         raise SpecFileError(f"field: {exc}")
     try:
         blocks = data["blocks"]
-        da, dm = int(blocks["a_dim"]), int(blocks["m_dim"])
-        dn, db = int(blocks["n_dim"]), int(blocks["b_dim"])
-    except (KeyError, TypeError, ValueError):
+        da, dm, dn, db = (decode_index(blocks[key], f"blocks.{key}")
+                          for key in ("a_dim", "m_dim", "n_dim", "b_dim"))
+    except (KeyError, TypeError):
         raise SpecFileError("blocks: need integer a_dim, m_dim, n_dim, b_dim")
     if min(da, db) < 1 or min(dm, dn) < 0:
         raise SpecFileError("blocks: A and B must be nonzero")
@@ -205,10 +212,13 @@ def map_from_dict(data: dict, field: Optional[FieldSpec] = None) -> MultilinearM
         raise SpecFileError(f"not a {MAP_FORMAT} document")
     try:
         file_field = FieldSpec.from_name(data["field"])
-        arity = int(data["arity"])
-        dim = int(data["dim"])
+        arity = decode_index(data["arity"], "map header: arity")
+        dim = decode_index(data["dim"], "map header: dim")
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecFileError(f"map header: {exc}")
+    if arity < 1 or dim < 1:
+        raise SpecFileError(f"map header: arity {arity} and dim {dim} "
+                            "must be positive")
     if field is not None and field != file_field:
         raise SpecFileError(
             f"map field {file_field.name} does not match instance {field.name}")
@@ -220,8 +230,8 @@ def map_from_dict(data: dict, field: Optional[FieldSpec] = None) -> MultilinearM
     for item in raw_entries:
         if not (isinstance(item, list) and len(item) == arity + 2):
             raise SpecFileError(f"entries: malformed entry {item!r}")
-        key = tuple(int(x) for x in item[:arity])
-        j = int(item[arity])
+        key = tuple(decode_index(x, "entries") for x in item[:arity])
+        j = decode_index(item[arity], "entries")
         c = decode_scalar(f, item[arity + 1])
         if any(not 0 <= i < dim for i in key) or not 0 <= j < dim:
             raise SpecFileError(f"entries: index out of range in {item!r}")

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations, product
-from typing import Callable, Optional, Sequence, Union
+from math import lcm
+from typing import Callable, Sequence
 
 from .algebra_core import Element, StructureAlgebra
 from .budget import guard_tuples, guard_unknowns
 from .errors import DimensionMismatchError, FieldMismatchError
 from .exact_linear import FieldSpec, Subspace, kernel_basis
-from .gma import GMAlgebra
 from .structure_analysis import center, core_algebra, lie_derivation_space
 
 
@@ -220,49 +220,80 @@ def is_n_derivation(g, mmap: MultilinearMap) -> PredicateResult:
     return _leibniz_predicate(g, mmap, lie=False)
 
 
+def _integer_cells(cells) -> tuple:
+    """Product-table cells with every constant scaled to an int.
+
+    Over q the scale is the LCM of the constants' denominators; over GF(p)
+    the constants are already int residues and the scale is 1.
+    """
+    scale = lcm(1, *(c.denominator for cell in cells for _, c in cell))
+    return tuple(tuple((k, c.numerator * (scale // c.denominator))
+                       for k, c in cell) for cell in cells)
+
+
+def _integer_values(mmap: MultilinearMap) -> list:
+    """Per basis-tuple rank, the map's value as sparse (component, int) pairs.
+
+    Scaled like `_integer_cells`, by the LCM of the values' denominators.
+    """
+    d, n = mmap.dim, mmap.arity
+    scale = lcm(1, *(x.denominator for vec in mmap.entries.values()
+                     for x in vec))
+    vals = [()] * (d ** n)
+    for key, vec in mmap.entries.items():
+        rank = 0
+        for i in key:
+            rank = rank * d + i
+        vals[rank] = tuple((t, x.numerator * (scale // x.denominator))
+                           for t, x in enumerate(vec) if x)
+    return vals
+
+
 def _leibniz_predicate(g, mmap: MultilinearMap, lie: bool) -> PredicateResult:
+    """Check T(..u.v..) = T(..u..).b_v + b_u.T(..v..) slot by slot.
+
+    The product is the bracket for the Lie law (pairs u < v suffice, by
+    antisymmetry) and the multiplication for the associative law (all
+    pairs). Each (slot, tuple, partner) case builds one residual
+    T(..u.v..) - T(..u..).b_v - b_u.T(..v..) with plain ints, and the first
+    nonzero residual in loop order is the witness.
+
+    The residual is linear in the map and linear in the structure constants,
+    so scaling the constants by one nonzero int and the map's values by
+    another scales every residual by their product: over q, clearing both
+    sets of denominators gives integer residuals with the same zero pattern.
+    Over GF(p) the values and constants are residues, and reduction mod p is
+    a ring homomorphism from the ints, so the unreduced int residual is zero
+    in GF(p) exactly when it is divisible by p; that is the only place p
+    enters.
+    """
     alg = core_algebra(g)
     _check_algebra_map(alg, mmap)
-    d, n, f = alg.dim, mmap.arity, alg.field
+    d, n, p = alg.dim, mmap.arity, alg.field.p
     guard_tuples("leibniz predicate", d ** n)
-    vals = _dense_values(mmap)
-    table = alg.bracket_table if lie else None
-    zero_vec = f.vec_zero(d)
+    cells = _integer_cells(alg.bracket_table if lie else alg.mul.entries)
+    vals = _integer_values(mmap)
     for slot in range(n):
         st = d ** (n - 1 - slot)
         for spect in range(d ** (n - 1)):
             lo = spect % st
             base = (spect // st) * (st * d) + lo
-            us = range(d)
-            for u in us:
-                val_u = vals[base + u * st]
-                vrange = range(u + 1, d) if lie else range(d)
-                for v in vrange:
-                    if lie:
-                        cell = table[u * d + v]
-                    else:
-                        cell = alg.mul.at(u, v)
-                    if cell:
-                        lhs = zero_vec[:]
-                        for w, c in cell:
-                            vw = vals[base + w * st]
-                            for t in range(d):
-                                x = vw[t]
-                                if x:
-                                    lhs[t] = lhs[t] + c * x
-                        if f.p is not None:
-                            lhs = [x % f.p for x in lhs]
-                    else:
-                        lhs = zero_vec[:]
-                    val_v = vals[base + v * st]
-                    if lie:
-                        rhs = f.vec_add(alg.bracket_vec_basis(val_u, v),
-                                        [f.neg(x) for x in
-                                         alg.bracket_vec_basis(val_v, u)])
-                    else:
-                        rhs = f.vec_add(alg.mul_vec_basis(val_u, v),
-                                        alg.mul_basis_vec(u, val_v))
-                    if lhs != rhs:
+            line = [vals[base + w * st] for w in range(d)]
+            for u in range(d):
+                t_u = line[u]
+                left = cells[u * d:(u + 1) * d]
+                for v in range(u + 1, d) if lie else range(d):
+                    r = [0] * d
+                    for w, c in cells[u * d + v]:
+                        for t, x in line[w]:
+                            r[t] += c * x
+                    for i, x in t_u:
+                        for k, c in cells[i * d + v]:
+                            r[k] -= c * x
+                    for j, x in line[v]:
+                        for k, c in left[j]:
+                            r[k] -= c * x
+                    if any(r) and (p is None or any(x % p for x in r)):
                         digits = list(_rank_digits(spect, d, n - 1))
                         digits.insert(slot, u)
                         return PredicateResult(

@@ -1,5 +1,6 @@
 """Shared fixtures: corpus instances, independent oracles, fuzz machinery."""
 
+import random
 from fractions import Fraction
 
 import gmalg as G
@@ -164,3 +165,82 @@ def _tuples(base, length):
     for rest in _tuples(base, length - 1):
         for i in range(base):
             yield rest + (i,)
+
+
+# ---------------------------------------------------------------------------
+# seeded change of basis: dense, non-0/1 constants
+# ---------------------------------------------------------------------------
+
+# Diagonal magnitudes cycle through (1, 2, 3) starting at a fixed place per
+# block, so even one-dimensional blocks are rescaled (A by 2, B by 3) and the
+# constants over q carry denominators 2 and 3 whatever the seed.
+_MAGNITUDE_START = {"a": 1, "m": 0, "n": 0, "b": 2}
+
+
+def _block_change(field, rng, k, start):
+    """Upper triangular P and its inverse for one block.
+
+    The diagonal holds the cycled magnitudes with random signs in random
+    order; one random entry above it is +-1 when k > 1.
+    """
+    diag = [(1, 2, 3)[(start + i) % 3] * rng.choice((1, -1)) for i in range(k)]
+    rng.shuffle(diag)
+    mat = [[field.of(diag[i] if i == j else 0) for j in range(k)]
+           for i in range(k)]
+    if k > 1:
+        i, j = sorted(rng.sample(range(k), 2))
+        mat[i][j] = field.of(rng.choice((1, -1)))
+    inv = [[field.zero] * k for _ in range(k)]
+    for col in range(k):
+        for i in reversed(range(k)):
+            acc = field.one if i == col else field.zero
+            for j in range(i + 1, k):
+                acc = field.sub(acc, field.mul(mat[i][j], inv[j][col]))
+            inv[i][col] = field.div(acc, mat[i][i])
+    return mat, inv
+
+
+def change_of_basis(ctx, seed):
+    """Rewrite ctx in a seeded block-diagonal basis of A, M, N and B.
+
+    New basis vector i of a block is sum_j P[j][i] * (old vector j), so a
+    table T : U x V -> W becomes T'(i, j) = P_W^-1 T(P_U e_i, P_V e_j) and a
+    unit u becomes P^-1 u. The result is a valid context isomorphic to ctx.
+    """
+    f = ctx.field
+    rng = random.Random(seed)
+    change = {x: _block_change(f, rng, k, _MAGNITUDE_START[x])
+              for x, k in zip("amnb", ctx.dims)}
+
+    def to_new(x, vec):
+        inv = change[x][1]
+        out = f.vec_zero(len(inv))
+        for i, row in enumerate(inv):
+            for j, c in enumerate(row):
+                out[i] = f.add(out[i], f.mul(c, vec[j]))
+        return out
+
+    def rewrite(table, left, right, res):
+        pu, pv = change[left][0], change[right][0]
+
+        def image(i, j):
+            old = table.apply(f, [row[i] for row in pu], [row[j] for row in pv])
+            return to_new(res, old)
+
+        return G.BilinearTable.from_function(
+            f, table.left_dim, table.right_dim, table.out_dim, image)
+
+    def algebra(alg, x):
+        return G.StructureAlgebra(f, alg.dim, rewrite(alg.mul, x, x, x),
+                                  tuple(to_new(x, alg.unit)))
+
+    return G.MoritaContext(
+        a=algebra(ctx.a, "a"), b=algebra(ctx.b, "b"),
+        m_dim=ctx.m_dim, n_dim=ctx.n_dim,
+        act_am=rewrite(ctx.act_am, "a", "m", "m"),
+        act_mb=rewrite(ctx.act_mb, "m", "b", "m"),
+        act_bn=rewrite(ctx.act_bn, "b", "n", "n"),
+        act_na=rewrite(ctx.act_na, "n", "a", "n"),
+        pair_mn=rewrite(ctx.pair_mn, "m", "n", "a"),
+        pair_nm=rewrite(ctx.pair_nm, "n", "m", "b"),
+    )

@@ -198,3 +198,101 @@ def test_gen_field_guards(capsys, tmp_path):
     code, _, err = run(capsys, "gen", "--kind", "full-matrix", "--r", "1",
                        "--field", "q", "-o", str(tmp_path / "x.json"))
     assert code == 2
+
+
+NON_INTEGERS = ["null", "float", "integral-float", "bool", "string"]
+
+
+def non_integer(kind, value):
+    """A JSON non-integer that int() would have turned back into value."""
+    return {"null": None, "float": value + 0.9, "integral-float": float(value),
+            "bool": bool(value), "string": str(value)}[kind]
+
+
+@pytest.mark.parametrize("bad", NON_INTEGERS)
+@pytest.mark.parametrize("where", ["quadruple", "blocks"])
+def test_spec_indices_must_be_json_integers(tmp_path, capsys, bad, where):
+    spec = gen(tmp_path, capsys, "m2.json",
+               "--kind", "full-matrix", "--r", "2", "--field", "q")
+    with open(spec) as fh:
+        data = json.load(fh)
+    if where == "quadruple":
+        quad = data["pair_mn"][0]
+        quad[0] = non_integer(bad, quad[0])
+        named = "pair_mn"
+    else:
+        blocks = data["blocks"]
+        blocks["m_dim"] = non_integer(bad, blocks["m_dim"])
+        named = "blocks"
+    broken = tmp_path / "broken.json"
+    broken.write_text(dumps_canonical(data))
+    code, out, err = run(capsys, "validate", str(broken))
+    assert code == 2
+    assert out == ""
+    assert named in err
+
+
+@pytest.mark.parametrize("bad", NON_INTEGERS)
+@pytest.mark.parametrize("field", ["entry", "partner", "arity"])
+def test_map_indices_must_be_json_integers(tmp_path, capsys, bad, field):
+    _, kappa, _ = t2_worked_example()
+    spec = gen(tmp_path, capsys, "t2.json",
+               "--kind", "upper-triangular", "--s", "1", "--t", "1", "--field", "q")
+    data = map_to_dict(kappa)
+    entry = data["entries"][0]
+    if field == "entry":
+        entry[0] = non_integer(bad, entry[0])
+    elif field == "partner":
+        entry[3] = non_integer(bad, entry[3])
+    else:
+        data["arity"] = non_integer(bad, data["arity"])
+    map_path = tmp_path / "k.json"
+    map_path.write_text(dumps_canonical(data))
+    code, out, err = run(capsys, "decompose", spec, str(map_path))
+    assert code == 2
+    assert out == ""
+    assert "integer" in err
+
+
+@pytest.mark.parametrize("arity,dim", [(0, 3), (3, 0)])
+def test_map_header_must_be_positive(tmp_path, capsys, arity, dim):
+    spec = gen(tmp_path, capsys, "t2.json",
+               "--kind", "upper-triangular", "--s", "1", "--t", "1", "--field", "q")
+    data = {"format": "gma-map/1", "field": "q", "arity": arity, "dim": dim,
+            "entries": []}
+    map_path = tmp_path / "k.json"
+    map_path.write_text(dumps_canonical(data))
+    code, out, err = run(capsys, "decompose", spec, str(map_path))
+    assert code == 2
+    assert out == ""
+    assert "positive" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--arity", "1"),
+    ("verify", "--arity", "5"),
+    ("derivations", "--lie", "--arity", "0"),
+    ("derivations", "--lie", "--arity", "5"),
+    ("derivations", "--arity", "-1"),
+])
+def test_arity_out_of_range_is_input_error(tmp_path, capsys, argv):
+    spec = gen(tmp_path, capsys, "t2.json",
+               "--kind", "upper-triangular", "--s", "1", "--t", "1", "--field", "q")
+    code, out, err = run(capsys, argv[0], spec, *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert "--arity" in err
+    # checked before the spec is read
+    code, _, err = run(capsys, argv[0], str(tmp_path / "missing.json"), *argv[1:])
+    assert code == 2
+    assert "--arity" in err
+
+
+def test_derivations_arity_one_and_four_stay_valid(tmp_path, capsys):
+    spec = gen(tmp_path, capsys, "t2.json",
+               "--kind", "upper-triangular", "--s", "1", "--t", "1", "--field", "q")
+    code, out, _ = run(capsys, "derivations", spec, "--lie", "--arity", "1")
+    assert code == 0
+    code, out, _ = run(capsys, "derivations", spec, "--lie", "--arity", "4")
+    assert code == 0
+    assert json.loads(out)["details"]["dim"] > 0
