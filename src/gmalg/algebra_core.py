@@ -80,6 +80,32 @@ class BilinearTable:
             out = [v % p for v in out]
         return out
 
+    def operator_rows(self, field: FieldSpec, left=None, right=None) -> list:
+        """Output-indexed rows of the map in one argument, the other fixed.
+
+        With left = x fixed, row k is {j: coefficient of b_k in T(x, b_j)};
+        with right = y fixed, row k is {i: coefficient of b_k in T(b_i, y)}.
+        Zero coefficients are dropped. One pass over the cells that the
+        fixed vector's support touches.
+        """
+        rows = [{} for _ in range(self.out_dim)]
+        rd = self.right_dim
+        if right is None:
+            for i, xi in enumerate(left):
+                if xi:
+                    for j in range(rd):
+                        for k, c in self.entries[i * rd + j]:
+                            row = rows[k]
+                            row[j] = row.get(j, 0) + xi * c
+        else:
+            for j, yj in enumerate(right):
+                if yj:
+                    for i in range(self.left_dim):
+                        for k, c in self.entries[i * rd + j]:
+                            row = rows[k]
+                            row[i] = row.get(i, 0) + c * yj
+        return [field.sparse(row) for row in rows]
+
     def quadruples(self) -> list:
         quads = []
         for i in range(self.left_dim):
@@ -140,33 +166,12 @@ class StructureAlgebra:
         return f.vec_sub(self.mul_coords(x, y), self.mul_coords(y, x))
 
     @cached_property
-    def bracket_table(self) -> tuple:
-        """bracket_table[i*dim+j] lists (k, c) pairs of [b_i, b_j]."""
-        d, f = self.dim, self.field
-        flat = []
-        for i in range(d):
-            for j in range(d):
-                cell: dict[int, Scalar] = {}
-                for k, c in self.mul.at(i, j):
-                    cell[k] = f.add(cell.get(k, f.zero), c)
-                for k, c in self.mul.at(j, i):
-                    cell[k] = f.sub(cell.get(k, f.zero), c)
-                flat.append(tuple((k, c) for k, c in sorted(cell.items()) if c))
-        return tuple(flat)
-
-    def bracket_vec_basis(self, x, j: int) -> list:
-        """[x, b_j] for a coordinate vector x."""
+    def bracket_table(self) -> BilinearTable:
+        """Constants of the commutator [b_i, b_j] = b_i b_j - b_j b_i."""
         f, d = self.field, self.dim
-        bt = self.bracket_table
-        out = [0] * d if f.p is not None else f.vec_zero(d)
-        for i, xi in enumerate(x):
-            if xi:
-                for k, c in bt[i * d + j]:
-                    out[k] = out[k] + xi * c
-        if f.p is not None:
-            p = f.p
-            out = [v % p for v in out]
-        return out
+        quads = self.mul.quadruples()
+        quads += [(j, i, k, f.neg(c)) for i, j, k, c in quads]
+        return BilinearTable.from_quadruples(f, d, d, d, quads)
 
     # -- element-level operations ---------------------------------------------
 
@@ -242,7 +247,7 @@ class Violation:
 
 
 @dataclass(frozen=True)
-class AlgebraReport:
+class ValidationReport:
     violations: tuple
 
     @property
@@ -260,26 +265,21 @@ class AlgebraReport:
         return f"{len(self.violations)} violation(s), first: {v.law} at {v.indices}"
 
 
-def validate_algebra(alg: StructureAlgebra, max_violations: int = 16) -> AlgebraReport:
+def validate_algebra(alg: StructureAlgebra,
+                    max_violations: int = 16) -> ValidationReport:
     """Check the two-sided unit law and associativity on all basis triples."""
     d = alg.dim
     f = alg.field
     bad: list[Violation] = []
     unit = list(alg.unit)
-    for i in range(d):
-        e_i = f.vec_zero(d)
-        e_i[i] = f.one
+    basis = [f.unit(d, i) for i in range(d)]
+    for i, e_i in enumerate(basis):
         if alg.mul_coords(unit, e_i) != e_i:
             bad.append(Violation("left-unit", (i,)))
         if alg.mul_coords(e_i, unit) != e_i:
             bad.append(Violation("right-unit", (i,)))
         if len(bad) >= max_violations:
-            return AlgebraReport(tuple(bad))
-    basis = []
-    for i in range(d):
-        v = f.vec_zero(d)
-        v[i] = f.one
-        basis.append(v)
+            return ValidationReport(tuple(bad))
     for i in range(d):
         for j in range(d):
             ij = alg.mul_coords(basis[i], basis[j])
@@ -291,8 +291,14 @@ def validate_algebra(alg: StructureAlgebra, max_violations: int = 16) -> Algebra
                         "associativity", (i, j, k),
                         f"(b{i} b{j}) b{k} != b{i} (b{j} b{k})"))
                     if len(bad) >= max_violations:
-                        return AlgebraReport(tuple(bad))
-    return AlgebraReport(tuple(bad))
+                        return ValidationReport(tuple(bad))
+    return ValidationReport(tuple(bad))
+
+
+def stack_rows(blocks, offset: int = 0) -> list:
+    """The nonempty rows of a sequence of row lists, keys shifted by offset."""
+    return [{k + offset: c for k, c in row.items()}
+            for rows in blocks for row in rows if row]
 
 
 def commutator_span(alg: StructureAlgebra) -> Subspace:
@@ -301,7 +307,7 @@ def commutator_span(alg: StructureAlgebra) -> Subspace:
     vecs = []
     for i in range(d):
         for j in range(i + 1, d):
-            cell = alg.bracket_table[i * d + j]
+            cell = alg.bracket_table.at(i, j)
             if cell:
                 v = f.vec_zero(d)
                 for k, c in cell:

@@ -14,14 +14,13 @@ from typing import Optional
 
 from . import budget
 from .algebra_core import Element
-from .decompose import (ExtremalExistence, decompose, extremal_exists,
-                        verify_decomposition)
+from .decompose import decompose, extremal_exists, verify_decomposition
 from .errors import (BudgetExceededError, CenterStructureError, GmalgError,
                      LieLeibnizError, SpecFileError)
 from .exact_linear import FieldSpec, Subspace
 from .fileformat import (context_fingerprint, context_to_dict, dumps_canonical,
-                         load_context, load_json, load_map, map_from_dict,
-                         map_to_dict, matrix_to_dict, save_atomic,
+                         load_context, load_json, load_map, map_to_dict,
+                         matrix_to_dict, save_atomic,
                          subspace_to_dict, context_from_dict, encode_vector)
 from .gma import assemble, generate_builtin, validate_context
 from .multilinear import (MAX_SPACE_ARITY, LeibnizWitness, MultilinearMap,
@@ -103,7 +102,6 @@ def _report_skeleton(command: str, options: dict, ctx=None) -> dict:
 
 
 def _cmd_gen(args) -> int:
-    started = time.perf_counter()
     field = FieldSpec.from_name(args.field)
     kind = args.kind.replace("-", "_")
     if kind == "full_matrix":

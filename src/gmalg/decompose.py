@@ -12,14 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebra_core import Element, commutator_span
+from .algebra_core import Element, commutator_span, stack_rows
 from .budget import guard_tuples
 from .errors import ExtremalPreconditionError, LieLeibnizError
 from .exact_linear import Subspace, kernel_basis
 from .gma import GMAlgebra
 from .multilinear import (MultilinearMap, PredicateResult, is_centrally_valued,
                           is_n_lie_derivation, n_lie_derivation_space)
-from .structure_analysis import center, check_hypotheses
+from .structure_analysis import center, check_hypotheses, pairing_rows
 
 
 def extract_seed(g: GMAlgebra, mmap: MultilinearMap) -> Element:
@@ -60,8 +60,10 @@ def build_extremal(g: GMAlgebra, seed: Element, n: int) -> MultilinearMap:
     for _ in range(n):
         nxt = {}
         for key, vec in layer.items():
+            # rows[k] = {i: coefficient of b_k in [vec, b_i]}
+            rows = alg.bracket_table.operator_rows(f, left=vec)
             for i in range(d):
-                out = [f.neg(x) for x in alg.bracket_vec_basis(vec, i)]
+                out = [f.neg(row.get(i, f.zero)) for row in rows]
                 if any(out):
                     nxt[(i,) + key] = out
         layer = nxt
@@ -134,63 +136,22 @@ class ExtremalExistence:
 
 def extremal_exists(g: GMAlgebra) -> ExtremalExistence:
     ctx, f = g.context, g.field
-    da, dm, dn, db = ctx.dims
+    _, dm, dn, _ = ctx.dims
     total = dm + dn
     rows = []
-
-    ca = commutator_span(ctx.a)
-    cb = commutator_span(ctx.b)
     # [A,A] m0 = 0 and n0 [A,A] = 0
-    for cvec in ca.basis:
-        imgs_m = [ctx.act_am.apply(f, list(cvec), _unit(f, dm, j))
-                  for j in range(dm)]
-        for t in range(dm):
-            row = {j: imgs_m[j][t] for j in range(dm) if imgs_m[j][t]}
-            if row:
-                rows.append(row)
-        imgs_n = [ctx.act_na.apply(f, _unit(f, dn, j), list(cvec))
-                  for j in range(dn)]
-        for t in range(dn):
-            row = {dm + j: imgs_n[j][t] for j in range(dn) if imgs_n[j][t]}
-            if row:
-                rows.append(row)
+    for cvec in commutator_span(ctx.a).basis:
+        rows += stack_rows([ctx.act_am.operator_rows(f, left=cvec)])
+        rows += stack_rows([ctx.act_na.operator_rows(f, right=cvec)], dm)
     # m0 [B,B] = 0 and [B,B] n0 = 0
-    for cvec in cb.basis:
-        imgs_m = [ctx.act_mb.apply(f, _unit(f, dm, j), list(cvec))
-                  for j in range(dm)]
-        for t in range(dm):
-            row = {j: imgs_m[j][t] for j in range(dm) if imgs_m[j][t]}
-            if row:
-                rows.append(row)
-        imgs_n = [ctx.act_bn.apply(f, list(cvec), _unit(f, dn, j))
-                  for j in range(dn)]
-        for t in range(dn):
-            row = {dm + j: imgs_n[j][t] for j in range(dn) if imgs_n[j][t]}
-            if row:
-                rows.append(row)
-    # m0 N = 0 = N m0 and n0 M = 0 = M n0
-    for j in range(dn):
-        for t in range(da):
-            row = {i: c for i in range(dm)
-                   for k, c in ctx.pair_mn.at(i, j) if k == t}
-            if row:
-                rows.append(row)
-        for t in range(db):
-            row = {i: c for i in range(dm)
-                   for k, c in ctx.pair_nm.at(j, i) if k == t}
-            if row:
-                rows.append(row)
-    for i in range(dm):
-        for t in range(db):
-            row = {dm + j: c for j in range(dn)
-                   for k, c in ctx.pair_nm.at(j, i) if k == t}
-            if row:
-                rows.append(row)
-        for t in range(da):
-            row = {dm + j: c for j in range(dn)
-                   for k, c in ctx.pair_mn.at(i, j) if k == t}
-            if row:
-                rows.append(row)
+    for cvec in commutator_span(ctx.b).basis:
+        rows += stack_rows([ctx.act_mb.operator_rows(f, right=cvec)])
+        rows += stack_rows([ctx.act_bn.operator_rows(f, left=cvec)], dm)
+    # m0 N = 0 = N m0 and n0 M = 0 = M n0: both annihilator row sets
+    on_m, on_n = pairing_rows(ctx)
+    rows += stack_rows(blk for pair in on_m for blk in pair)
+    rows += stack_rows((blk for into_a, into_b in on_n for blk in (into_b, into_a)),
+                       dm)
 
     solution = Subspace.span(f, total, kernel_basis(f, total, rows))
 
@@ -213,20 +174,9 @@ def double_bracket_annihilator(g: GMAlgebra) -> Subspace:
     alg = g.algebra
     d, f = alg.dim, alg.field
     span = commutator_span(alg)
-    rows = []
-    for cvec in span.basis:
-        cols = [alg.bracket_coords(list(cvec), _unit(f, d, s)) for s in range(d)]
-        for t in range(d):
-            row = {s: cols[s][t] for s in range(d) if cols[s][t]}
-            if row:
-                rows.append(row)
+    rows = stack_rows(alg.bracket_table.operator_rows(f, left=cvec)
+                      for cvec in span.basis)
     return Subspace.span(f, d, kernel_basis(f, d, rows))
-
-
-def _unit(f, d, i):
-    v = f.vec_zero(d)
-    v[i] = f.one
-    return v
 
 
 # ---------------------------------------------------------------------------

@@ -104,9 +104,6 @@ class FieldSpec:
             return value % self.p
         raise TypeError(f"cannot coerce {value!r} into GF({self.p})")
 
-    def to_text(self, a: Scalar) -> str:
-        return str(a)
-
     @property
     def zero(self) -> Scalar:
         return Fraction(0) if self.p is None else 0
@@ -163,6 +160,19 @@ class FieldSpec:
 
     def vec_is_zero(self, u) -> bool:
         return all(not a for a in u)
+
+    def unit(self, n: int, i: int) -> list:
+        """Coordinate vector of the i-th basis element of an n-space."""
+        v = self.vec_zero(n)
+        v[i] = self.one
+        return v
+
+    def sparse(self, row: dict) -> dict:
+        """A sparse row with its values reduced into the field, zeros dropped."""
+        if self.p is None:
+            return {k: v for k, v in row.items() if v}
+        p = self.p
+        return {k: v % p for k, v in row.items() if v % p}
 
 
 # ---------------------------------------------------------------------------
@@ -406,28 +416,6 @@ class Matrix:
             out.append(acc)
         return tuple(out)
 
-    def mul(self, other: "Matrix") -> "Matrix":
-        if self.field != other.field:
-            raise FieldMismatchError("matrix product across fields")
-        if self.cols != other.rows:
-            raise DimensionMismatchError("inner dimensions differ")
-        f = self.field
-        cols = list(zip(*other.entries)) if other.entries else []
-        data = []
-        for row in self.entries:
-            out = []
-            for col in cols:
-                acc = f.zero
-                for a, b in zip(row, col):
-                    if a and b:
-                        acc = f.add(acc, f.mul(a, b))
-                out.append(acc)
-            data.append(tuple(out))
-        return Matrix(self.field, self.rows, other.cols, tuple(data))
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.field, self.cols, self.rows, tuple(zip(*self.entries)))
-
     def rank(self) -> int:
         _, pivots = rref(self.field, self.entries, self.cols)
         return len(pivots)
@@ -458,11 +446,6 @@ class Subspace:
     @classmethod
     def zero(cls, field: FieldSpec, ambient_dim: int) -> "Subspace":
         return cls(field, ambient_dim, ())
-
-    @classmethod
-    def full(cls, field: FieldSpec, ambient_dim: int) -> "Subspace":
-        return cls.span(field, ambient_dim,
-                        Matrix.identity(field, ambient_dim).entries)
 
     @property
     def dim(self) -> int:

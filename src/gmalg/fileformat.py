@@ -11,13 +11,13 @@ import hashlib
 import json
 import os
 import tempfile
-from fractions import Fraction
 from typing import Optional
 
 from .algebra_core import BilinearTable, StructureAlgebra
+from .budget import guard_tuples
 from .errors import GmalgError, SpecFileError
 from .exact_linear import FieldSpec, Matrix, Subspace
-from .gma import GMAlgebra, MoritaContext, assemble, validate_context
+from .gma import MoritaContext, validate_context
 from .multilinear import MultilinearMap
 
 SPEC_FORMAT = "gma-spec/1"
@@ -106,6 +106,8 @@ def context_from_dict(data: dict) -> MoritaContext:
         raise SpecFileError("blocks: need integer a_dim, m_dim, n_dim, b_dim")
     if min(da, db) < 1 or min(dm, dn) < 0:
         raise SpecFileError("blocks: A and B must be nonzero")
+    guard_tuples("context tables", da * da + db * db + (da + db) * (dm + dn)
+                 + 2 * dm * dn)
 
     def unit(key, dim):
         raw = data.get(key)
@@ -167,11 +169,6 @@ def load_context(path: str, require_valid: bool = True):
     if require_valid and not report.ok:
         raise SpecFileError(f"{path}: context invalid: {report.summary()}")
     return ctx, report
-
-
-def load_gma(path: str) -> GMAlgebra:
-    ctx, _ = load_context(path, require_valid=True)
-    return assemble(ctx, validate=False)
 
 
 def context_fingerprint(ctx: MoritaContext) -> dict:

@@ -9,11 +9,10 @@ diagonal idempotents e and f.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .algebra_core import (BilinearTable, Element, StructureAlgebra,
-                           matrix_algebra, matrix_product_table,
-                           validate_algebra)
+                           ValidationReport, Violation, matrix_algebra,
+                           matrix_product_table, stack_rows, validate_algebra)
 from .errors import DimensionMismatchError, FieldMismatchError, InvalidContextError
 from .exact_linear import FieldSpec, Subspace, kernel_basis
 
@@ -64,48 +63,13 @@ class MoritaContext:
         return (self.a.dim, self.m_dim, self.n_dim, self.b.dim)
 
 
-@dataclass(frozen=True)
-class ContextViolation:
-    law: str
-    indices: tuple
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class ContextReport:
-    violations: tuple
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    @property
-    def first(self) -> Optional[ContextViolation]:
-        return self.violations[0] if self.violations else None
-
-    def summary(self) -> str:
-        if self.ok:
-            return "ok"
-        v = self.first
-        return f"{len(self.violations)} violation(s), first: {v.law} at {v.indices}"
-
-
-def _basis(field, n):
-    out = []
-    for i in range(n):
-        v = field.vec_zero(n)
-        v[i] = field.one
-        out.append(v)
-    return out
-
-
-def validate_context(ctx: MoritaContext, max_violations: int = 32) -> ContextReport:
+def validate_context(ctx: MoritaContext, max_violations: int = 32) -> ValidationReport:
     """Check every Morita-context axiom on all basis tuples."""
     f = ctx.field
-    bad: list[ContextViolation] = []
+    bad: list[Violation] = []
 
     def record(law, indices, detail=""):
-        bad.append(ContextViolation(law, tuple(indices), detail))
+        bad.append(Violation(law, tuple(indices), detail))
 
     def full() -> bool:
         return len(bad) >= max_violations
@@ -115,17 +79,14 @@ def validate_context(ctx: MoritaContext, max_violations: int = 32) -> ContextRep
         for v in rep.violations:
             record(f"{name}-{v.law}", v.indices, v.detail)
             if full():
-                return ContextReport(tuple(bad))
+                return ValidationReport(tuple(bad))
 
     if ctx.m_dim < 1:
         record("m-nonzero", (), "M = 0 is rejected: M must be a faithful bimodule")
-        return ContextReport(tuple(bad))
+        return ValidationReport(tuple(bad))
 
     da, db, dm, dn = ctx.a.dim, ctx.b.dim, ctx.m_dim, ctx.n_dim
-    ea = _basis(f, da)
-    eb = _basis(f, db)
-    em = _basis(f, dm)
-    en = _basis(f, dn)
+    ea, eb, em, en = ([f.unit(k, i) for i in range(k)] for k in (da, db, dm, dn))
     am = lambda x, y: ctx.act_am.apply(f, x, y)
     mb = lambda x, y: ctx.act_mb.apply(f, x, y)
     bn = lambda x, y: ctx.act_bn.apply(f, x, y)
@@ -143,14 +104,14 @@ def validate_context(ctx: MoritaContext, max_violations: int = 32) -> ContextRep
         if mb(em[j], unit_b) != em[j]:
             record("m-acts-unit", (j,), "m . 1_B != m")
         if full():
-            return ContextReport(tuple(bad))
+            return ValidationReport(tuple(bad))
     for j in range(dn):
         if bn(unit_b, en[j]) != en[j]:
             record("unit-acts-n", (j,), "1_B . n != n")
         if na(en[j], unit_a) != en[j]:
             record("n-acts-unit", (j,), "n . 1_A != n")
         if full():
-            return ContextReport(tuple(bad))
+            return ValidationReport(tuple(bad))
 
     # module associativity
     for i in range(da):
@@ -160,12 +121,12 @@ def validate_context(ctx: MoritaContext, max_violations: int = 32) -> ContextRep
                 if am(aa, em[k]) != am(ea[i], am(ea[j], em[k])):
                     record("m-left-assoc", (i, j, k))
                     if full():
-                        return ContextReport(tuple(bad))
+                        return ValidationReport(tuple(bad))
             for k in range(dn):
                 if na(na(en[k], ea[i]), ea[j]) != na(en[k], aa):
                     record("n-right-assoc", (k, i, j))
                     if full():
-                        return ContextReport(tuple(bad))
+                        return ValidationReport(tuple(bad))
     for i in range(db):
         for j in range(db):
             bb = ctx.b.mul_coords(eb[i], eb[j])
@@ -173,12 +134,12 @@ def validate_context(ctx: MoritaContext, max_violations: int = 32) -> ContextRep
                 if mb(mb(em[k], eb[i]), eb[j]) != mb(em[k], bb):
                     record("m-right-assoc", (k, i, j))
                     if full():
-                        return ContextReport(tuple(bad))
+                        return ValidationReport(tuple(bad))
             for k in range(dn):
                 if bn(bb, en[k]) != bn(eb[i], bn(eb[j], en[k])):
                     record("n-left-assoc", (i, j, k))
                     if full():
-                        return ContextReport(tuple(bad))
+                        return ValidationReport(tuple(bad))
 
     # two-sided compatibility
     for i in range(da):
@@ -188,7 +149,7 @@ def validate_context(ctx: MoritaContext, max_violations: int = 32) -> ContextRep
                 if mb(aim, eb[j]) != am(ea[i], mb(em[k], eb[j])):
                     record("m-bimodule", (i, k, j))
                     if full():
-                        return ContextReport(tuple(bad))
+                        return ValidationReport(tuple(bad))
     for i in range(db):
         for k in range(dn):
             bin_ = bn(eb[i], en[k])
@@ -196,7 +157,7 @@ def validate_context(ctx: MoritaContext, max_violations: int = 32) -> ContextRep
                 if na(bin_, ea[j]) != bn(eb[i], na(en[k], ea[j])):
                     record("n-bimodule", (i, k, j))
                     if full():
-                        return ContextReport(tuple(bad))
+                        return ValidationReport(tuple(bad))
 
     # pairing linearity and balance
     for i in range(dm):
@@ -208,12 +169,12 @@ def validate_context(ctx: MoritaContext, max_violations: int = 32) -> ContextRep
                 if mn(em[i], na(en[j], ea[k])) != ctx.a.mul_coords(base_mn, ea[k]):
                     record("pair-mn-right-linear", (i, j, k))
                 if full():
-                    return ContextReport(tuple(bad))
+                    return ValidationReport(tuple(bad))
             for k in range(db):
                 if mn(mb(em[i], eb[k]), en[j]) != mn(em[i], bn(eb[k], en[j])):
                     record("pair-mn-balance", (i, k, j))
                 if full():
-                    return ContextReport(tuple(bad))
+                    return ValidationReport(tuple(bad))
             base_nm = nm(en[j], em[i])
             for k in range(db):
                 if nm(bn(eb[k], en[j]), em[i]) != ctx.b.mul_coords(eb[k], base_nm):
@@ -221,12 +182,12 @@ def validate_context(ctx: MoritaContext, max_violations: int = 32) -> ContextRep
                 if nm(en[j], mb(em[i], eb[k])) != ctx.b.mul_coords(base_nm, eb[k]):
                     record("pair-nm-right-linear", (j, i, k))
                 if full():
-                    return ContextReport(tuple(bad))
+                    return ValidationReport(tuple(bad))
             for k in range(da):
                 if nm(na(en[j], ea[k]), em[i]) != nm(en[j], am(ea[k], em[i])):
                     record("pair-nm-balance", (j, k, i))
                 if full():
-                    return ContextReport(tuple(bad))
+                    return ValidationReport(tuple(bad))
 
     # associativity diagrams
     for i in range(dm):
@@ -236,7 +197,7 @@ def validate_context(ctx: MoritaContext, max_violations: int = 32) -> ContextRep
                     record("diagram-mnm", (i, j, k),
                            "(m n) m' != m (n m')")
                 if full():
-                    return ContextReport(tuple(bad))
+                    return ValidationReport(tuple(bad))
     for i in range(dn):
         for j in range(dm):
             for k in range(dn):
@@ -244,27 +205,19 @@ def validate_context(ctx: MoritaContext, max_violations: int = 32) -> ContextRep
                     record("diagram-nmn", (i, j, k),
                            "(n m) n' != n (m n')")
                 if full():
-                    return ContextReport(tuple(bad))
+                    return ValidationReport(tuple(bad))
 
     # faithfulness of M on both sides
-    left_rows = []
-    for j in range(dm):
-        for t in range(dm):
-            left_rows.append({i: c for i in range(da)
-                              for k, c in ctx.act_am.at(i, j) if k == t})
+    left_rows = stack_rows(ctx.act_am.operator_rows(f, right=m) for m in em)
     for vec in kernel_basis(f, da, left_rows):
         record("m-left-faithful", (), f"a = {tuple(vec)} kills M")
         break
-    right_rows = []
-    for i in range(dm):
-        for t in range(dm):
-            right_rows.append({j: c for j in range(db)
-                               for k, c in ctx.act_mb.at(i, j) if k == t})
+    right_rows = stack_rows(ctx.act_mb.operator_rows(f, left=m) for m in em)
     for vec in kernel_basis(f, db, right_rows):
         record("m-right-faithful", (), f"b = {tuple(vec)} kills M")
         break
 
-    return ContextReport(tuple(bad))
+    return ValidationReport(tuple(bad))
 
 
 # ---------------------------------------------------------------------------
@@ -400,8 +353,8 @@ def assemble(ctx: MoritaContext, validate: bool = True) -> GMAlgebra:
     if validate:
         rep = validate_algebra(algebra)
         if not rep.ok:
-            raise InvalidContextError(ContextReport(tuple(
-                ContextViolation("assembled-" + v.law, v.indices, v.detail)
+            raise InvalidContextError(ValidationReport(tuple(
+                Violation("assembled-" + v.law, v.indices, v.detail)
                 for v in rep.violations)))
 
     e_coords = f.vec_zero(dim)

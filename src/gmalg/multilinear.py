@@ -19,7 +19,8 @@ from .algebra_core import Element, StructureAlgebra
 from .budget import guard_tuples, guard_unknowns
 from .errors import DimensionMismatchError, FieldMismatchError
 from .exact_linear import FieldSpec, Subspace, kernel_basis
-from .structure_analysis import center, core_algebra, lie_derivation_space
+from .structure_analysis import (center, core_algebra, leibniz_rows,
+                                 lie_derivation_space)
 
 
 @dataclass(frozen=True)
@@ -271,7 +272,7 @@ def _leibniz_predicate(g, mmap: MultilinearMap, lie: bool) -> PredicateResult:
     _check_algebra_map(alg, mmap)
     d, n, p = alg.dim, mmap.arity, alg.field.p
     guard_tuples("leibniz predicate", d ** n)
-    cells = _integer_cells(alg.bracket_table if lie else alg.mul.entries)
+    cells = _integer_cells((alg.bracket_table if lie else alg.mul).entries)
     vals = _integer_values(mmap)
     for slot in range(n):
         st = d ** (n - 1 - slot)
@@ -341,7 +342,7 @@ def swap_identity_check(g, mmap: MultilinearMap) -> PredicateResult:
 
     def bvec(i, j):
         out = f.vec_zero(d)
-        for k, c in bt[i * d + j]:
+        for k, c in bt.at(i, j):
             out[k] = c
         return out
 
@@ -395,11 +396,11 @@ def _slot_block_rows(alg: StructureAlgebra, dcols) -> list:
     rows = []
     for a1 in range(d):
         da_vecs = [dcols[al][a1] for al in range(ell)]
-        right = [[alg.bracket_vec_basis(da_vecs[al], v) for v in range(d)]
-                 for al in range(ell)]
+        # right[al][t] = {v: coefficient of b_t in [D_al(b_a1), b_v]}
+        right = [bt.operator_rows(f, left=da_vecs[al]) for al in range(ell)]
         for u in range(d):
             for v in range(u + 1, d):
-                cell = bt[u * d + v]
+                cell = bt.at(u, v)
                 for t in range(d):
                     row: dict[int, object] = {}
                     for w, c in cell:
@@ -410,12 +411,12 @@ def _slot_block_rows(alg: StructureAlgebra, dcols) -> list:
                                 row[key] = f.add(row.get(key, f.zero),
                                                  f.mul(c, x))
                     for al in range(ell):
-                        x = right[al][v][t]
+                        x = right[al][t].get(v)
                         if x:
                             key = al * d + u
                             row[key] = f.sub(row.get(key, f.zero), x)
                         # [b_u, D(b_a1)] = -[D(b_a1), b_u]
-                        y = right[al][u][t]
+                        y = right[al][t].get(u)
                         if y:
                             key = al * d + v
                             row[key] = f.add(row.get(key, f.zero), y)
@@ -526,42 +527,16 @@ def n_lie_derivation_space_direct(g, n: int) -> list:
     d, f = alg.dim, alg.field
     nunk = d ** (n + 1)
     guard_unknowns("direct space", nunk)
-    bt = alg.bracket_table
-    rows = []
-    for slot in range(n):
-        st = d ** (n - 1 - slot)
-        for spect in range(d ** (n - 1)):
-            lo = spect % st
-            base = (spect // st) * (st * d) + lo
-            for u in range(d):
-                for v in range(u + 1, d):
-                    cell = bt[u * d + v]
-                    for t in range(d):
-                        row: dict[int, object] = {}
-                        for w, c in cell:
-                            key = (base + w * st) * d + t
-                            row[key] = f.add(row.get(key, f.zero), c)
-                        # -[T(..u..), b_v]_t
-                        for s in range(d):
-                            for k, c in bt[s * d + v]:
-                                if k == t:
-                                    key = (base + u * st) * d + s
-                                    row[key] = f.sub(row.get(key, f.zero), c)
-                        # -[b_u, T(..v..)]_t = +[T(..v..), b_u]_t
-                        for s in range(d):
-                            for k, c in bt[s * d + u]:
-                                if k == t:
-                                    key = (base + v * st) * d + s
-                                    row[key] = f.add(row.get(key, f.zero), c)
-                        row = {kk: val for kk, val in row.items() if val}
-                        if row:
-                            rows.append(row)
-    sols = kernel_basis(f, nunk, rows)
-    flat_space = Subspace.span(f, nunk, sols)
+    size = d ** n
+    sols = kernel_basis(f, nunk, leibniz_rows(alg, n, lie=True))
+    # component-major kernel vectors, reordered tuple-major like flatten()
+    flat_space = Subspace.span(f, nunk, [
+        [sol[t * size + rank] for rank in range(size) for t in range(d)]
+        for sol in sols])
     maps = []
     for flat in flat_space.basis:
         entries = {}
-        for rank in range(d ** n):
+        for rank in range(size):
             vec = flat[rank * d:(rank + 1) * d]
             if any(vec):
                 entries[_rank_digits(rank, d, n)] = tuple(vec)

@@ -3,6 +3,14 @@
 Every question is reduced to an exact kernel or span computation; answers
 come back as canonical Subspace values or as three-valued CheckStatus
 records carrying witnesses.
+
+Constraint rows come from one view, `BilinearTable.operator_rows`: fix one
+argument of a structure table to a coordinate vector and it returns, per
+output basis element, the sparse row {free index: coefficient} of the
+linear map in the other argument. The center is the kernel of the rows of
+x -> [x, b_j] over all j; an annihilator is the kernel of the pairing rows
+with a module basis vector fixed; and `leibniz_rows` pairs one product
+cell b_u.b_v with the rows of x -> x.b_v and x -> b_u.x.
 """
 
 from __future__ import annotations
@@ -10,12 +18,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from typing import Optional, Union
 
-from .algebra_core import Element, StructureAlgebra, is_commutative
+from .algebra_core import Element, StructureAlgebra, is_commutative, stack_rows
 from .errors import CenterStructureError
 from .exact_linear import Matrix, Subspace, kernel_basis, solve_particular
-from .gma import GMAlgebra, pairing_image_mn, pairing_image_nm
+from .gma import GMAlgebra, MoritaContext, pairing_image_mn, pairing_image_nm
 
 _PROBE_SEED = 0x5EED_CA_FE
 _ENUM_LIMIT = 10 ** 6
@@ -27,19 +36,11 @@ def core_algebra(g: Union[GMAlgebra, StructureAlgebra]) -> StructureAlgebra:
 
 @lru_cache(maxsize=None)
 def center(alg: StructureAlgebra) -> Subspace:
-    """Kernel of x -> ([x, b_i])_i stacked over all basis elements."""
-    d = alg.dim
-    rows = []
-    for j in range(d):
-        for t in range(d):
-            row = {}
-            for i in range(d):
-                for k, c in alg.bracket_table[i * d + j]:
-                    if k == t:
-                        row[i] = c
-            if row:
-                rows.append(row)
-    return Subspace.span(alg.field, d, kernel_basis(alg.field, d, rows))
+    """Kernel of x -> ([x, b_j])_j stacked over all basis elements."""
+    d, f = alg.dim, alg.field
+    rows = stack_rows(alg.bracket_table.operator_rows(f, right=f.unit(d, j))
+                      for j in range(d))
+    return Subspace.span(f, d, kernel_basis(f, d, rows))
 
 
 @lru_cache(maxsize=None)
@@ -48,49 +49,53 @@ def derivation_space(alg: StructureAlgebra) -> Subspace:
 
     Unknown D[t*d+s] is the coefficient of b_t in D(b_s).
     """
-    return _leibniz_kernel(alg, use_bracket=False)
+    f, dd = alg.field, alg.dim ** 2
+    return Subspace.span(f, dd, kernel_basis(f, dd, leibniz_rows(alg, 1, lie=False)))
 
 
 @lru_cache(maxsize=None)
 def lie_derivation_space(alg: StructureAlgebra) -> Subspace:
     """Solutions of D([b_i, b_j]) = [D(b_i), b_j] + [b_i, D(b_j)]."""
-    return _leibniz_kernel(alg, use_bracket=True)
+    f, dd = alg.field, alg.dim ** 2
+    return Subspace.span(f, dd, kernel_basis(f, dd, leibniz_rows(alg, 1, lie=True)))
 
 
-def _leibniz_kernel(alg: StructureAlgebra, use_bracket: bool) -> Subspace:
+def leibniz_rows(alg: StructureAlgebra, n: int, lie: bool) -> list:
+    """Rows of the law T(..u.v..) = T(..u..).b_v + b_u.T(..v..), slot by slot.
+
+    The product is the bracket for the Lie law (pairs u < v) and the
+    multiplication otherwise (all pairs). Unknowns are component-major:
+    t*d**n + rank is the coefficient of b_t in T at the basis tuple of that
+    rank (first slot most significant), so for n = 1 it is D[t*d+s]. Rows run
+    over slot, spectator tuple, u, v and the output component t.
+    """
     d, f = alg.dim, alg.field
-    if use_bracket:
-        table_at = lambda i, j: alg.bracket_table[i * d + j]
-        pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    else:
-        table_at = lambda i, j: alg.mul.at(i, j)
-        pairs = [(i, j) for i in range(d) for j in range(d)]
+    table = alg.bracket_table if lie else alg.mul
+    size = d ** n
+    # by_right[v][t] = {s: (b_s.b_v)_t}, by_left[u][t] = {s: (b_u.b_s)_t}
+    by_right = [table.operator_rows(f, right=f.unit(d, v)) for v in range(d)]
+    by_left = [table.operator_rows(f, left=f.unit(d, u)) for u in range(d)]
     rows = []
-    for i, j in pairs:
-        prod = table_at(i, j)
-        for t in range(d):
-            row: dict[int, object] = {}
-
-            def bump(idx, c):
-                if c:
-                    row[idx] = f.add(row.get(idx, f.zero), c)
-
-            for s, c in prod:
-                bump(t * d + s, c)
-            # -(D(b_i) b_j)_t: D(b_i) = sum_w D[w,i] b_w
-            for w in range(d):
-                for k, c in table_at(w, j):
-                    if k == t:
-                        bump(w * d + i, f.neg(c))
-            # -(b_i D(b_j))_t
-            for w in range(d):
-                for k, c in table_at(i, w):
-                    if k == t:
-                        bump(w * d + j, f.neg(c))
-            row = {k: v for k, v in row.items() if v}
-            if row:
-                rows.append(row)
-    return Subspace.span(f, d * d, kernel_basis(f, d * d, rows))
+    for slot in range(n):
+        st = d ** (n - 1 - slot)
+        for spect in range(d ** (n - 1)):
+            base = (spect // st) * (st * d) + spect % st
+            for u in range(d):
+                for v in range(u + 1, d) if lie else range(d):
+                    cell = table.at(u, v)
+                    at_u, at_v = base + u * st, base + v * st
+                    for t in range(d):
+                        row = {t * size + base + w * st: c for w, c in cell}
+                        for s, c in by_right[v][t].items():
+                            key = s * size + at_u
+                            row[key] = row.get(key, 0) - c
+                        for s, c in by_left[u][t].items():
+                            key = s * size + at_v
+                            row[key] = row.get(key, 0) - c
+                        row = f.sparse(row)
+                        if row:
+                            rows.append(row)
+    return rows
 
 
 @lru_cache(maxsize=None)
@@ -100,9 +105,9 @@ def inner_derivation_space(alg: StructureAlgebra) -> Subspace:
     vecs = []
     for i in range(d):
         flat = f.vec_zero(d * d)
-        for s in range(d):
-            for k, c in alg.bracket_table[i * d + s]:
-                flat[k * d + s] = c
+        for t, row in enumerate(alg.bracket_table.operator_rows(f, left=f.unit(d, i))):
+            for s, c in row.items():
+                flat[t * d + s] = c
         vecs.append(flat)
     return Subspace.span(f, d * d, vecs)
 
@@ -209,13 +214,11 @@ def _verify_link(g: GMAlgebra, a_part, b_part, a_to_b) -> None:
     for arow in a_part.basis:
         bvec = _linked_image(a_part, b_part, a_to_b, arow)
         for j in range(dm):
-            m = f.vec_zero(dm)
-            m[j] = f.one
+            m = f.unit(dm, j)
             if ctx.act_am.apply(f, arow, m) != ctx.act_mb.apply(f, m, bvec):
                 raise CenterStructureError("a.m != m.eta(a) on module basis")
         for j in range(dn):
-            n = f.vec_zero(dn)
-            n[j] = f.one
+            n = f.unit(dn, j)
             if ctx.act_na.apply(f, n, arow) != ctx.act_bn.apply(f, bvec, n):
                 raise CenterStructureError("n.a != eta(a).n on module basis")
     # multiplicativity on basis products
@@ -254,8 +257,7 @@ def has_nonzero_central_ideal(alg: StructureAlgebra) -> CentralIdealResult:
     d, f = alg.dim, alg.field
     rows = []
     for i in range(d):
-        e_i = f.vec_zero(d)
-        e_i[i] = f.one
+        e_i = f.unit(d, i)
         residuals = []
         for zr in z.basis:
             prod = alg.mul_coords(e_i, list(zr))
@@ -303,9 +305,7 @@ def torsion_action_check(g: Union[GMAlgebra, StructureAlgebra],
         return CheckStatus("pass", reason="center is zero")
 
     def singular_witness(zvec):
-        cols = [alg.mul_coords(list(zvec), _unit_vec(f, d, s)) for s in range(d)]
-        rows = [[cols[s][t] for s in range(d)] for t in range(d)]
-        ker = kernel_basis(f, d, rows)
+        ker = kernel_basis(f, d, stack_rows([alg.mul.operator_rows(f, left=zvec)]))
         return ker[0] if ker else None
 
     if z.dim == 1:
@@ -334,7 +334,7 @@ def torsion_action_check(g: Union[GMAlgebra, StructureAlgebra],
             return CheckStatus("fail", witness=(alg.element(vec), alg.element(ker)))
 
     if f.p is not None and f.p ** z.dim <= _ENUM_LIMIT:
-        for combo in _all_tuples(f.p, z.dim):
+        for combo in product(range(f.p), repeat=z.dim):
             if not any(combo):
                 continue
             vec = f.vec_zero(d)
@@ -350,21 +350,6 @@ def torsion_action_check(g: Union[GMAlgebra, StructureAlgebra],
         "unknown",
         reason=f"center dimension {z.dim} over {f.name}: "
                "probes nonsingular, no finite decision procedure")
-
-
-def _unit_vec(f, d, i):
-    v = f.vec_zero(d)
-    v[i] = f.one
-    return v
-
-
-def _all_tuples(p, n):
-    if n == 0:
-        yield ()
-        return
-    for rest in _all_tuples(p, n - 1):
-        for c in range(p):
-            yield rest + (c,)
 
 
 # ---------------------------------------------------------------------------
@@ -389,83 +374,37 @@ class PairSpaces:
 
 def pair_spaces(g: GMAlgebra) -> PairSpaces:
     ctx, f = g.context, g.field
-    da, dm, dn, db = ctx.dims
+    _, dm, dn, _ = ctx.dims
     fm, en_sz = dm * dm, dn * dn
 
-    hom_m_rows = _bimodule_hom_rows(f, ctx.a, ctx.b, dm, ctx.act_am, ctx.act_mb, 0, 0)
+    hom_m_rows = _bimodule_hom_rows(f, ctx.a, ctx.b, dm, ctx.act_am, ctx.act_mb)
     hom_m = Subspace.span(f, fm, kernel_basis(f, fm, hom_m_rows)) if dm else \
         Subspace.zero(f, 0)
-    hom_n_rows = _bimodule_hom_rows(f, ctx.b, ctx.a, dn, ctx.act_bn, ctx.act_na, 0, 0)
+    hom_n_rows = _bimodule_hom_rows(f, ctx.b, ctx.a, dn, ctx.act_bn, ctx.act_na)
     hom_n = Subspace.span(f, en_sz, kernel_basis(f, en_sz, hom_n_rows)) if dn else \
         Subspace.zero(f, 0)
 
     total = fm + en_sz
-    rows = list(_bimodule_hom_rows(f, ctx.a, ctx.b, dm, ctx.act_am, ctx.act_mb,
-                                   0, total))
-    rows += _bimodule_hom_rows(f, ctx.b, ctx.a, dn, ctx.act_bn, ctx.act_na,
-                               fm, total)
-    # compatibility: F(m_i) n_j + m_i E(n_j) = 0 in A
-    for i in range(dm):
-        for j in range(dn):
-            for t in range(da):
-                row = {}
-                for w in range(dm):
-                    for k, c in ctx.pair_mn.at(w, j):
-                        if k == t and c:
-                            row[t_idx(w, i, dm)] = f.add(
-                                row.get(t_idx(w, i, dm), f.zero), c)
-                for w in range(dn):
-                    for k, c in ctx.pair_mn.at(i, w):
-                        if k == t and c:
-                            key = fm + t_idx(w, j, dn)
-                            row[key] = f.add(row.get(key, f.zero), c)
-                row = {k: v for k, v in row.items() if v}
-                if row:
-                    rows.append(row)
-    # compatibility: n_j F(m_i) + E(n_j) m_i = 0 in B
-    for i in range(dm):
-        for j in range(dn):
-            for t in range(db):
-                row = {}
-                for w in range(dm):
-                    for k, c in ctx.pair_nm.at(j, w):
-                        if k == t and c:
-                            row[t_idx(w, i, dm)] = f.add(
-                                row.get(t_idx(w, i, dm), f.zero), c)
-                for w in range(dn):
-                    for k, c in ctx.pair_nm.at(w, i):
-                        if k == t and c:
-                            key = fm + t_idx(w, j, dn)
-                            row[key] = f.add(row.get(key, f.zero), c)
-                row = {k: v for k, v in row.items() if v}
-                if row:
-                    rows.append(row)
+    rows = hom_m_rows + stack_rows([hom_n_rows], fm)
+    # compatibility: F(m_i) n_j + m_i E(n_j) = 0 in A (pairing rows [0]),
+    # then n_j F(m_i) + E(n_j) m_i = 0 in B (pairing rows [1])
+    on_m, on_n = pairing_rows(ctx)
+    for out in (0, 1):
+        for i in range(dm):
+            for j in range(dn):
+                for f_row, e_row in zip(on_m[j][out], on_n[i][out]):
+                    row = {t_idx(w, i, dm): c for w, c in f_row.items()}
+                    row.update((fm + t_idx(w, j, dn), c) for w, c in e_row.items())
+                    if row:
+                        rows.append(row)
     special = Subspace.span(f, total, kernel_basis(f, total, rows))
 
-    vecs = []
-    za, zb = center(ctx.a), center(ctx.b)
-    for w0 in za.basis:
-        flat = f.vec_zero(total)
-        for s in range(dm):
-            img = ctx.act_am.apply(f, list(w0), _unit_vec(f, dm, s))
-            for t in range(dm):
-                flat[t_idx(t, s, dm)] = img[t]
-        for s in range(dn):
-            img = ctx.act_na.apply(f, _unit_vec(f, dn, s), list(w0))
-            for t in range(dn):
-                flat[fm + t_idx(t, s, dn)] = f.neg(img[t])
-        vecs.append(flat)
-    for w1 in zb.basis:
-        flat = f.vec_zero(total)
-        for s in range(dm):
-            img = ctx.act_mb.apply(f, _unit_vec(f, dm, s), list(w1))
-            for t in range(dm):
-                flat[t_idx(t, s, dm)] = img[t]
-        for s in range(dn):
-            img = ctx.act_bn.apply(f, list(w1), _unit_vec(f, dn, s))
-            for t in range(dn):
-                flat[fm + t_idx(t, s, dn)] = f.neg(img[t])
-        vecs.append(flat)
+    vecs = [_pair_vector(f, ctx.act_am.operator_rows(f, left=w0),
+                         ctx.act_na.operator_rows(f, right=w0))
+            for w0 in center(ctx.a).basis]
+    vecs += [_pair_vector(f, ctx.act_mb.operator_rows(f, right=w1),
+                          ctx.act_bn.operator_rows(f, left=w1))
+             for w1 in center(ctx.b).basis]
     standard = Subspace.span(f, total, vecs)
     return PairSpaces(hom_m, hom_n, special, standard)
 
@@ -475,49 +414,71 @@ def t_idx(t: int, s: int, dim: int) -> int:
     return t * dim + s
 
 
-def _bimodule_hom_rows(f, left_alg, right_alg, dmod, act_left, act_right,
-                       offset, total=None):
+def _pair_vector(f, f_rows, e_rows) -> list:
+    """Flat (F, E) with F[t, s] = f_rows[t][s] and E[t, s] = -e_rows[t][s]."""
+    dm, dn = len(f_rows), len(e_rows)
+    flat = f.vec_zero(dm * dm + dn * dn)
+    for t, row in enumerate(f_rows):
+        for s, c in row.items():
+            flat[t_idx(t, s, dm)] = c
+    for t, row in enumerate(e_rows):
+        for s, c in row.items():
+            flat[dm * dm + t_idx(t, s, dn)] = f.neg(c)
+    return flat
+
+
+def _bimodule_hom_rows(f, left_alg, right_alg, d, act_left, act_right) -> list:
     """Rows forcing F(x . m . y) = x . F(m) . y at basis level.
 
-    Unknowns F[t*dmod+s] shifted by `offset` inside a larger flat space.
+    Unknown F[t*d+s] is the coefficient of m_t in F(m_s).
     """
-    d = dmod
     rows = []
-    if d == 0:
-        return rows
     for i in range(left_alg.dim):
+        # F(a_i . m_j) = a_i . F(m_j)
+        by_left = act_left.operator_rows(f, left=f.unit(left_alg.dim, i))
         for j in range(d):
-            # F(a_i . m_j) = a_i . F(m_j)
-            img = act_left.at(i, j)
-            for t in range(d):
-                row = {}
-                for s, c in img:
-                    row[offset + t_idx(t, s, d)] = c
-                for w in range(d):
-                    for k, c in act_left.at(i, w):
-                        if k == t and c:
-                            key = offset + t_idx(w, j, d)
-                            row[key] = f.sub(row.get(key, f.zero), c)
-                row = {k: v for k, v in row.items() if v}
-                if row:
-                    rows.append(row)
+            rows += _intertwining_rows(f, act_left.at(i, j), by_left, j, d)
+    by_right = [act_right.operator_rows(f, right=f.unit(right_alg.dim, j))
+                for j in range(right_alg.dim)]
     for i in range(d):
         for j in range(right_alg.dim):
             # F(m_i . b_j) = F(m_i) . b_j
-            img = act_right.at(i, j)
-            for t in range(d):
-                row = {}
-                for s, c in img:
-                    row[offset + t_idx(t, s, d)] = c
-                for w in range(d):
-                    for k, c in act_right.at(w, j):
-                        if k == t and c:
-                            key = offset + t_idx(w, i, d)
-                            row[key] = f.sub(row.get(key, f.zero), c)
-                row = {k: v for k, v in row.items() if v}
-                if row:
-                    rows.append(row)
+            rows += _intertwining_rows(f, act_right.at(i, j), by_right[j], i, d)
     return rows
+
+
+def _intertwining_rows(f, cell, op_rows, s0: int, d: int) -> list:
+    """Rows of F(sum_s c_s m_s) = op(F(m_s0)) for cell = ((s, c_s), ...).
+
+    op_rows[t][w] is the coefficient of m_t in op(m_w); one row per t.
+    """
+    rows = []
+    for t, op in enumerate(op_rows):
+        row = {t_idx(t, s, d): c for s, c in cell}
+        for w, c in op.items():
+            key = t_idx(w, s0, d)
+            row[key] = row.get(key, 0) - c
+        row = f.sparse(row)
+        if row:
+            rows.append(row)
+    return rows
+
+
+def pairing_rows(ctx: MoritaContext) -> tuple:
+    """Pairing rows with one module argument fixed to a basis vector.
+
+    Returns (on_m, on_n). on_m[j] is the pair (rows of m -> m n_j into A,
+    rows of m -> n_j m into B); on_n[i] is (rows of n -> m_i n into A, rows
+    of n -> n m_i into B). Stacked, on_m cuts out {m : N m = 0 = m N} and
+    on_n cuts out {n : M n = 0 = n M}.
+    """
+    f = ctx.field
+    _, dm, dn, _ = ctx.dims
+    on_m = [(ctx.pair_mn.operator_rows(f, right=f.unit(dn, j)),
+             ctx.pair_nm.operator_rows(f, left=f.unit(dn, j))) for j in range(dn)]
+    on_n = [(ctx.pair_mn.operator_rows(f, left=f.unit(dm, i)),
+             ctx.pair_nm.operator_rows(f, right=f.unit(dm, i))) for i in range(dm)]
+    return on_m, on_n
 
 
 # ---------------------------------------------------------------------------
@@ -612,21 +573,9 @@ def check_hypotheses(g: GMAlgebra, variant: str) -> HypothesisReport:
 
 def _annihilator_check_n(g: GMAlgebra) -> CheckStatus:
     """{n : M n = 0 and n M = 0} must vanish."""
-    ctx, f = g.context, g.field
-    da, dm, dn, db = ctx.dims
-    rows = []
-    for i in range(dm):
-        for t in range(da):
-            row = {j: c for j in range(dn)
-                   for k, c in ctx.pair_mn.at(i, j) if k == t}
-            if row:
-                rows.append(row)
-        for t in range(db):
-            row = {j: c for j in range(dn)
-                   for k, c in ctx.pair_nm.at(j, i) if k == t}
-            if row:
-                rows.append(row)
-    ker = kernel_basis(f, dn, rows)
+    _, on_n = pairing_rows(g.context)
+    rows = stack_rows(blk for pair in on_n for blk in pair)
+    ker = kernel_basis(g.field, g.context.n_dim, rows)
     if not ker:
         return CheckStatus("pass")
     return CheckStatus("fail", witness=g.embed_n(ker[0]),
@@ -635,21 +584,9 @@ def _annihilator_check_n(g: GMAlgebra) -> CheckStatus:
 
 def _annihilator_check_m(g: GMAlgebra) -> CheckStatus:
     """{m : N m = 0 and m N = 0} must vanish."""
-    ctx, f = g.context, g.field
-    da, dm, dn, db = ctx.dims
-    rows = []
-    for j in range(dn):
-        for t in range(db):
-            row = {i: c for i in range(dm)
-                   for k, c in ctx.pair_nm.at(j, i) if k == t}
-            if row:
-                rows.append(row)
-        for t in range(da):
-            row = {i: c for i in range(dm)
-                   for k, c in ctx.pair_mn.at(i, j) if k == t}
-            if row:
-                rows.append(row)
-    ker = kernel_basis(f, dm, rows)
+    on_m, _ = pairing_rows(g.context)
+    rows = stack_rows(blk for into_a, into_b in on_m for blk in (into_b, into_a))
+    ker = kernel_basis(g.field, g.context.m_dim, rows)
     if not ker:
         return CheckStatus("pass")
     return CheckStatus("fail", witness=g.embed_m(ker[0]),

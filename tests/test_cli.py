@@ -1,6 +1,10 @@
 """Command-line behavior: formats, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -182,6 +186,16 @@ def test_budget_exit_code(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "verify", spec, "--arity", "3")
     assert code == 3
     assert "budget" in err.lower()
+    assert "context tables" in err  # 45 table cells: stops at spec load
+
+
+def test_budget_exit_code_inside_verify(tmp_path, capsys, monkeypatch):
+    spec = gen(tmp_path, capsys, "m3.json",
+               "--kind", "full-matrix", "--r", "3", "--field", "gf:7")
+    monkeypatch.setenv("GMALG_BUDGET", "100")  # the spec loads, verify does not fit
+    code, _, err = run(capsys, "verify", spec, "--arity", "3")
+    assert code == 3
+    assert "slot-restricted space" in err
 
 
 def test_gen_requires_dimension_flags(capsys):
@@ -296,3 +310,33 @@ def test_derivations_arity_one_and_four_stay_valid(tmp_path, capsys):
     code, out, _ = run(capsys, "derivations", spec, "--lie", "--arity", "4")
     assert code == 0
     assert json.loads(out)["details"]["dim"] > 0
+
+
+def test_large_stock_context_loads_at_default_budget(tmp_path, capsys, monkeypatch):
+    """The load guard counts table cells, so total dimension 48 still validates."""
+    monkeypatch.delenv("GMALG_BUDGET", raising=False)
+    spec = gen(tmp_path, capsys, "ut44.json",
+               "--kind", "upper-triangular", "--s", "4", "--t", "4", "--field", "q")
+    code, out, _ = run(capsys, "validate", spec)
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["instance"]["dims"]["total"] == 48
+    assert rep["checks"] == [{"name": "context-valid", "status": "pass"}]
+
+
+def test_oversized_declared_blocks_exit_on_budget(tmp_path, capsys):
+    """A huge declared block size stops at load, before any table is built."""
+    spec = gen(tmp_path, capsys, "t2.json",
+               "--kind", "upper-triangular", "--s", "1", "--t", "1", "--field", "q")
+    with open(spec) as fh:
+        data = json.load(fh)
+    data["blocks"]["a_dim"] = 1000000
+    big = tmp_path / "big.json"
+    big.write_text(dumps_canonical(data))
+    env = dict(os.environ, PYTHONPATH=str(Path(G.__file__).parents[1]))
+    env.pop("GMALG_BUDGET", None)
+    proc = subprocess.run([sys.executable, "-m", "gmalg.cli", "validate", str(big)],
+                          capture_output=True, text=True, env=env, timeout=8)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert "budget" in proc.stderr

@@ -3,8 +3,9 @@
 The stock corpus has 0/1 constants only. Here each instance is rewritten in a
 seeded block-diagonal basis (constants like 2, -1/2, 1/3 over q), and the
 predicates are checked against two independent oracles: membership in the
-span of the dense-kernel n-Lie space, and a brute-force scan of the law on
-basis elements through `MultilinearMap.evaluate` and element products.
+span of the dense-kernel n-Lie space (for n = 1, the derivation or
+Lie-derivation space), and a brute-force scan of the law on basis elements
+through `MultilinearMap.evaluate` and element products.
 """
 
 import random
@@ -112,6 +113,42 @@ def test_lie_predicate_matches_direct_space(field, name, kind, kw, n):
         if not res.ok:
             failures += 1
             assert violates(g, m, res.witness, lie=True)
+    assert failures > 0
+
+
+@pytest.mark.parametrize("field", [Q, GF101], ids=["q", "gf101"])
+@pytest.mark.parametrize("name,kind,kw", INSTANCES,
+                         ids=[i[0] for i in INSTANCES])
+@pytest.mark.parametrize("lie", [False, True], ids=["assoc", "lie"])
+def test_arity_one_predicate_matches_derivation_space(field, name, kind, kw, lie):
+    """n = 1: the predicate against the kernel of `leibniz_rows(alg, 1, lie)`."""
+    g = dense_gma(kind, field, **kw)
+    d = g.dim
+    space = (G.lie_derivation_space if lie else G.derivation_space)(g.algebra)
+    pred = G.is_n_lie_derivation if lie else G.is_n_derivation
+
+    def as_map(flat):
+        """D[t*d+s], the coefficient of b_t in D(b_s), as an arity-1 map."""
+        return G.MultilinearMap.from_entries(
+            field, 1, d, {(s,): [flat[t * d + s] for t in range(d)]
+                          for s in range(d)})
+
+    def as_flat(mmap):
+        return [mmap.value_at((s,))[t] for t in range(d) for s in range(d)]
+
+    rng = random.Random(f"arity1:{name}:{field.name}:{lie}")
+    maps = [as_map(flat) for flat in space.basis]
+    assert maps
+    for m in list(maps):
+        maps += single_entry_perturbations(m, rng, 3)
+    failures = 0
+    for m in maps:
+        res = pred(g, m)
+        assert res.ok == space.contains(as_flat(m))
+        if not res.ok:
+            failures += 1
+            assert violates(g, m, res.witness, lie)
+            assert res.witness == first_violation(g, m, lie)
     assert failures > 0
 
 
