@@ -24,11 +24,10 @@ from .exact_linear import (FieldSpec, Matrix, Subspace, kernel_basis,
 from .gma import (GMAlgebra, MoritaContext, PierceParts, assemble,
                   generate_builtin, pairing_image_mn, pairing_image_nm,
                   pierce_project, validate_context)
-from .multilinear import (LeibnizWitness, MultilinearMap, PredicateResult,
-                          is_centrally_valued, is_n_derivation,
-                          is_n_lie_derivation, is_permuting, maps_span,
-                          n_lie_derivation_space, n_lie_derivation_space_direct,
-                          swap_identity_check)
+from .multilinear import (LeibnizWitness, MultilinearMap, is_centrally_valued,
+                          is_n_derivation, is_n_lie_derivation, is_permuting,
+                          maps_span, n_lie_derivation_space,
+                          n_lie_derivation_space_direct, swap_identity_check)
 from .structure_analysis import (CenterData, CheckStatus, HypothesisReport,
                                  PairSpaces, all_derivations_inner, center,
                                  center_data, check_hypotheses,

@@ -9,6 +9,8 @@ from typing import Callable, Iterable, Optional
 from .errors import DimensionMismatchError, FieldMismatchError
 from .exact_linear import FieldSpec, Scalar, Subspace
 
+_MAX_VIOLATIONS = 16
+
 
 @dataclass(frozen=True)
 class BilinearTable:
@@ -173,6 +175,11 @@ class StructureAlgebra:
         quads += [(j, i, k, f.neg(c)) for i, j, k, c in quads]
         return BilinearTable.from_quadruples(f, d, d, d, quads)
 
+    @cached_property
+    def commutators(self) -> Subspace:
+        """`commutator_span` of this algebra, computed on first use only."""
+        return commutator_span(self)
+
     # -- element-level operations ---------------------------------------------
 
     def multiply(self, x: "Element", y: "Element") -> "Element":
@@ -265,8 +272,7 @@ class ValidationReport:
         return f"{len(self.violations)} violation(s), first: {v.law} at {v.indices}"
 
 
-def validate_algebra(alg: StructureAlgebra,
-                    max_violations: int = 16) -> ValidationReport:
+def validate_algebra(alg: StructureAlgebra) -> ValidationReport:
     """Check the two-sided unit law and associativity on all basis triples."""
     d = alg.dim
     f = alg.field
@@ -278,7 +284,7 @@ def validate_algebra(alg: StructureAlgebra,
             bad.append(Violation("left-unit", (i,)))
         if alg.mul_coords(e_i, unit) != e_i:
             bad.append(Violation("right-unit", (i,)))
-        if len(bad) >= max_violations:
+        if len(bad) >= _MAX_VIOLATIONS:
             return ValidationReport(tuple(bad))
     for i in range(d):
         for j in range(d):
@@ -290,7 +296,7 @@ def validate_algebra(alg: StructureAlgebra,
                     bad.append(Violation(
                         "associativity", (i, j, k),
                         f"(b{i} b{j}) b{k} != b{i} (b{j} b{k})"))
-                    if len(bad) >= max_violations:
+                    if len(bad) >= _MAX_VIOLATIONS:
                         return ValidationReport(tuple(bad))
     return ValidationReport(tuple(bad))
 
@@ -317,7 +323,7 @@ def commutator_span(alg: StructureAlgebra) -> Subspace:
 
 
 def is_commutative(alg: StructureAlgebra) -> bool:
-    return commutator_span(alg).dim == 0
+    return alg.commutators.dim == 0
 
 
 # ---------------------------------------------------------------------------

@@ -140,7 +140,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_center(args) -> int:
     started = time.perf_counter()
-    ctx, _ = load_context(args.spec)
+    ctx = load_context(args.spec)
     g = assemble(ctx, validate=False)
     rep = _report_skeleton("center", {"spec": args.spec}, ctx)
     try:
@@ -162,7 +162,7 @@ def _cmd_center(args) -> int:
 
 def _cmd_hypotheses(args) -> int:
     started = time.perf_counter()
-    ctx, _ = load_context(args.spec)
+    ctx = load_context(args.spec)
     g = assemble(ctx, validate=False)
     report = check_hypotheses(g, args.theorem)
     rep = _report_skeleton("hypotheses",
@@ -178,7 +178,7 @@ def _cmd_hypotheses(args) -> int:
 def _cmd_derivations(args) -> int:
     started = time.perf_counter()
     _check_arity("derivations", args.arity, 1)
-    ctx, _ = load_context(args.spec)
+    ctx = load_context(args.spec)
     g = assemble(ctx, validate=False)
     rep = _report_skeleton(
         "derivations",
@@ -209,7 +209,7 @@ def _matrix_map_dict(field, dim, flat) -> dict:
 
 def _cmd_extremal(args) -> int:
     started = time.perf_counter()
-    ctx, _ = load_context(args.spec)
+    ctx = load_context(args.spec)
     g = assemble(ctx, validate=False)
     ex = extremal_exists(g)
     rep = _report_skeleton("extremal", {"spec": args.spec}, ctx)
@@ -233,7 +233,7 @@ def _cmd_extremal(args) -> int:
 
 def _cmd_decompose(args) -> int:
     started = time.perf_counter()
-    ctx, _ = load_context(args.spec)
+    ctx = load_context(args.spec)
     g = assemble(ctx, validate=False)
     mmap = load_map(args.map, g.field)
     if mmap.dim != g.dim:
@@ -273,7 +273,7 @@ def _cmd_decompose(args) -> int:
 def _cmd_verify(args) -> int:
     started = time.perf_counter()
     _check_arity("verify", args.arity, 2)
-    ctx, _ = load_context(args.spec)
+    ctx = load_context(args.spec)
     g = assemble(ctx, validate=False)
     vr = verify_decomposition(g, args.arity)
     rep = _report_skeleton("verify", {"spec": args.spec, "arity": args.arity},

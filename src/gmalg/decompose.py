@@ -12,14 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebra_core import Element, commutator_span, stack_rows
+from .algebra_core import Element, stack_rows
 from .budget import guard_tuples
 from .errors import ExtremalPreconditionError, LieLeibnizError
 from .exact_linear import Subspace, kernel_basis
 from .gma import GMAlgebra
-from .multilinear import (MultilinearMap, PredicateResult, is_centrally_valued,
+from .multilinear import (MultilinearMap, is_centrally_valued,
                           is_n_lie_derivation, n_lie_derivation_space)
-from .structure_analysis import center, check_hypotheses, pairing_rows
+from .structure_analysis import (CheckStatus, center, check_hypotheses,
+                                 pairing_rows)
 
 
 def extract_seed(g: GMAlgebra, mmap: MultilinearMap) -> Element:
@@ -34,14 +35,14 @@ def extract_seed(g: GMAlgebra, mmap: MultilinearMap) -> Element:
     return ef_part + fe_part
 
 
-def seed_annihilates_commutators(g: GMAlgebra, seed: Element) -> PredicateResult:
+def seed_annihilates_commutators(g: GMAlgebra, seed: Element) -> CheckStatus:
     """Check [c, seed] = 0 for every basis vector c of the commutator span."""
     alg = g.algebra
-    span = commutator_span(alg)
+    span = alg.commutators
     for idx, c in enumerate(span.basis):
         if any(alg.bracket_coords(list(c), list(seed.coords))):
-            return PredicateResult(False, idx)
-    return PredicateResult(True)
+            return CheckStatus("fail", witness=idx)
+    return CheckStatus("pass")
 
 
 def build_extremal(g: GMAlgebra, seed: Element, n: int) -> MultilinearMap:
@@ -73,7 +74,7 @@ def build_extremal(g: GMAlgebra, seed: Element, n: int) -> MultilinearMap:
 @dataclass(frozen=True)
 class DecompositionChecks:
     seed_annihilates_commutators: bool
-    central_part_is_central: PredicateResult
+    central_part_is_central: CheckStatus
     exact_sum: bool
     seed_is_central: bool
 
@@ -140,11 +141,11 @@ def extremal_exists(g: GMAlgebra) -> ExtremalExistence:
     total = dm + dn
     rows = []
     # [A,A] m0 = 0 and n0 [A,A] = 0
-    for cvec in commutator_span(ctx.a).basis:
+    for cvec in ctx.a.commutators.basis:
         rows += stack_rows([ctx.act_am.operator_rows(f, left=cvec)])
         rows += stack_rows([ctx.act_na.operator_rows(f, right=cvec)], dm)
     # m0 [B,B] = 0 and [B,B] n0 = 0
-    for cvec in commutator_span(ctx.b).basis:
+    for cvec in ctx.b.commutators.basis:
         rows += stack_rows([ctx.act_mb.operator_rows(f, right=cvec)])
         rows += stack_rows([ctx.act_bn.operator_rows(f, left=cvec)], dm)
     # m0 N = 0 = N m0 and n0 M = 0 = M n0: both annihilator row sets
@@ -173,7 +174,7 @@ def double_bracket_annihilator(g: GMAlgebra) -> Subspace:
     """Brute force {x : [c, x] = 0 for all c in the commutator span}."""
     alg = g.algebra
     d, f = alg.dim, alg.field
-    span = commutator_span(alg)
+    span = alg.commutators
     rows = stack_rows(alg.bracket_table.operator_rows(f, left=cvec)
                       for cvec in span.basis)
     return Subspace.span(f, d, kernel_basis(f, d, rows))

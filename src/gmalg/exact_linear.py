@@ -1,10 +1,14 @@
 """Exact linear algebra over the rationals and odd prime fields.
 
 Scalars are `fractions.Fraction` over the rationals and canonical int
-residues over GF(p). Elimination over the rationals is fraction-free
-(Bareiss) on integer rows to keep entry growth polynomial; subspaces are
-stored in reduced row echelon form so equality is plain entrywise
-comparison.
+residues over GF(p). Both fields share one elimination core on int rows:
+`rref` and `kernel_basis` each run one loop for both. The field decides
+only how a row is updated and how results leave the core. Over the
+rationals elimination is fraction-free (a Bareiss forward pass, content
+division in the kernel), which keeps entry growth polynomial, and results
+leave as Fractions; over GF(p) the pivot is scaled to 1 and a row update is
+row - f * pivot row mod p. Subspaces are stored in reduced row echelon
+form, so equality is plain entrywise comparison.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Union
 
 from .errors import DimensionMismatchError, FieldMismatchError
 
@@ -96,10 +100,9 @@ class FieldSpec:
         if isinstance(value, str):
             value = int(value)
         if isinstance(value, Fraction):
-            if value.denominator != 1:
-                num = value.numerator % self.p
-                return num * pow(value.denominator, self.p - 2, self.p) % self.p
-            value = value.numerator
+            if value.denominator % self.p == 0:
+                raise ZeroDivisionError(f"{value} is undefined in GF({self.p})")
+            return value.numerator * pow(value.denominator, self.p - 2, self.p) % self.p
         if isinstance(value, int):
             return value % self.p
         raise TypeError(f"cannot coerce {value!r} into GF({self.p})")
@@ -158,6 +161,16 @@ class FieldSpec:
         p = self.p
         return [c * a % p for a in u]
 
+    def combine(self, coeffs, vecs, n: int) -> list:
+        """The length-n linear combination sum_i coeffs[i] * vecs[i]."""
+        out = self.vec_zero(n)
+        for c, vec in zip(coeffs, vecs):
+            if c:
+                for i, a in enumerate(vec):
+                    if a:
+                        out[i] += c * a
+        return out if self.p is None else [x % self.p for x in out]
+
     def vec_is_zero(self, u) -> bool:
         return all(not a for a in u)
 
@@ -176,102 +189,86 @@ class FieldSpec:
 
 
 # ---------------------------------------------------------------------------
-# elimination cores
+# elimination core
 # ---------------------------------------------------------------------------
 
 
-def _int_rows(rows: Iterable[Sequence[Scalar]]) -> list[list[int]]:
-    """Scale rational rows to primitive integer rows (kernel/rank safe)."""
-    out = []
-    for row in rows:
-        fr = [x if isinstance(x, Fraction) else Fraction(x) for x in row]
-        den = 1
-        for x in fr:
-            den = lcm(den, x.denominator)
-        ints = [int(x * den) for x in fr]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        if g > 1:
-            ints = [v // g for v in ints]
-        out.append(ints)
-    return out
+def _int_row(field: FieldSpec, row) -> list[tuple[int, int]]:
+    """The nonzero (column, int) entries of a dict or dense row.
+
+    A rational row is scaled by the LCM of its denominators, which keeps its
+    kernel and its row space; a GF(p) row holds int residues.
+    """
+    items = row.items() if isinstance(row, dict) else list(enumerate(row))
+    if field.p is not None:
+        p = field.p
+        return [(i, r) for i, c in items if (r := int(c) % p)]
+    den = lcm(*(c.denominator for _, c in items))
+    return [(i, c.numerator * (den // c.denominator)) for i, c in items if c]
 
 
-def _rref_q(rows, ncols):
-    """Reduced row echelon form over the rationals, fraction-free forward pass."""
-    m = _int_rows(rows)
-    pivots: list[int] = []
-    pr = 0
-    prev = 1
-    for pc in range(ncols):
-        piv_row = None
-        for r in range(pr, len(m)):
-            if m[r][pc]:
-                piv_row = r
-                break
-        if piv_row is None:
-            continue
-        m[pr], m[piv_row] = m[piv_row], m[pr]
-        piv = m[pr][pc]
-        top = m[pr]
-        # Every row below is rescaled even when its factor is zero; the
-        # exact divisibility of the Bareiss step depends on it.
-        for r in range(pr + 1, len(m)):
-            row = m[r]
-            f = row[pc]
-            m[r] = [(piv * row[j] - f * top[j]) // prev for j in range(ncols)]
-        prev = piv
-        pivots.append(pc)
-        pr += 1
-        if pr == len(m):
-            break
-    out = []
-    for r in range(pr):
-        piv = m[r][pivots[r]]
-        out.append([Fraction(x, piv) for x in m[r]])
-    for r in range(pr - 1, -1, -1):
-        prow = out[r]
-        pc = pivots[r]
-        for r2 in range(r):
-            f = out[r2][pc]
-            if f:
-                out[r2] = [a - f * b for a, b in zip(out[r2], prow)]
-    return out, pivots
-
-
-def _rref_gf(rows, ncols, p):
-    m = [[int(x) % p for x in row] for row in rows]
-    pivots: list[int] = []
-    pr = 0
-    for pc in range(ncols):
-        piv_row = None
-        for r in range(pr, len(m)):
-            if m[r][pc]:
-                piv_row = r
-                break
-        if piv_row is None:
-            continue
-        m[pr], m[piv_row] = m[piv_row], m[pr]
-        inv = pow(m[pr][pc], p - 2, p)
-        m[pr] = [x * inv % p for x in m[pr]]
-        top = m[pr]
-        for r in range(len(m)):
-            if r != pr and m[r][pc]:
-                f = m[r][pc]
-                m[r] = [(a - f * b) % p for a, b in zip(m[r], top)]
-        pivots.append(pc)
-        pr += 1
-        if pr == len(m):
-            break
-    return m[:pr], pivots
+def _sub_multiple(p: Optional[int], row: list, f, top: list) -> list:
+    """row - f * top, reduced mod p over GF(p)."""
+    if p is None:
+        return [a - f * b for a, b in zip(row, top)]
+    return [(a - f * b) % p for a, b in zip(row, top)]
 
 
 def rref(field: FieldSpec, rows, ncols: int):
-    """Canonical RREF rows (zero rows dropped) and their pivot columns."""
-    if field.p is None:
-        return _rref_q(rows, ncols)
-    return _rref_gf(rows, ncols, field.p)
+    """Canonical RREF rows (zero rows dropped) and their pivot columns.
+
+    The forward pass runs on int rows. Over q it is fraction-free (Bareiss):
+    each row below the pivot row becomes (piv * row - f * top) / prev, an
+    exact division, which keeps entry growth polynomial. Over GF(p) the
+    pivot row is scaled to 1 and each row below becomes row - f * top mod p.
+    Back-substitution then clears the entries above each pivot, over q after
+    dividing every pivot row by its pivot.
+    """
+    p = field.p
+    m = []
+    for row in rows:
+        items = _int_row(field, row)
+        if items:
+            dense = [0] * ncols
+            for i, c in items:
+                dense[i] = c
+            m.append(dense)
+    pivots: list[int] = []
+    prev = 1
+    for pc in range(ncols):
+        pr = len(pivots)
+        piv_row = next((r for r in range(pr, len(m)) if m[r][pc]), None)
+        if piv_row is None:
+            continue
+        m[pr], m[piv_row] = m[piv_row], m[pr]
+        top = m[pr]
+        piv = top[pc]
+        if p is None:
+            # Every row below is rescaled even when its factor is zero; the
+            # exact divisibility of the Bareiss step depends on it.
+            for r in range(pr + 1, len(m)):
+                f = m[r][pc]
+                m[r] = [(piv * a - f * b) // prev for a, b in zip(m[r], top)]
+            prev = piv
+        else:
+            inv = pow(piv, p - 2, p)
+            top = m[pr] = [x * inv % p for x in top]
+            for r in range(pr + 1, len(m)):
+                if m[r][pc]:
+                    m[r] = _sub_multiple(p, m[r], m[r][pc], top)
+        pivots.append(pc)
+        if len(pivots) == len(m):
+            break
+    if p is None:
+        m = [[Fraction(x, row[pc]) for x in row] for row, pc in zip(m, pivots)]
+    else:
+        m = m[:len(pivots)]
+    for r in range(len(pivots) - 1, 0, -1):
+        pc, top = pivots[r], m[r]
+        for r2 in range(r):
+            if m[r2][pc]:
+                m[r2] = _sub_multiple(p, m[r2], m[r2][pc], top)
+    return m, pivots
 
 
 def kernel_basis(field: FieldSpec, ncols: int, rows) -> list[list[Scalar]]:
@@ -279,88 +276,40 @@ def kernel_basis(field: FieldSpec, ncols: int, rows) -> list[list[Scalar]]:
 
     Maintains a basis of the running solution space and shrinks it one
     constraint at a time, so cost scales with ncols * solution dimension
-    rather than with the (possibly huge) number of rows.
+    rather than with the (possibly huge) number of rows. Every basis vector
+    starts as a unit vector and keeps a nonzero entry at its own (free)
+    column, where all the others are 0. Over q the vectors are combined
+    fraction-free and divided by their content, so each is a primitive int
+    vector (returned as Fractions); over GF(p) the pivot is scaled to 1, so
+    each vector keeps a 1 at its free column.
     """
-    if field.p is None:
-        return _kernel_basis_int(ncols, rows)
-    return _kernel_basis_gf(ncols, rows, field.p)
-
-
-def _kernel_basis_int(ncols, rows):
-    cols = []
-    for i in range(ncols):
-        v = [0] * ncols
-        v[i] = 1
-        cols.append(v)
-    for raw in rows:
-        items = _int_row_items(raw)
+    p = field.p
+    cols = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    for row in rows:
+        items = _int_row(field, row)
         if not items:
             continue
         y = [sum(c * col[i] for i, c in items) for col in cols]
-        pivot = next((t for t, val in enumerate(y) if val), None)
+        if p is not None:
+            y = [v % p for v in y]
+        pivot = next((t for t, v in enumerate(y) if v), None)
         if pivot is None:
             continue
-        yt = y[pivot]
-        base = cols[pivot]
-        for s, ys in enumerate(y):
-            if s != pivot and ys:
-                col = cols[s]
-                new = [yt * a - ys * b for a, b in zip(col, base)]
-                g = 0
-                for v in new:
-                    g = gcd(g, v)
-                if g > 1:
-                    new = [v // g for v in new]
-                cols[s] = new
-        del cols[pivot]
-        if not cols:
-            break
-    return [[Fraction(v) for v in col] for col in cols]
-
-
-def _int_row_items(row) -> list[tuple[int, int]]:
-    if isinstance(row, dict):
-        items = sorted(row.items())
-    else:
-        items = [(i, c) for i, c in enumerate(row) if c]
-    if any(isinstance(c, Fraction) and c.denominator != 1 for _, c in items):
-        den = 1
-        for _, c in items:
-            den = lcm(den, Fraction(c).denominator)
-        items = [(i, int(Fraction(c) * den)) for i, c in items]
-    else:
-        items = [(i, int(c)) for i, c in items]
-    return [(i, c) for i, c in items if c]
-
-
-def _kernel_basis_gf(ncols, rows, p):
-    cols = []
-    for i in range(ncols):
-        v = [0] * ncols
-        v[i] = 1
-        cols.append(v)
-    for raw in rows:
-        if isinstance(raw, dict):
-            items = [(i, int(c) % p) for i, c in sorted(raw.items())]
+        base, yt = cols.pop(pivot), y.pop(pivot)
+        if p is None:
+            for s, ys in enumerate(y):
+                if ys:
+                    new = [yt * a - ys * b for a, b in zip(cols[s], base)]
+                    g = gcd(*new)
+                    cols[s] = [v // g for v in new] if g > 1 else new
         else:
-            items = [(i, int(c) % p) for i, c in enumerate(raw)]
-        items = [(i, c) for i, c in items if c]
-        if not items:
-            continue
-        y = [sum(c * col[i] for i, c in items) % p for col in cols]
-        pivot = next((t for t, val in enumerate(y) if val), None)
-        if pivot is None:
-            continue
-        inv = pow(y[pivot], p - 2, p)
-        base = cols[pivot]
-        for s, ys in enumerate(y):
-            if s != pivot and ys:
-                f = ys * inv % p
-                cols[s] = [(a - f * b) % p for a, b in zip(cols[s], base)]
-        del cols[pivot]
+            inv = pow(yt, p - 2, p)
+            for s, ys in enumerate(y):
+                if ys:
+                    cols[s] = _sub_multiple(p, cols[s], ys * inv % p, base)
         if not cols:
             break
-    return cols
+    return [[Fraction(v) for v in col] for col in cols] if p is None else cols
 
 
 # ---------------------------------------------------------------------------
@@ -398,9 +347,6 @@ class Matrix:
     def zeros(cls, field: FieldSpec, rows: int, cols: int) -> "Matrix":
         z = field.zero
         return cls(field, rows, cols, tuple(tuple(z for _ in range(cols)) for _ in range(rows)))
-
-    def row(self, i: int):
-        return self.entries[i]
 
     def apply(self, vec) -> tuple:
         """Matrix-vector product m @ v."""
@@ -515,14 +461,8 @@ class Subspace:
             row = [self.basis[i][k] for i in range(s)]
             row += [f.neg(other.basis[j][k]) for j in range(t)]
             rows.append(row)
-        combos = kernel_basis(f, s + t, rows)
-        vecs = []
-        for combo in combos:
-            v = f.vec_zero(self.ambient_dim)
-            for i in range(s):
-                if combo[i]:
-                    v = f.vec_add(v, f.vec_scale(combo[i], self.basis[i]))
-            vecs.append(v)
+        vecs = [f.combine(combo, self.basis, self.ambient_dim)
+                for combo in kernel_basis(f, s + t, rows)]
         return Subspace.span(f, self.ambient_dim, vecs)
 
     def _check_compatible(self, other: "Subspace") -> None:

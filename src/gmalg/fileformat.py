@@ -162,13 +162,13 @@ def load_json(path: str) -> dict:
                             f"column {exc.colno}: {exc.msg}")
 
 
-def load_context(path: str, require_valid: bool = True):
-    """Parse a spec file; optionally refuse contexts failing validation."""
+def load_context(path: str) -> MoritaContext:
+    """Parse a spec file; refuse a context that fails validation."""
     ctx = context_from_dict(load_json(path))
     report = validate_context(ctx)
-    if require_valid and not report.ok:
+    if not report.ok:
         raise SpecFileError(f"{path}: context invalid: {report.summary()}")
-    return ctx, report
+    return ctx
 
 
 def context_fingerprint(ctx: MoritaContext) -> dict:

@@ -16,6 +16,8 @@ from .algebra_core import (BilinearTable, Element, StructureAlgebra,
 from .errors import DimensionMismatchError, FieldMismatchError, InvalidContextError
 from .exact_linear import FieldSpec, Subspace, kernel_basis
 
+_MAX_VIOLATIONS = 32
+
 
 @dataclass(frozen=True)
 class MoritaContext:
@@ -63,7 +65,7 @@ class MoritaContext:
         return (self.a.dim, self.m_dim, self.n_dim, self.b.dim)
 
 
-def validate_context(ctx: MoritaContext, max_violations: int = 32) -> ValidationReport:
+def validate_context(ctx: MoritaContext) -> ValidationReport:
     """Check every Morita-context axiom on all basis tuples."""
     f = ctx.field
     bad: list[Violation] = []
@@ -72,7 +74,7 @@ def validate_context(ctx: MoritaContext, max_violations: int = 32) -> Validation
         bad.append(Violation(law, tuple(indices), detail))
 
     def full() -> bool:
-        return len(bad) >= max_violations
+        return len(bad) >= _MAX_VIOLATIONS
 
     for name, alg in (("A", ctx.a), ("B", ctx.b)):
         rep = validate_algebra(alg)

@@ -19,8 +19,8 @@ from .algebra_core import Element, StructureAlgebra
 from .budget import guard_tuples, guard_unknowns
 from .errors import DimensionMismatchError, FieldMismatchError
 from .exact_linear import FieldSpec, Subspace, kernel_basis
-from .structure_analysis import (center, core_algebra, leibniz_rows,
-                                 lie_derivation_space)
+from .structure_analysis import (CheckStatus, center, core_algebra,
+                                 leibniz_rows, lie_derivation_space)
 
 
 @dataclass(frozen=True)
@@ -166,15 +166,6 @@ class MultilinearMap:
 
 
 @dataclass(frozen=True)
-class PredicateResult:
-    ok: bool
-    witness: object = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-@dataclass(frozen=True)
 class LeibnizWitness:
     """Failing instance: slot, argument tuple with u at the slot, partner v."""
 
@@ -211,12 +202,12 @@ def _rank_digits(rank: int, d: int, n: int) -> tuple:
     return tuple(reversed(out))
 
 
-def is_n_lie_derivation(g, mmap: MultilinearMap) -> PredicateResult:
+def is_n_lie_derivation(g, mmap: MultilinearMap) -> CheckStatus:
     """Slot-by-slot Lie Leibniz law on all basis tuples; first failure wins."""
     return _leibniz_predicate(g, mmap, lie=True)
 
 
-def is_n_derivation(g, mmap: MultilinearMap) -> PredicateResult:
+def is_n_derivation(g, mmap: MultilinearMap) -> CheckStatus:
     """Slot-by-slot (associative) Leibniz law on all basis tuples."""
     return _leibniz_predicate(g, mmap, lie=False)
 
@@ -250,7 +241,7 @@ def _integer_values(mmap: MultilinearMap) -> list:
     return vals
 
 
-def _leibniz_predicate(g, mmap: MultilinearMap, lie: bool) -> PredicateResult:
+def _leibniz_predicate(g, mmap: MultilinearMap, lie: bool) -> CheckStatus:
     """Check T(..u.v..) = T(..u..).b_v + b_u.T(..v..) slot by slot.
 
     The product is the bracket for the Lie law (pairs u < v suffice, by
@@ -297,9 +288,9 @@ def _leibniz_predicate(g, mmap: MultilinearMap, lie: bool) -> PredicateResult:
                     if any(r) and (p is None or any(x % p for x in r)):
                         digits = list(_rank_digits(spect, d, n - 1))
                         digits.insert(slot, u)
-                        return PredicateResult(
-                            False, LeibnizWitness(slot, tuple(digits), v))
-    return PredicateResult(True)
+                        return CheckStatus("fail", witness=LeibnizWitness(
+                            slot, tuple(digits), v))
+    return CheckStatus("pass")
 
 
 def is_permuting(mmap: MultilinearMap) -> bool:
@@ -311,18 +302,18 @@ def is_permuting(mmap: MultilinearMap) -> bool:
     return True
 
 
-def is_centrally_valued(g, mmap: MultilinearMap) -> PredicateResult:
+def is_centrally_valued(g, mmap: MultilinearMap) -> CheckStatus:
     """Every stored basis-tuple value must lie in the center."""
     alg = core_algebra(g)
     _check_algebra_map(alg, mmap)
     z = center(alg)
     for key in sorted(mmap.entries):
         if not z.contains(mmap.entries[key]):
-            return PredicateResult(False, key)
-    return PredicateResult(True)
+            return CheckStatus("fail", witness=key)
+    return CheckStatus("pass")
 
 
-def swap_identity_check(g, mmap: MultilinearMap) -> PredicateResult:
+def swap_identity_check(g, mmap: MultilinearMap) -> CheckStatus:
     """Bracket identity every Lie biderivation satisfies, on basis 4-tuples.
 
     [m(x,y),[v,u]] + [m(x,v),[u,y]] = [m(u,y),[v,x]] + [m(u,v),[x,y]].
@@ -361,8 +352,8 @@ def swap_identity_check(g, mmap: MultilinearMap) -> PredicateResult:
                     rhs = f.vec_add(br(m_uy, bvec(v, x)),
                                     br(vals[u * d + v], bvec(x, y)))
                     if lhs != rhs:
-                        return PredicateResult(False, (x, y, u, v))
-    return PredicateResult(True)
+                        return CheckStatus("fail", witness=(x, y, u, v))
+    return CheckStatus("pass")
 
 
 # ---------------------------------------------------------------------------
@@ -509,10 +500,7 @@ def n_lie_derivation_space(g, n: int) -> list:
                 continue
             key_rest = _rank_digits(J, d, n - 1)
             for i1 in range(d):
-                vec = f.vec_zero(d)
-                for al, c in enumerate(cs):
-                    if c:
-                        vec = f.vec_add(vec, f.vec_scale(c, dcols[al][i1]))
+                vec = f.combine(cs, [col[i1] for col in dcols], d)
                 if any(vec):
                     entries[(i1,) + key_rest] = tuple(vec)
         maps.append(MultilinearMap(f, n, d, entries))

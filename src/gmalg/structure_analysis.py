@@ -27,6 +27,7 @@ from .exact_linear import Matrix, Subspace, kernel_basis, solve_particular
 from .gma import GMAlgebra, MoritaContext, pairing_image_mn, pairing_image_nm
 
 _PROBE_SEED = 0x5EED_CA_FE
+_PROBES = 64
 _ENUM_LIMIT = 10 ** 6
 
 
@@ -171,11 +172,7 @@ def center_data(g: GMAlgebra) -> CenterData:
         combo = solve_particular(proj_matrix, arow) if a_vecs else None
         if combo is None:
             raise CenterStructureError("a_part vector without center preimage")
-        bvec = f.vec_zero(db)
-        for coeff, brow in zip(combo, b_vecs):
-            if coeff:
-                bvec = f.vec_add(bvec, f.vec_scale(coeff, brow))
-        coords = b_part.coordinates_of(bvec)
+        coords = b_part.coordinates_of(f.combine(combo, b_vecs, db))
         if coords is None:
             raise CenterStructureError("linked image outside b_part")
         cols.append(coords)
@@ -190,22 +187,12 @@ def center_data(g: GMAlgebra) -> CenterData:
     return CenterData(zg, za, zb, a_part, b_part, a_to_b)
 
 
-def _linked_image(cd_a_part: Subspace, cd_b_part: Subspace, a_to_b: Matrix, avec):
-    coords = cd_a_part.coordinates_of(avec)
+def _linked_image(a_part: Subspace, b_part: Subspace, a_to_b: Matrix, avec):
+    """Image of an a_part vector under the linking map, or None if outside."""
+    coords = a_part.coordinates_of(avec)
     if coords is None:
         return None
-    img_coords = a_to_b.apply(coords)
-    f = cd_b_part.field
-    out = f.vec_zero(cd_b_part.ambient_dim)
-    for c, row in zip(img_coords, cd_b_part.basis):
-        if c:
-            out = f.vec_add(out, f.vec_scale(c, row))
-    return out
-
-
-def linked_image(cd: CenterData, avec):
-    """Image of an a_part vector under the linking map, or None if outside."""
-    return _linked_image(cd.a_part, cd.b_part, cd.a_to_b, avec)
+    return b_part.field.combine(a_to_b.apply(coords), b_part.basis, b_part.ambient_dim)
 
 
 def _verify_link(g: GMAlgebra, a_part, b_part, a_to_b) -> None:
@@ -270,27 +257,26 @@ def has_nonzero_central_ideal(alg: StructureAlgebra) -> CentralIdealResult:
     sols = kernel_basis(f, z.dim, rows)
     if not sols:
         return CentralIdealResult(False)
-    combo = sols[0]
-    vec = f.vec_zero(d)
-    for c, zr in zip(combo, z.basis):
-        if c:
-            vec = f.vec_add(vec, f.vec_scale(c, zr))
-    return CentralIdealResult(True, alg.element(vec))
+    return CentralIdealResult(True, alg.element(f.combine(sols[0], z.basis, d)))
 
 
 @dataclass(frozen=True)
 class CheckStatus:
+    """Outcome of a check or predicate, with the witness of a failure."""
+
     status: str  # "pass" | "fail" | "unknown"
     witness: object = None
     reason: str = ""
 
     @property
-    def passed(self) -> bool:
+    def ok(self) -> bool:
         return self.status == "pass"
 
+    def __bool__(self) -> bool:
+        return self.ok
 
-def torsion_action_check(g: Union[GMAlgebra, StructureAlgebra],
-                         probes: int = 64) -> CheckStatus:
+
+def torsion_action_check(g: Union[GMAlgebra, StructureAlgebra]) -> CheckStatus:
     """Decide whether nonzero central elements act without kernel.
 
     dim Z <= 1 is decided exactly. For larger centers a fixed deterministic
@@ -317,15 +303,12 @@ def torsion_action_check(g: Union[GMAlgebra, StructureAlgebra],
 
     candidates = [list(b) for b in z.basis]
     rng = random.Random(_PROBE_SEED)
-    for _ in range(probes):
+    for _ in range(_PROBES):
         if f.p is None:
             coeffs = [f.of(rng.randint(-9, 9)) for _ in range(z.dim)]
         else:
             coeffs = [rng.randrange(f.p) for _ in range(z.dim)]
-        vec = f.vec_zero(d)
-        for c, zr in zip(coeffs, z.basis):
-            if c:
-                vec = f.vec_add(vec, f.vec_scale(c, zr))
+        vec = f.combine(coeffs, z.basis, d)
         if any(vec):
             candidates.append(vec)
     for vec in candidates:
@@ -337,10 +320,7 @@ def torsion_action_check(g: Union[GMAlgebra, StructureAlgebra],
         for combo in product(range(f.p), repeat=z.dim):
             if not any(combo):
                 continue
-            vec = f.vec_zero(d)
-            for c, zr in zip(combo, z.basis):
-                if c:
-                    vec = f.vec_add(vec, f.vec_scale(c, zr))
+            vec = f.combine(combo, z.basis, d)
             ker = singular_witness(vec)
             if ker is not None:
                 return CheckStatus("fail",
@@ -495,7 +475,7 @@ class HypothesisReport:
 
     @property
     def all_pass(self) -> bool:
-        return all(st.passed for _, st in self.conditions)
+        return all(st.ok for _, st in self.conditions)
 
     def condition(self, number: int) -> CheckStatus:
         for n, st in self.conditions:

@@ -1,7 +1,6 @@
 """Shared fixtures: corpus instances, independent oracles, fuzz machinery."""
 
 import random
-from fractions import Fraction
 
 import gmalg as G
 from gmalg.fileformat import context_from_dict, context_to_dict, decode_scalar, encode_scalar
@@ -28,12 +27,13 @@ def corpus_algebras(field):
 
 
 # ---------------------------------------------------------------------------
-# independent naive elimination oracle (plain Fraction arithmetic)
+# independent naive elimination oracle (plain FieldSpec arithmetic)
 # ---------------------------------------------------------------------------
 
 
-def naive_rref_q(rows, ncols):
-    m = [[Fraction(x) for x in row] for row in rows]
+def naive_rref(field, rows, ncols):
+    """Gauss-Jordan with the field's scalar operations, one entry at a time."""
+    m = [[field.of(x) for x in row] for row in rows]
     pivots = []
     pr = 0
     for pc in range(ncols):
@@ -45,12 +45,12 @@ def naive_rref_q(rows, ncols):
         if piv is None:
             continue
         m[pr], m[piv] = m[piv], m[pr]
-        inv = 1 / m[pr][pc]
-        m[pr] = [x * inv for x in m[pr]]
+        inv = field.inv(m[pr][pc])
+        m[pr] = [field.mul(x, inv) for x in m[pr]]
         for r in range(len(m)):
             if r != pr and m[r][pc] != 0:
                 f = m[r][pc]
-                m[r] = [a - f * b for a, b in zip(m[r], m[pr])]
+                m[r] = [field.sub(a, field.mul(f, b)) for a, b in zip(m[r], m[pr])]
         pivots.append(pc)
         pr += 1
         if pr == len(m):

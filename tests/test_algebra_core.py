@@ -98,6 +98,13 @@ def test_commutator_span_commutative_zero():
     assert G.is_commutative(dual_numbers(Q))
 
 
+def test_commutators_computed_once_per_algebra():
+    m2 = G.matrix_algebra(Q, 2)
+    assert m2.commutators is m2.commutators
+    assert m2.commutators == G.commutator_span(m2)
+    assert G.matrix_algebra(Q, 2).commutators == m2.commutators
+
+
 def test_commutator_span_m2_is_trace_zero():
     m2 = G.matrix_algebra(Q, 2)
     span = G.commutator_span(m2)

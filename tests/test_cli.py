@@ -43,7 +43,7 @@ def test_round_trip_is_byte_identical(tmp_path, capsys):
                "--kind", "full-matrix", "--r", "3", "--field", "gf:7")
     raw = open(spec).read()
     from gmalg.fileformat import context_to_dict, load_context
-    ctx, _ = load_context(spec)
+    ctx = load_context(spec)
     assert dumps_canonical(context_to_dict(ctx)) == raw
 
 

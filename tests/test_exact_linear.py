@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +10,11 @@ from hypothesis import strategies as st
 
 import gmalg as G
 from gmalg.exact_linear import rref
+from gmalg.fileformat import decode_scalar
 
-from helpers import GF7, Q, naive_rref_q
+from helpers import GF7, GF101, Q, naive_rref
+
+FIELDS = (Q, GF7, GF101)
 
 
 def test_field_names_round_trip():
@@ -35,6 +39,16 @@ def test_scalar_coercion():
     assert GF7.of(10) == 3
     assert GF7.of("-1") == 6
     assert GF7.of(Fraction(1, 2)) == 4  # 2 * 4 = 1 mod 7
+
+
+def test_gf_coercion_refuses_denominator_divisible_by_p():
+    for field, value in ((G.FieldSpec.gf(3), Fraction(1, 3)),
+                         (GF101, Fraction(5, 101)), (GF7, Fraction(-3, 14))):
+        with pytest.raises(ZeroDivisionError):
+            field.of(value)
+        with pytest.raises(G.SpecFileError):
+            decode_scalar(field, value)
+    assert G.FieldSpec.gf(3).of(Fraction(3, 2)) == 0
 
 
 @given(st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50))
@@ -89,15 +103,95 @@ def test_rank_nullity_random_gf7():
 
 def test_fraction_free_rref_matches_naive_oracle():
     rng = random.Random(23)
-    for _ in range(60):
-        rows = rng.randrange(1, 7)
-        cols = rng.randrange(1, 7)
-        data = [[Fraction(rng.randint(-4, 4), rng.randint(1, 4))
-                 for _ in range(cols)] for _ in range(rows)]
-        got_rows, got_piv = rref(Q, data, cols)
-        want_rows, want_piv = naive_rref_q(data, cols)
-        assert got_piv == want_piv
-        assert [list(r) for r in got_rows] == [list(r) for r in want_rows]
+    for field in FIELDS:
+        for _ in range(60):
+            rows = rng.randrange(1, 7)
+            cols = rng.randrange(1, 7)
+            if field.p is None:
+                data = [[Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+                         for _ in range(cols)] for _ in range(rows)]
+            else:
+                data = [[rng.randrange(field.p) if rng.random() < 0.6 else 0
+                         for _ in range(cols)] for _ in range(rows)]
+                # a combination of two rows keeps some systems rank-deficient
+                data.append([field.add(a, field.mul(3, b))
+                             for a, b in zip(data[0], data[-1])])
+            got_rows, got_piv = rref(field, data, cols)
+            want_rows, want_piv = naive_rref(field, data, cols)
+            assert got_piv == want_piv
+            assert [list(r) for r in got_rows] == [list(r) for r in want_rows]
+            scalar = Fraction if field.p is None else int
+            assert all(type(x) is scalar for r in got_rows for x in r)
+
+
+@st.composite
+def linear_systems(draw):
+    """A random (field, ncols, rows) system, often rank-deficient.
+
+    Rows are dense or sparse, given as lists or as dicts.
+    """
+    field = draw(st.sampled_from(FIELDS))
+    ncols = draw(st.integers(1, 7))
+    if field.p is None:
+        scalar = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    else:
+        scalar = st.integers(0, field.p - 1)
+    if draw(st.booleans()):  # sparse rows
+        scalar = st.one_of(st.just(field.zero), st.just(field.zero), scalar)
+    rows = draw(st.lists(st.lists(scalar, min_size=ncols, max_size=ncols),
+                         max_size=7))
+    for i, j, c in draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6),
+                                           st.integers(-3, 3)), max_size=3)):
+        if rows:
+            a, b = rows[i % len(rows)], rows[j % len(rows)]
+            rows.append([field.add(x, field.mul(field.of(c), y))
+                         for x, y in zip(a, b)])
+    if draw(st.booleans()):
+        rows = [{k: x for k, x in enumerate(row) if x} for row in rows]
+    return field, ncols, rows
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(linear_systems())
+def test_kernel_basis_form(system):
+    field, ncols, rows = system
+    dense = [[row.get(k, field.zero) for k in range(ncols)]
+             if isinstance(row, dict) else row for row in rows]
+    ker = G.kernel_basis(field, ncols, rows)
+    assert len(ker) == ncols - len(naive_rref(field, dense, ncols)[1])
+    for v in ker:
+        assert len(v) == ncols
+        for row in dense:
+            acc = field.zero
+            for a, x in zip(row, v):
+                acc = field.add(acc, field.mul(field.of(a), x))
+            assert acc == 0
+    for k, v in enumerate(ker):
+        others = [w for o, w in enumerate(ker) if o != k]
+        # each vector owns a free column where every other vector is 0
+        own = [j for j in range(ncols) if v[j] and not any(w[j] for w in others)]
+        assert own
+        if field.p is None:
+            assert all(type(x) is Fraction and x.denominator == 1 for x in v)
+            assert gcd(*(x.numerator for x in v)) == 1
+        else:
+            assert all(type(x) is int and 0 <= x < field.p for x in v)
+            assert any(v[j] == 1 for j in own)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(linear_systems(), st.lists(st.integers(-3, 3), max_size=8))
+def test_combine_is_the_scaled_sum(system, coeffs):
+    field, ncols, rows = system
+    vecs = [[row.get(k, field.zero) for k in range(ncols)]
+            if isinstance(row, dict) else row for row in rows]
+    coeffs = [field.of(c) for c in coeffs]
+    want = field.vec_zero(ncols)
+    for c, v in zip(coeffs, vecs):
+        want = field.vec_add(want, field.vec_scale(c, v))
+    got = field.combine(coeffs, vecs, ncols)
+    assert got == want
+    assert [type(x) for x in got] == [type(x) for x in want]
 
 
 def test_subspace_canonical_under_row_operations():
