@@ -83,6 +83,13 @@ def _emit(report: dict, out: Optional[str], started: float) -> int:
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
+def _emit_center_failure(report: dict, exc: CenterStructureError,
+                         out: Optional[str], started: float) -> int:
+    """The report of a command stopped by a center-structure failure."""
+    report["checks"] = [_check("center-structure", "fail", reason=str(exc))]
+    return _emit(report, out, started)
+
+
 def _check_arity(command: str, arity: int, lowest: int) -> None:
     if not lowest <= arity <= MAX_SPACE_ARITY:
         raise SpecFileError(f"{command}: --arity {arity} is out of range "
@@ -146,8 +153,7 @@ def _cmd_center(args) -> int:
     try:
         cd = center_data(g)
     except CenterStructureError as exc:
-        rep["checks"] = [_check("center-structure", "fail", reason=str(exc))]
-        return _emit(rep, args.output, started)
+        return _emit_center_failure(rep, exc, args.output, started)
     rep["checks"] = [_check("center-structure", "pass")]
     rep["details"] = {
         "center_g": subspace_to_dict(cd.center_g),
@@ -164,9 +170,12 @@ def _cmd_hypotheses(args) -> int:
     started = time.perf_counter()
     ctx = load_context(args.spec)
     g = assemble(ctx, validate=False)
-    report = check_hypotheses(g, args.theorem)
     rep = _report_skeleton("hypotheses",
                            {"spec": args.spec, "theorem": args.theorem}, ctx)
+    try:
+        report = check_hypotheses(g, args.theorem)
+    except CenterStructureError as exc:
+        return _emit_center_failure(rep, exc, args.output, started)
     rep["checks"] = [
         _status_check(f"hypothesis-{args.theorem}-({num})", st)
         for num, st in report.conditions
@@ -275,9 +284,12 @@ def _cmd_verify(args) -> int:
     _check_arity("verify", args.arity, 2)
     ctx = load_context(args.spec)
     g = assemble(ctx, validate=False)
-    vr = verify_decomposition(g, args.arity)
     rep = _report_skeleton("verify", {"spec": args.spec, "arity": args.arity},
                            ctx)
+    try:
+        vr = verify_decomposition(g, args.arity)
+    except CenterStructureError as exc:
+        return _emit_center_failure(rep, exc, args.output, started)
     checks = []
     for hrep in vr.hypothesis_reports:
         for num, st in hrep.conditions:

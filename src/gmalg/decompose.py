@@ -19,7 +19,8 @@ from .exact_linear import Subspace, kernel_basis
 from .gma import GMAlgebra
 from .multilinear import (MultilinearMap, is_centrally_valued,
                           is_n_lie_derivation, n_lie_derivation_space)
-from .structure_analysis import (CheckStatus, center, check_hypotheses,
+from .structure_analysis import (VARIANTS, CheckStatus, center,
+                                 center_data, check_hypotheses, pair_spaces,
                                  pairing_rows)
 
 
@@ -99,14 +100,15 @@ def decompose(g: GMAlgebra, mmap: MultilinearMap) -> Decomposition:
         raise LieLeibnizError(ok.witness)
     n = mmap.arity
     seed = extract_seed(g, mmap)
-    ann = seed_annihilates_commutators(g, seed)
-    if ann.ok:
+    try:
         extremal = build_extremal(g, seed, n)
-    else:
+        annihilates = True
+    except ExtremalPreconditionError:
         extremal = MultilinearMap.zero(g.field, n, g.dim)
+        annihilates = False
     central_part = mmap.sub(extremal)
     checks = DecompositionChecks(
-        seed_annihilates_commutators=ann.ok,
+        seed_annihilates_commutators=annihilates,
         central_part_is_central=is_centrally_valued(g, central_part),
         exact_sum=extremal.add(central_part) == mmap,
         seed_is_central=center(g.algebra).contains(seed.coords),
@@ -253,7 +255,8 @@ def verify_decomposition(g: GMAlgebra, n: int) -> VerificationReport:
     remainders are asserted only when one hypothesis set fully passes, and
     the triangular seed form is asserted whenever the context has N = 0.
     """
-    reports = tuple(check_hypotheses(g, v) for v in ("4.1", "4.3"))
+    cd, ps = center_data(g), pair_spaces(g)
+    reports = tuple(check_hypotheses(g, v, cd, ps) for v in VARIANTS)
     applicable = any(r.all_pass for r in reports)
     space = n_lie_derivation_space(g, n)
     triangular = g.context.n_dim == 0

@@ -7,8 +7,11 @@ only how a row is updated and how results leave the core. Over the
 rationals elimination is fraction-free (a Bareiss forward pass, content
 division in the kernel), which keeps entry growth polynomial, and results
 leave as Fractions; over GF(p) the pivot is scaled to 1 and a row update is
-row - f * pivot row mod p. Subspaces are stored in reduced row echelon
-form, so equality is plain entrywise comparison.
+row - f * pivot row mod p. `kernel_basis` stores its running basis
+coordinate-major (one list per coordinate, indexed by surviving vector), so
+a sparse constraint row costs one list pass per nonzero entry. Subspaces are
+stored in reduced row echelon form, so equality is plain entrywise
+comparison.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress, count
 from math import gcd, lcm
 from typing import Optional, Union
 
@@ -204,6 +208,8 @@ def _int_row(field: FieldSpec, row) -> list[tuple[int, int]]:
         p = field.p
         return [(i, r) for i, c in items if (r := int(c) % p)]
     den = lcm(*(c.denominator for _, c in items))
+    if den == 1:
+        return [(i, c.numerator) for i, c in items if c]
     return [(i, c.numerator * (den // c.denominator)) for i, c in items if c]
 
 
@@ -276,40 +282,62 @@ def kernel_basis(field: FieldSpec, ncols: int, rows) -> list[list[Scalar]]:
 
     Maintains a basis of the running solution space and shrinks it one
     constraint at a time, so cost scales with ncols * solution dimension
-    rather than with the (possibly huge) number of rows. Every basis vector
-    starts as a unit vector and keeps a nonzero entry at its own (free)
-    column, where all the others are 0. Over q the vectors are combined
-    fraction-free and divided by their content, so each is a primitive int
-    vector (returned as Fractions); over GF(p) the pivot is scaled to 1, so
-    each vector keeps a 1 at its free column.
+    rather than with the (possibly huge) number of rows. The basis is stored
+    coordinate-major: T[i][s] is the i-th coordinate of surviving vector s.
+    A row's products with all surviving vectors then take one list pass per
+    nonzero entry of the row, and most rows of a tall system are dependent
+    and cost only that. An independent row picks the first vector with a
+    nonzero product as pivot, drops it, and updates only the vectors whose
+    product is nonzero.
+
+    Every basis vector starts as a unit vector and keeps a nonzero entry at
+    its own (free) column, where all the others are 0. Over q the vectors
+    are combined fraction-free and divided by their content, so each is a
+    primitive int vector (returned as Fractions); over GF(p) the pivot is
+    scaled to 1, so each vector keeps a 1 at its free column.
     """
     p = field.p
-    cols = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    T = [[0] * ncols for _ in range(ncols)]
+    for i, Ti in enumerate(T):
+        Ti[i] = 1
     for row in rows:
         items = _int_row(field, row)
         if not items:
             continue
-        y = [sum(c * col[i] for i, c in items) for col in cols]
+        (i0, c0), *rest = items
+        y = [c0 * a for a in T[i0]]
+        for i, c in rest:
+            y = [v + c * a for v, a in zip(y, T[i])]
         if p is not None:
             y = [v % p for v in y]
-        pivot = next((t for t, v in enumerate(y) if v), None)
+        # the first s with y[s] != 0
+        pivot = next(compress(count(), y), None)
         if pivot is None:
             continue
-        base, yt = cols.pop(pivot), y.pop(pivot)
+        yt = y.pop(pivot)
+        base = [Ti.pop(pivot) for Ti in T]
+        active = [(s, ys) for s, ys in enumerate(y) if ys]
         if p is None:
-            for s, ys in enumerate(y):
-                if ys:
-                    new = [yt * a - ys * b for a, b in zip(cols[s], base)]
-                    g = gcd(*new)
-                    cols[s] = [v // g for v in new] if g > 1 else new
+            for Ti, b in zip(T, base):
+                for s, ys in active:
+                    Ti[s] = yt * Ti[s] - ys * b
+            for s, _ in active:
+                g = gcd(*(Ti[s] for Ti in T))
+                if g > 1:
+                    for Ti in T:
+                        Ti[s] //= g
         else:
             inv = pow(yt, p - 2, p)
-            for s, ys in enumerate(y):
-                if ys:
-                    cols[s] = _sub_multiple(p, cols[s], ys * inv % p, base)
-        if not cols:
+            active = [(s, ys * inv % p) for s, ys in active]
+            for Ti, b in zip(T, base):
+                if b:
+                    for s, fs in active:
+                        Ti[s] = (Ti[s] - fs * b) % p
+        if not y:
             break
-    return [[Fraction(v) for v in col] for col in cols] if p is None else cols
+    if p is None:
+        return [[Fraction(v) for v in col] for col in zip(*T)]
+    return [list(col) for col in zip(*T)]
 
 
 # ---------------------------------------------------------------------------

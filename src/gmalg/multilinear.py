@@ -4,13 +4,23 @@ Maps are sparse coefficient tensors on basis tuples. The full n-Lie
 derivation space is computed by slot restriction: slot one confines the map
 to (Lie derivation space) x (coefficient tensor), and the later-slot
 Leibniz constraints all reduce to one shared constraint block because their
-coefficients never involve the spectator slots. A direct dense-kernel
-method is kept alongside as the cross-validation oracle.
+coefficients never involve the spectator slots. The solver runs on ints: the
+block is built from bracket constants and Lie-basis columns cleared of
+denominators, and every later stage reads the kernel vectors as int lists
+(primitive over q, residues over GF(p)); Fractions appear only in the final
+span and the materialized maps. Arity n = 2 needs only the block's kernel; from n = 3 on
+each further slot also needs its annihilator, the block's row space in
+reduced size. A direct dense-kernel method is kept alongside as the
+cross-validation oracle.
+
+Both the Leibniz predicate and the slot block write the Leibniz law out by
+hand rather than through `structure_analysis.leibniz_rows`, so that the
+predicate tests and the slot-against-direct comparison stay independent.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import permutations, product
 from math import lcm
 from typing import Callable, Sequence
@@ -380,41 +390,58 @@ def _slot_block_rows(alg: StructureAlgebra, dcols) -> list:
     Unknowns X[a*d + w] stand for the coefficient tensor entry with Lie
     basis index a and the later slot at basis w; rows range over the slot-1
     basis element, the bracket pair u < v and the output component.
+
+    Every coefficient is one bracket constant times one entry of a Lie
+    basis column. Both sets are scaled to ints (by the LCM of their
+    denominators over q, by 1 over GF(p)), so each row is a positive int
+    multiple of the rational row and has the same kernel.
     """
     d, f = alg.dim, alg.field
     ell = len(dcols)
     bt = alg.bracket_table
+    bt = replace(bt, entries=_integer_cells(bt.entries))
+    scale = lcm(1, *(x.denominator for cols in dcols for col in cols
+                     for x in col))
+    icols = [[[x.numerator * (scale // x.denominator) for x in col]
+              for col in cols] for cols in dcols]
     rows = []
     for a1 in range(d):
-        da_vecs = [dcols[al][a1] for al in range(ell)]
+        da_vecs = [icols[al][a1] for al in range(ell)]
         # right[al][t] = {v: coefficient of b_t in [D_al(b_a1), b_v]}
-        right = [bt.operator_rows(f, left=da_vecs[al]) for al in range(ell)]
+        right = [bt.operator_rows(f, left=da) for da in da_vecs]
+        # per output t, only the Lie basis indices with a nonzero entry
+        nz = [[(al, da[t]) for al, da in enumerate(da_vecs) if da[t]]
+              for t in range(d)]
+        br = [[(al, op[t]) for al, op in enumerate(right) if op[t]]
+              for t in range(d)]
         for u in range(d):
             for v in range(u + 1, d):
                 cell = bt.at(u, v)
                 for t in range(d):
-                    row: dict[int, object] = {}
+                    row: dict[int, int] = {}
                     for w, c in cell:
-                        for al in range(ell):
-                            x = da_vecs[al][t]
-                            if x:
-                                key = al * d + w
-                                row[key] = f.add(row.get(key, f.zero),
-                                                 f.mul(c, x))
-                    for al in range(ell):
-                        x = right[al][t].get(v)
+                        for al, x in nz[t]:
+                            key = al * d + w
+                            row[key] = row.get(key, 0) + c * x
+                    for al, coeffs in br[t]:
+                        x = coeffs.get(v)
                         if x:
                             key = al * d + u
-                            row[key] = f.sub(row.get(key, f.zero), x)
+                            row[key] = row.get(key, 0) - x
                         # [b_u, D(b_a1)] = -[D(b_a1), b_u]
-                        y = right[al][t].get(u)
+                        y = coeffs.get(u)
                         if y:
                             key = al * d + v
-                            row[key] = f.add(row.get(key, f.zero), y)
-                    row = {k: val for k, val in row.items() if val}
+                            row[key] = row.get(key, 0) + y
+                    row = f.sparse(row)
                     if row:
                         rows.append(row)
     return rows
+
+
+def _numerators(vectors) -> list:
+    """Kernel vectors as int lists: primitive ints over q, residues over GF(p)."""
+    return [[x.numerator for x in vec] for vec in vectors]
 
 
 def n_lie_derivation_space(g, n: int) -> list:
@@ -423,7 +450,8 @@ def n_lie_derivation_space(g, n: int) -> list:
     Slot one restricts the map to sum_a c_a(x_2,...,x_n) D_a(x_1) over a Lie
     derivation basis {D_a}; the slot-k constraints for k >= 2 share one
     block whose coefficients ignore the spectator slots, so each stage only
-    solves a system in (current dimension) * d unknowns.
+    solves a system in (current dimension) * d unknowns. Every stage runs on
+    ints; Fractions appear only in the final span and the materialized maps.
     """
     alg = core_algebra(g)
     if n < 2:
@@ -431,7 +459,7 @@ def n_lie_derivation_space(g, n: int) -> list:
     if n > MAX_SPACE_ARITY:
         raise DimensionMismatchError(
             f"full-space computation supports arity <= {MAX_SPACE_ARITY}")
-    d, f = alg.dim, alg.field
+    d, f, p = alg.dim, alg.field, alg.field.p
     dcols = _lie_basis_columns(alg)
     ell = len(dcols)
     guard_unknowns("slot-restricted space", ell * d ** (n - 1))
@@ -439,51 +467,45 @@ def n_lie_derivation_space(g, n: int) -> list:
     if ell == 0:
         return []
 
-    block = _slot_block_rows(alg, dcols)
-    K = kernel_basis(f, ell * d, block)
+    K = _numerators(kernel_basis(f, ell * d, _slot_block_rows(alg, dcols)))
     if not K:
         return []
-    # annihilator rows of K: the row space of the block, in reduced size
-    ann = kernel_basis(f, ell * d, K)
 
     # R holds coefficient tensors over [a | i_2 .. i_k], last index fastest
-    R = [list(vec) for vec in K]
+    R = K
+    if n >= 3:
+        # annihilator rows of K: the row space of the block, in reduced
+        # size, stored per w as sparse (a, coefficient) pairs
+        ann = [[[(al, r[al * d + w]) for al in range(ell) if r[al * d + w]]
+                for w in range(d)]
+               for r in _numerators(kernel_basis(f, ell * d, K))]
     for k in range(3, n + 1):
         spect = d ** (k - 2)
         rows = []
         for J in range(spect):
-            P = [[Rm[al * spect + J] for al in range(ell)] for Rm in R]
+            P = [Rm[J::spect] for Rm in R]
             for r in ann:
                 row = {}
-                for w in range(d):
-                    for m_i, Pm in enumerate(P):
-                        acc = f.zero
-                        for al in range(ell):
-                            rc = r[al * d + w]
-                            if rc and Pm[al]:
-                                acc = f.add(acc, f.mul(rc, Pm[al]))
-                        if acc:
-                            row[m_i * d + w] = acc
+                for w, r_w in enumerate(r):
+                    if r_w:
+                        for m_i, Pm in enumerate(P):
+                            acc = sum(rc * Pm[al] for al, rc in r_w)
+                            if acc:
+                                row[m_i * d + w] = acc
+                row = f.sparse(row)
                 if row:
                     rows.append(row)
-        S = kernel_basis(f, len(R) * d, rows)
         new_r = []
-        for s in S:
-            t = f.vec_zero(ell * spect * d)
+        for s in _numerators(kernel_basis(f, len(R) * d, rows)):
+            t = [0] * (ell * spect * d)
             for key, sval in enumerate(s):
-                if not sval:
-                    continue
-                m_i, w = divmod(key, d)
-                Rm = R[m_i]
-                for al in range(ell):
-                    base_in = al * spect
-                    base_out = al * spect * d
-                    for J in range(spect):
-                        val = Rm[base_in + J]
+                if sval:
+                    m_i, w = divmod(key, d)
+                    # entry al * spect + J of R[m_i] moves to (al*spect + J)*d + w
+                    for idx, val in enumerate(R[m_i]):
                         if val:
-                            idx = base_out + J * d + w
-                            t[idx] = f.add(t[idx], f.mul(sval, val))
-            new_r.append(t)
+                            t[idx * d + w] += sval * val
+            new_r.append(t if p is None else [x % p for x in t])
         R = new_r
         if not R:
             return []

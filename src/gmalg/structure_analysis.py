@@ -484,19 +484,24 @@ class HypothesisReport:
         raise KeyError(number)
 
 
-def check_hypotheses(g: GMAlgebra, variant: str) -> HypothesisReport:
+def check_hypotheses(g: GMAlgebra, variant: str,
+                     cd: Optional[CenterData] = None,
+                     ps: Optional[PairSpaces] = None) -> HypothesisReport:
     """Evaluate the five decomposition hypotheses, ruleset 4.1 or 4.3.
 
     Both rulesets share (1) the center projections are onto, (2) A or B has
     no nonzero central ideal, and (5) special pairs are standard. 4.1 adds
     the central-action condition (3) and the pairing/noncommutativity
     condition (4); 4.3 instead requires the one-sided annihilators in N (3)
-    and M (4) to vanish.
+    and M (4) to vanish. `cd` and `ps` are `center_data(g)` and
+    `pair_spaces(g)`, computed here unless a caller checking both rulesets
+    passes them in.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown hypothesis variant {variant!r}")
     ctx = g.context
-    cd = center_data(g)
+    if cd is None:
+        cd = center_data(g)
     conds: list[tuple[int, CheckStatus]] = []
 
     ok_a = cd.a_part == cd.center_a
@@ -538,7 +543,8 @@ def check_hypotheses(g: GMAlgebra, variant: str) -> HypothesisReport:
         conds.append((3, _annihilator_check_n(g)))
         conds.append((4, _annihilator_check_m(g)))
 
-    ps = pair_spaces(g)
+    if ps is None:
+        ps = pair_spaces(g)
     if ps.special == ps.standard:
         conds.append((5, CheckStatus("pass")))
     else:

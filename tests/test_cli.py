@@ -41,7 +41,7 @@ def test_gen_and_validate_full_matrix(tmp_path, capsys):
 def test_round_trip_is_byte_identical(tmp_path, capsys):
     spec = gen(tmp_path, capsys, "m3.json",
                "--kind", "full-matrix", "--r", "3", "--field", "gf:7")
-    raw = open(spec).read()
+    raw = Path(spec).read_text()
     from gmalg.fileformat import context_to_dict, load_context
     ctx = load_context(spec)
     assert dumps_canonical(context_to_dict(ctx)) == raw
@@ -153,6 +153,28 @@ def test_verify_exit_codes(tmp_path, capsys):
     assert rep["details"]["space_dim"] > 0
 
 
+@pytest.mark.parametrize("argv", [["hypotheses", "--theorem", "4.1"],
+                                  ["hypotheses", "--theorem", "4.3"],
+                                  ["verify", "--arity", "2"]])
+def test_center_structure_error_is_a_failing_check(tmp_path, capsys,
+                                                   monkeypatch, argv):
+    spec = gen(tmp_path, capsys, "m2.json",
+               "--kind", "full-matrix", "--r", "2", "--field", "q")
+
+    def broken(g):
+        raise G.CenterStructureError("linking map is singular")
+
+    for module in ("structure_analysis", "decompose"):
+        monkeypatch.setattr(sys.modules[f"gmalg.{module}"], "center_data", broken)
+    code, out, err = run(capsys, argv[0], spec, *argv[1:])
+    assert code == 1
+    assert err == ""
+    rep = json.loads(out)
+    assert rep["command"] == argv[0]
+    assert rep["checks"] == [{"name": "center-structure", "status": "fail",
+                              "reason": "linking map is singular"}]
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -164,7 +186,7 @@ def test_parse_error_exit_code(tmp_path, capsys):
 def test_invalid_context_load_refused(tmp_path, capsys):
     spec = gen(tmp_path, capsys, "m2.json",
                "--kind", "full-matrix", "--r", "2", "--field", "q")
-    data = json.loads(open(spec).read())
+    data = json.loads(Path(spec).read_text())
     data["pair_mn"] = data["pair_mn"] + [[0, 0, 0, "1"]]
     broken = tmp_path / "broken.json"
     broken.write_text(dumps_canonical(data))

@@ -151,10 +151,52 @@ def linear_systems(draw):
     return field, ncols, rows
 
 
+@st.composite
+def tall_low_rank_systems(draw):
+    """Many rows spanning a low-rank space, with independent rows late.
+
+    The first stretch repeats (and combines) a few base rows, so most rows
+    are dependent while the running basis is still large; the remaining
+    base rows arrive among the last rows.
+    """
+    field = draw(st.sampled_from(FIELDS))
+    ncols = draw(st.integers(2, 9))
+    if field.p is None:
+        scalar = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    else:
+        scalar = st.integers(0, field.p - 1)
+    scalar = st.one_of(st.just(field.zero), scalar)
+    base = draw(st.lists(st.lists(scalar, min_size=ncols, max_size=ncols),
+                         min_size=2, max_size=ncols))
+    early = draw(st.integers(1, len(base) - 1))
+    picks = st.tuples(st.integers(0, early - 1), st.integers(0, early - 1),
+                      st.integers(-2, 2))
+    rows = []
+    for i, j, c in draw(st.lists(picks, min_size=20, max_size=60)):
+        rows.append([field.add(x, field.mul(field.of(c), y))
+                     for x, y in zip(base[i], base[j])])
+    late = base[early:]
+    for row in late:
+        rows.insert(len(rows) - draw(st.integers(0, len(late))), row)
+    if draw(st.booleans()):
+        rows = [{k: x for k, x in enumerate(row) if x} for row in rows]
+    return field, ncols, rows
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(linear_systems())
 def test_kernel_basis_form(system):
-    field, ncols, rows = system
+    check_kernel_form(*system)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(tall_low_rank_systems())
+def test_kernel_basis_form_tall_low_rank(system):
+    check_kernel_form(*system)
+
+
+def check_kernel_form(field, ncols, rows):
+    """Kernel size, membership, one free column per vector, exact form."""
     dense = [[row.get(k, field.zero) for k in range(ncols)]
              if isinstance(row, dict) else row for row in rows]
     ker = G.kernel_basis(field, ncols, rows)

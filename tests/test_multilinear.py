@@ -1,12 +1,13 @@
 """Multilinear map predicates and n-Lie derivation space computation."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 import gmalg as G
 
-from helpers import GF7, Q
+from helpers import GF7, GF101, Q, change_of_basis
 from test_algebra_core import dual_numbers
 
 
@@ -190,6 +191,29 @@ def test_slot_restriction_matches_direct_m2_gf7():
         direct = G.n_lie_derivation_space_direct(g, n)
         assert (G.maps_span(GF7, n, 4, slot)
                 == G.maps_span(GF7, n, 4, direct))
+
+
+@pytest.mark.parametrize("field", [Q, GF101], ids=lambda f: f.name)
+@pytest.mark.parametrize("kind, kw", [
+    ("upper_triangular", dict(s=1, t=1)),
+    ("full_matrix", dict(r=2)),
+    ("zero_pairing", dict(s=1, t=1)),
+], ids=["t2", "m2", "zp11"])
+def test_slot_restriction_matches_direct_on_dense_constants(field, kind, kw):
+    """Seeded changes of basis give constants like 2, -1/2, 1/3 (over q),
+    so the denominator scaling of the slot rows is exercised."""
+    ctx = change_of_basis(G.generate_builtin(kind, field, **kw),
+                          f"slot:{kind}:{field.name}")
+    g = G.assemble(ctx, validate=True)
+    scalar = Fraction if field.p is None else int
+    for n in (2, 3):
+        slot = G.n_lie_derivation_space(g, n)
+        assert slot
+        assert all(type(x) is scalar
+                   for m in slot for vec in m.entries.values() for x in vec)
+        direct = G.n_lie_derivation_space_direct(g, n)
+        assert (G.maps_span(field, n, g.dim, slot)
+                == G.maps_span(field, n, g.dim, direct))
 
 
 def test_space_elements_pass_predicate_dim7():
