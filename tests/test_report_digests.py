@@ -1,0 +1,136 @@
+"""CLI reports pinned byte for byte, apart from `timings`.
+
+Each case runs `gmalg.cli.main` in process from a directory holding its spec
+files, named relatively (the spec path is part of every report). The report
+with `timings` removed is serialised as gmalg serialises it, and its SHA-256
+and the exit code are compared with `report_digests.json`. The cases cover
+what the benchmark's reference digests do not: `validate` on a context whose
+M is not faithful, and the analysis commands on small stock instances over
+q and gf:7.
+
+    PYTHONPATH=src python tests/test_report_digests.py
+
+rewrites `report_digests.json` from the current code.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+import gmalg as G
+from gmalg.cli import main
+from gmalg.fileformat import context_to_dict, dumps_canonical
+
+DIGESTS = Path(__file__).with_name("report_digests.json")
+FIELDS = ("q", "gf:7")
+STOCK = {
+    "ut11": ("upper-triangular", "--s", "1", "--t", "1"),
+    "zp11": ("zero-pairing", "--s", "1", "--t", "1"),
+    "m2": ("full-matrix", "--r", "2"),
+}
+COMMANDS = {
+    "center": ("center",),
+    "hypotheses-4.1": ("hypotheses", "--theorem", "4.1"),
+    "hypotheses-4.3": ("hypotheses", "--theorem", "4.3"),
+    "extremal": ("extremal",),
+    "derivations": ("derivations",),
+    "derivations-lie": ("derivations", "--lie"),
+    "verify-3": ("verify", "--arity", "3"),
+}
+
+
+def spec_name(instance: str, field: str) -> str:
+    return f"{instance}-{field.replace(':', '')}.json"
+
+
+def cases() -> dict:
+    """Case id -> CLI argv, with spec paths relative to the spec directory."""
+    out = {}
+    for field in FIELDS:
+        spec = spec_name("nonfaithful", field)
+        out[f"nonfaithful-{field}-validate"] = ("validate", spec)
+        for instance in STOCK:
+            spec = spec_name(instance, field)
+            for name, argv in COMMANDS.items():
+                out[f"{instance}-{field}-{name}"] = (argv[0], spec, *argv[1:])
+    return out
+
+
+def nonfaithful_context(field):
+    """A = k^2 acts on M = k through its first coordinate only."""
+    a = G.StructureAlgebra.build(
+        field, 2, [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 1, 1)],
+        [1, 0])
+    return G.MoritaContext(
+        a=a, b=G.matrix_algebra(field, 1), m_dim=1, n_dim=0,
+        act_am=G.BilinearTable.from_quadruples(field, 2, 1, 1, [(0, 0, 0, 1)]),
+        act_mb=G.BilinearTable.from_quadruples(field, 1, 1, 1, [(0, 0, 0, 1)]),
+        act_bn=G.BilinearTable.zero(1, 0, 0),
+        act_na=G.BilinearTable.zero(0, 2, 0),
+        pair_mn=G.BilinearTable.zero(1, 0, 2),
+        pair_nm=G.BilinearTable.zero(0, 1, 1),
+    )
+
+
+def write_specs(directory: Path) -> None:
+    for field in FIELDS:
+        ctx = nonfaithful_context(G.FieldSpec.from_name(field))
+        (directory / spec_name("nonfaithful", field)).write_text(
+            dumps_canonical(context_to_dict(ctx)))
+        for instance, argv in STOCK.items():
+            path = directory / spec_name(instance, field)
+            code = main(["gen", "--kind", *argv, "--field", field,
+                         "-o", str(path)])
+            assert code == 0
+
+
+def report_digest(argv) -> dict:
+    """Exit code and SHA-256 of the report without `timings` (None if none)."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(list(argv))
+    digest = None
+    if buf.getvalue():
+        rep = json.loads(buf.getvalue())
+        rep.pop("timings")
+        text = json.dumps(rep, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return {"exit": code, "sha256": digest}
+
+
+@pytest.fixture(scope="module")
+def spec_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("digest-specs")
+    write_specs(directory)
+    return directory
+
+
+def test_pinned_cases_are_exactly_the_generated_ones():
+    assert sorted(json.loads(DIGESTS.read_text())) == sorted(cases())
+
+
+@pytest.mark.parametrize("case", sorted(cases()))
+def test_report_digest(case, spec_dir, monkeypatch):
+    monkeypatch.chdir(spec_dir)
+    want = json.loads(DIGESTS.read_text())[case]
+    assert report_digest(cases()[case]) == want
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        write_specs(Path(tmp))
+        here = os.getcwd()
+        os.chdir(tmp)
+        try:
+            got = {case: report_digest(argv) for case, argv in cases().items()}
+        finally:
+            os.chdir(here)
+    DIGESTS.write_text(json.dumps(got, sort_keys=True, indent=2) + "\n")
+    print(f"wrote {len(got)} digests to {DIGESTS}", file=sys.stderr)
