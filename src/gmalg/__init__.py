@@ -19,8 +19,8 @@ from .errors import (BudgetExceededError, CenterStructureError,
                      DimensionMismatchError, ExtremalPreconditionError,
                      FieldMismatchError, GmalgError, InvalidContextError,
                      LieLeibnizError, SpecFileError)
-from .exact_linear import (FieldSpec, Matrix, Subspace, kernel_basis,
-                           kernel_of, rref, solve_particular)
+from .exact_linear import (FieldSpec, Matrix, Subspace, kernel_basis, rref,
+                           solve_particular)
 from .gma import (GMAlgebra, MoritaContext, PierceParts, assemble,
                   generate_builtin, pairing_image_mn, pairing_image_nm,
                   pierce_project, validate_context)

@@ -7,7 +7,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Optional
 
 from .errors import DimensionMismatchError, FieldMismatchError
-from .exact_linear import FieldSpec, Scalar, Subspace
+from .exact_linear import FieldSpec, Scalar, Subspace, int_scaled
 
 _MAX_VIOLATIONS = 16
 
@@ -62,6 +62,17 @@ class BilinearTable:
 
     def at(self, i: int, j: int) -> tuple:
         return self.entries[i * self.right_dim + j]
+
+    @cached_property
+    def int_entries(self) -> tuple:
+        """`entries` with every constant `int_scaled` by one common factor.
+
+        Over q the constants cleared of denominators; over GF(p) the
+        residues themselves. Computed once per table.
+        """
+        scaled = iter(int_scaled([c for cell in self.entries for _, c in cell]))
+        return tuple(tuple((k, next(scaled)) for k, _ in cell)
+                     for cell in self.entries)
 
     def apply(self, field: FieldSpec, x, y) -> list:
         """Bilinear extension to coordinate vectors."""

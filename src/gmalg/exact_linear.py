@@ -2,15 +2,19 @@
 
 Scalars are `fractions.Fraction` over the rationals and canonical int
 residues over GF(p). Both fields share one elimination core on int rows:
-`rref` and `kernel_basis` each run one loop for both. The field decides
-only how a row is updated and how results leave the core. Over the
-rationals elimination is fraction-free (a Bareiss forward pass, content
-division in the kernel), which keeps entry growth polynomial, and results
-leave as Fractions; over GF(p) the pivot is scaled to 1 and a row update is
-row - f * pivot row mod p. `kernel_basis` stores its running basis
-coordinate-major (one list per coordinate, indexed by surviving vector), so
-a sparse constraint row costs one list pass per nonzero entry. Subspaces are
-stored in reduced row echelon form, so equality is plain entrywise
+`rref` and `kernel_basis` each run one loop for both. A scalar enters the
+core only through `_int_row`, and a rational becomes an int only through
+`int_scaled` (multiply by the LCM of the denominators), which the integer
+paths of the multilinear code share. The field decides only how a row is
+updated and how results leave the core. Over the rationals elimination is
+fraction-free (a Bareiss forward pass, content division in the kernel),
+which keeps entry growth polynomial; over GF(p) the pivot is scaled to 1 and
+a row update is row - f * pivot row mod p. `kernel_basis` returns its
+vectors as the core builds them: primitive int vectors over q, residues over
+GF(p). It stores its running basis coordinate-major (one list per
+coordinate, indexed by surviving vector), so a sparse constraint row costs
+one list pass per nonzero entry. Subspaces are stored in reduced row echelon
+form with Fraction entries over q, so equality is plain entrywise
 comparison.
 """
 
@@ -21,7 +25,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import compress, count
 from math import gcd, lcm
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from .errors import DimensionMismatchError, FieldMismatchError
 
@@ -197,20 +201,44 @@ class FieldSpec:
 # ---------------------------------------------------------------------------
 
 
+def int_scaled(values: Sequence) -> list[int]:
+    """Ints or Fractions times the LCM of their denominators, as ints.
+
+    All values are scaled by the same positive factor, so a row keeps its
+    kernel and its row space and a table or a map keeps its zero pattern.
+    Ints and residues (denominator 1) come back as they are.
+    """
+    den = lcm(1, *(c.denominator for c in values))
+    if den == 1:
+        return [c.numerator for c in values]
+    return [c.numerator * (den // c.denominator) for c in values]
+
+
 def _int_row(field: FieldSpec, row) -> list[tuple[int, int]]:
     """The nonzero (column, int) entries of a dict or dense row.
 
-    A rational row is scaled by the LCM of its denominators, which keeps its
-    kernel and its row space; a GF(p) row holds int residues.
+    The only place a scalar enters the int core. An entry that is not an
+    int (or, over q, a Fraction) is coerced by `FieldSpec.of`, with its
+    refusals. A GF(p) row then holds int residues; a rational row with a
+    non-int entry is `int_scaled`, which keeps its kernel and its row space.
     """
-    items = row.items() if isinstance(row, dict) else list(enumerate(row))
-    if field.p is not None:
-        p = field.p
-        return [(i, r) for i, c in items if (r := int(c) % p)]
-    den = lcm(*(c.denominator for _, c in items))
-    if den == 1:
-        return [(i, c.numerator) for i, c in items if c]
-    return [(i, c.numerator * (den // c.denominator)) for i, c in items if c]
+    items = row.items() if isinstance(row, dict) else enumerate(row)
+    p = field.p
+    if p is not None:
+        return [(i, r) for i, c in items
+                if (r := c % p if type(c) is int else field.of(c))]
+    pairs, rational = [], False
+    for i, c in items:
+        if type(c) is not int:
+            if type(c) is not Fraction:
+                c = field.of(c)
+            rational = True
+        if c:
+            pairs.append((i, c))
+    if not rational or not pairs:
+        return pairs
+    cols, vals = zip(*pairs)
+    return list(zip(cols, int_scaled(vals)))
 
 
 def _sub_multiple(p: Optional[int], row: list, f, top: list) -> list:
@@ -277,7 +305,7 @@ def rref(field: FieldSpec, rows, ncols: int):
     return m, pivots
 
 
-def kernel_basis(field: FieldSpec, ncols: int, rows) -> list[list[Scalar]]:
+def kernel_basis(field: FieldSpec, ncols: int, rows) -> list[list[int]]:
     """Exact basis of the joint kernel of `rows` (dicts or dense sequences).
 
     Maintains a basis of the running solution space and shrinks it one
@@ -292,9 +320,9 @@ def kernel_basis(field: FieldSpec, ncols: int, rows) -> list[list[Scalar]]:
 
     Every basis vector starts as a unit vector and keeps a nonzero entry at
     its own (free) column, where all the others are 0. Over q the vectors
-    are combined fraction-free and divided by their content, so each is a
-    primitive int vector (returned as Fractions); over GF(p) the pivot is
-    scaled to 1, so each vector keeps a 1 at its free column.
+    are combined fraction-free and divided by their content, so each is
+    returned as a primitive int vector; over GF(p) the pivot is scaled to 1,
+    so each vector is returned as residues with a 1 at its free column.
     """
     p = field.p
     T = [[0] * ncols for _ in range(ncols)]
@@ -335,8 +363,6 @@ def kernel_basis(field: FieldSpec, ncols: int, rows) -> list[list[Scalar]]:
                         Ti[s] = (Ti[s] - fs * b) % p
         if not y:
             break
-    if p is None:
-        return [[Fraction(v) for v in col] for col in zip(*T)]
     return [list(col) for col in zip(*T)]
 
 
@@ -409,7 +435,7 @@ class Subspace:
 
     @classmethod
     def span(cls, field: FieldSpec, ambient_dim: int, vectors) -> "Subspace":
-        vecs = [[field.of(x) for x in v] for v in vectors]
+        vecs = list(vectors)
         for v in vecs:
             if len(v) != ambient_dim:
                 raise DimensionMismatchError(
@@ -477,34 +503,12 @@ class Subspace:
     def __add__(self, other: "Subspace") -> "Subspace":
         return self.sum(other)
 
-    def intersect(self, other: "Subspace") -> "Subspace":
-        """Solve x = sum a_i s_i = sum b_j t_j via the stacked kernel."""
-        self._check_compatible(other)
-        f = self.field
-        s, t = self.dim, other.dim
-        if s == 0 or t == 0:
-            return Subspace.zero(f, self.ambient_dim)
-        rows = []
-        for k in range(self.ambient_dim):
-            row = [self.basis[i][k] for i in range(s)]
-            row += [f.neg(other.basis[j][k]) for j in range(t)]
-            rows.append(row)
-        vecs = [f.combine(combo, self.basis, self.ambient_dim)
-                for combo in kernel_basis(f, s + t, rows)]
-        return Subspace.span(f, self.ambient_dim, vecs)
-
     def _check_compatible(self, other: "Subspace") -> None:
         if self.field != other.field:
             raise FieldMismatchError("subspaces over different fields")
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatchError(
                 f"ambient {self.ambient_dim} != {other.ambient_dim}")
-
-
-def kernel_of(m: Matrix) -> Subspace:
-    """Exact null space of a matrix."""
-    vecs = kernel_basis(m.field, m.cols, m.entries)
-    return Subspace.span(m.field, m.cols, vecs)
 
 
 def solve_particular(m: Matrix, b) -> Optional[tuple]:

@@ -212,11 +212,11 @@ def validate_context(ctx: MoritaContext) -> ValidationReport:
     # faithfulness of M on both sides
     left_rows = stack_rows(ctx.act_am.operator_rows(f, right=m) for m in em)
     for vec in kernel_basis(f, da, left_rows):
-        record("m-left-faithful", (), f"a = {tuple(vec)} kills M")
+        record("m-left-faithful", (), f"a = {tuple(map(f.of, vec))} kills M")
         break
     right_rows = stack_rows(ctx.act_mb.operator_rows(f, left=m) for m in em)
     for vec in kernel_basis(f, db, right_rows):
-        record("m-right-faithful", (), f"b = {tuple(vec)} kills M")
+        record("m-right-faithful", (), f"b = {tuple(map(f.of, vec))} kills M")
         break
 
     return ValidationReport(tuple(bad))

@@ -5,12 +5,13 @@ derivation space is computed by slot restriction: slot one confines the map
 to (Lie derivation space) x (coefficient tensor), and the later-slot
 Leibniz constraints all reduce to one shared constraint block because their
 coefficients never involve the spectator slots. The solver runs on ints: the
-block is built from bracket constants and Lie-basis columns cleared of
-denominators, and every later stage reads the kernel vectors as int lists
-(primitive over q, residues over GF(p)); Fractions appear only in the final
-span and the materialized maps. Arity n = 2 needs only the block's kernel; from n = 3 on
-each further slot also needs its annihilator, the block's row space in
-reduced size. A direct dense-kernel method is kept alongside as the
+block is built from the bracket table's int view and the Lie-basis columns,
+both cleared of denominators by `exact_linear.int_scaled`, and every later
+stage works on the int vectors `kernel_basis` returns (primitive over q,
+residues over GF(p)). Rationals come back only in the final canonical span
+and the materialized maps. Arity n = 2 needs only the block's kernel; from
+n = 3 on each further slot also needs its annihilator, the block's row space
+in reduced size. A direct dense-kernel method is kept alongside as the
 cross-validation oracle.
 
 Both the Leibniz predicate and the slot block write the Leibniz law out by
@@ -21,14 +22,13 @@ predicate tests and the slot-against-direct comparison stay independent.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import permutations, product
-from math import lcm
+from itertools import islice, permutations, product
 from typing import Callable, Sequence
 
 from .algebra_core import Element, StructureAlgebra
 from .budget import guard_tuples, guard_unknowns
 from .errors import DimensionMismatchError, FieldMismatchError
-from .exact_linear import FieldSpec, Subspace, kernel_basis
+from .exact_linear import FieldSpec, Subspace, int_scaled, kernel_basis
 from .structure_analysis import (CheckStatus, center, core_algebra,
                                  leibniz_rows, lie_derivation_space)
 
@@ -222,32 +222,20 @@ def is_n_derivation(g, mmap: MultilinearMap) -> CheckStatus:
     return _leibniz_predicate(g, mmap, lie=False)
 
 
-def _integer_cells(cells) -> tuple:
-    """Product-table cells with every constant scaled to an int.
-
-    Over q the scale is the LCM of the constants' denominators; over GF(p)
-    the constants are already int residues and the scale is 1.
-    """
-    scale = lcm(1, *(c.denominator for cell in cells for _, c in cell))
-    return tuple(tuple((k, c.numerator * (scale // c.denominator))
-                       for k, c in cell) for cell in cells)
-
-
 def _integer_values(mmap: MultilinearMap) -> list:
     """Per basis-tuple rank, the map's value as sparse (component, int) pairs.
 
-    Scaled like `_integer_cells`, by the LCM of the values' denominators.
+    All values are `int_scaled` by one common factor.
     """
     d, n = mmap.dim, mmap.arity
-    scale = lcm(1, *(x.denominator for vec in mmap.entries.values()
-                     for x in vec))
+    scaled = iter(int_scaled([x for vec in mmap.entries.values() for x in vec]))
     vals = [()] * (d ** n)
     for key, vec in mmap.entries.items():
         rank = 0
         for i in key:
             rank = rank * d + i
-        vals[rank] = tuple((t, x.numerator * (scale // x.denominator))
-                           for t, x in enumerate(vec) if x)
+        vals[rank] = tuple((t, x) for t, x in
+                           enumerate(islice(scaled, len(vec))) if x)
     return vals
 
 
@@ -273,7 +261,7 @@ def _leibniz_predicate(g, mmap: MultilinearMap, lie: bool) -> CheckStatus:
     _check_algebra_map(alg, mmap)
     d, n, p = alg.dim, mmap.arity, alg.field.p
     guard_tuples("leibniz predicate", d ** n)
-    cells = _integer_cells((alg.bracket_table if lie else alg.mul).entries)
+    cells = (alg.bracket_table if lie else alg.mul).int_entries
     vals = _integer_values(mmap)
     for slot in range(n):
         st = d ** (n - 1 - slot)
@@ -392,18 +380,16 @@ def _slot_block_rows(alg: StructureAlgebra, dcols) -> list:
     basis element, the bracket pair u < v and the output component.
 
     Every coefficient is one bracket constant times one entry of a Lie
-    basis column. Both sets are scaled to ints (by the LCM of their
-    denominators over q, by 1 over GF(p)), so each row is a positive int
+    basis column. The bracket table's int view and the columns are each
+    `int_scaled` by one common factor, so each row is a positive int
     multiple of the rational row and has the same kernel.
     """
     d, f = alg.dim, alg.field
     ell = len(dcols)
     bt = alg.bracket_table
-    bt = replace(bt, entries=_integer_cells(bt.entries))
-    scale = lcm(1, *(x.denominator for cols in dcols for col in cols
-                     for x in col))
-    icols = [[[x.numerator * (scale // x.denominator) for x in col]
-              for col in cols] for cols in dcols]
+    bt = replace(bt, entries=bt.int_entries)
+    scaled = iter(int_scaled([x for cols in dcols for col in cols for x in col]))
+    icols = [[list(islice(scaled, d)) for _ in cols] for cols in dcols]
     rows = []
     for a1 in range(d):
         da_vecs = [icols[al][a1] for al in range(ell)]
@@ -439,11 +425,6 @@ def _slot_block_rows(alg: StructureAlgebra, dcols) -> list:
     return rows
 
 
-def _numerators(vectors) -> list:
-    """Kernel vectors as int lists: primitive ints over q, residues over GF(p)."""
-    return [[x.numerator for x in vec] for vec in vectors]
-
-
 def n_lie_derivation_space(g, n: int) -> list:
     """Basis of the space of n-Lie derivations, via slot restriction.
 
@@ -451,7 +432,8 @@ def n_lie_derivation_space(g, n: int) -> list:
     derivation basis {D_a}; the slot-k constraints for k >= 2 share one
     block whose coefficients ignore the spectator slots, so each stage only
     solves a system in (current dimension) * d unknowns. Every stage runs on
-    ints; Fractions appear only in the final span and the materialized maps.
+    the int vectors `kernel_basis` returns; the final span gives the
+    canonical basis (Fractions over q), and the maps are materialized from it.
     """
     alg = core_algebra(g)
     if n < 2:
@@ -467,7 +449,7 @@ def n_lie_derivation_space(g, n: int) -> list:
     if ell == 0:
         return []
 
-    K = _numerators(kernel_basis(f, ell * d, _slot_block_rows(alg, dcols)))
+    K = kernel_basis(f, ell * d, _slot_block_rows(alg, dcols))
     if not K:
         return []
 
@@ -478,7 +460,7 @@ def n_lie_derivation_space(g, n: int) -> list:
         # size, stored per w as sparse (a, coefficient) pairs
         ann = [[[(al, r[al * d + w]) for al in range(ell) if r[al * d + w]]
                 for w in range(d)]
-               for r in _numerators(kernel_basis(f, ell * d, K))]
+               for r in kernel_basis(f, ell * d, K)]
     for k in range(3, n + 1):
         spect = d ** (k - 2)
         rows = []
@@ -496,7 +478,7 @@ def n_lie_derivation_space(g, n: int) -> list:
                 if row:
                     rows.append(row)
         new_r = []
-        for s in _numerators(kernel_basis(f, len(R) * d, rows)):
+        for s in kernel_basis(f, len(R) * d, rows):
             t = [0] * (ell * spect * d)
             for key, sval in enumerate(s):
                 if sval:

@@ -61,20 +61,26 @@ def test_gf7_field_axioms(a, b, c):
         assert GF7.mul(a, GF7.inv(a)) == 1
 
 
+def kernel_space(m):
+    """The null space of a matrix as a canonical subspace."""
+    return G.Subspace.span(m.field, m.cols,
+                           G.kernel_basis(m.field, m.cols, m.entries))
+
+
 def test_kernel_identity_is_zero():
     m = G.Matrix.identity(Q, 2)
-    assert G.kernel_of(m).dim == 0
+    assert kernel_space(m).dim == 0
 
 
 def test_kernel_rank_one():
     m = G.Matrix.from_rows(Q, [[1, 1], [1, 1]])
-    k = G.kernel_of(m)
+    k = kernel_space(m)
     assert k.basis == ((Fraction(1), Fraction(-1)),)
 
 
 def test_kernel_unit_mod_7():
     m = G.Matrix.from_rows(GF7, [[2]])
-    assert G.kernel_of(m).dim == 0
+    assert kernel_space(m).dim == 0
 
 
 def test_kernel_vectors_annihilate_random_q():
@@ -85,7 +91,7 @@ def test_kernel_vectors_annihilate_random_q():
         m = G.Matrix.from_rows(
             Q, [[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
                  for _ in range(cols)] for _ in range(rows)])
-        k = G.kernel_of(m)
+        k = kernel_space(m)
         for v in k.basis:
             assert all(x == 0 for x in m.apply(v))
         assert m.rank() + k.dim == cols
@@ -98,7 +104,7 @@ def test_rank_nullity_random_gf7():
         cols = rng.randrange(1, 7)
         m = G.Matrix.from_rows(
             GF7, [[rng.randrange(7) for _ in range(cols)] for _ in range(rows)])
-        assert m.rank() + G.kernel_of(m).dim == cols
+        assert m.rank() + kernel_space(m).dim == cols
 
 
 def test_fraction_free_rref_matches_naive_oracle():
@@ -122,6 +128,28 @@ def test_fraction_free_rref_matches_naive_oracle():
             assert [list(r) for r in got_rows] == [list(r) for r in want_rows]
             scalar = Fraction if field.p is None else int
             assert all(type(x) is scalar for r in got_rows for x in r)
+
+
+def test_rows_take_scalars_as_field_of_does():
+    """A row entry means what `FieldSpec.of` makes of it, with its refusals."""
+    # 1/2 = 4 in GF(7): the 1 x 1 system has rank 1 and no kernel
+    assert G.kernel_basis(GF7, 1, [[Fraction(1, 2)]]) == []
+    assert rref(GF7, [[Fraction(1, 2)]], 1) == ([[1]], [0])
+    # 3/2 = 5 in GF(7), so [5, 1] has the kernel spanned by [4, 1] = 4 [1, 2]
+    ker = G.kernel_basis(GF7, 2, [{0: Fraction(3, 2), 1: 1}])
+    assert ker == [[4, 1]]
+    assert G.Subspace.span(GF7, 2, ker) == G.Subspace.span(GF7, 2, [[1, 2]])
+    assert G.Subspace.span(GF7, 2, [[Fraction(3, 2), 1]]).basis == ((1, 3),)
+    assert G.kernel_basis(Q, 2, [["1/2", 1]]) == [[-2, 1]]
+    for field, value, error in ((GF7, Fraction(1, 7), ZeroDivisionError),
+                                (GF7, 0.5, TypeError), (Q, 0.5, TypeError),
+                                (Q, 0.0, TypeError)):
+        with pytest.raises(error):
+            G.kernel_basis(field, 2, [[value, 1]])
+        with pytest.raises(error):
+            rref(field, [{1: value}], 2)
+        with pytest.raises(error):
+            G.Subspace.span(field, 2, [[1, value]])
 
 
 @st.composite
@@ -214,7 +242,7 @@ def check_kernel_form(field, ncols, rows):
         own = [j for j in range(ncols) if v[j] and not any(w[j] for w in others)]
         assert own
         if field.p is None:
-            assert all(type(x) is Fraction and x.denominator == 1 for x in v)
+            assert all(type(x) is int for x in v)
             assert gcd(*(x.numerator for x in v)) == 1
         else:
             assert all(type(x) is int and 0 <= x < field.p for x in v)
@@ -255,7 +283,6 @@ def test_subspace_canonical_under_row_operations():
 def test_subspace_ops_idempotence_and_identity():
     s = G.Subspace.span(Q, 3, [[1, 0, 1], [0, 1, 0]])
     zero = G.Subspace.zero(Q, 3)
-    assert s.intersect(s) == s
     assert s.sum(zero) == s
     assert (s + zero) == s
 
@@ -270,7 +297,12 @@ def test_subspace_dim_formula_random_gf7():
               for _ in range(rng.randrange(0, 4))]
         s = G.Subspace.span(GF7, amb, sv)
         t = G.Subspace.span(GF7, amb, tv)
-        inter = s.intersect(t)
+        # x = sum a_i s_i = sum b_j t_j: the kernel of [S | -T], read on S
+        rows = [[x[k] for x in s.basis] + [GF7.neg(y[k]) for y in t.basis]
+                for k in range(amb)]
+        inter = G.Subspace.span(GF7, amb, [
+            GF7.combine(combo[:s.dim], s.basis, amb)
+            for combo in G.kernel_basis(GF7, s.dim + t.dim, rows)])
         total = s + t
         assert s.dim + t.dim == total.dim + inter.dim
         for v in inter.basis:
@@ -327,7 +359,7 @@ def test_solve_particular_random_consistency_gf7():
                 min_size=1, max_size=5))
 def test_kernel_property_hypothesis(rows):
     m = G.Matrix.from_rows(Q, rows)
-    k = G.kernel_of(m)
+    k = kernel_space(m)
     for v in k.basis:
         assert all(x == 0 for x in m.apply(v))
     assert m.rank() + k.dim == 3

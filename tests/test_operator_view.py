@@ -1,8 +1,9 @@
-"""`BilinearTable.operator_rows` against the bilinear map it is read from.
+"""`BilinearTable` views against the bilinear map they are read from.
 
 For random x and y, the rows with x fixed applied to y, and the rows with y
 fixed applied to x, must both give T(x, y) as computed by
-`BilinearTable.apply`. The tables are the multiplication and bracket tables
+`BilinearTable.apply`. The int view must be the constants times one positive
+factor (1 over GF(p)). The tables are the multiplication and bracket tables
 of assembled algebras and the six context tables, all rewritten in a seeded
 basis so the constants are dense and not 0/1.
 """
@@ -68,3 +69,21 @@ def test_rows_reproduce_apply(field, name, kind, kw, which, data):
             assert all(0 <= i < free for i in row)
             assert all(c and c == field.of(c) for c in row.values())
 
+
+@pytest.mark.parametrize("field", [Q, GF101], ids=["q", "gf101"])
+@pytest.mark.parametrize("name,kind,kw", INSTANCES, ids=[i[0] for i in INSTANCES])
+@pytest.mark.parametrize("which", TABLES)
+def test_int_view_is_one_positive_multiple(field, name, kind, kw, which):
+    table = table_of(field, kind, kw, which)
+    view = table.int_entries
+    assert view is table.int_entries
+    assert ([[k for k, _ in cell] for cell in view]
+            == [[k for k, _ in cell] for cell in table.entries])
+    pairs = [(c, x) for cell, icell in zip(table.entries, view)
+             for (_, c), (_, x) in zip(cell, icell)]
+    assert all(type(x) is int for _, x in pairs)
+    if field.p is not None:
+        assert all(x == c for c, x in pairs)
+    else:
+        scales = {x / c for c, x in pairs}
+        assert len(scales) <= 1 and all(s > 0 for s in scales)
