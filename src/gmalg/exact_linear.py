@@ -7,15 +7,17 @@ core only through `_int_row`, and a rational becomes an int only through
 `int_scaled` (multiply by the LCM of the denominators), which the integer
 paths of the multilinear code share. The field decides only how a row is
 updated and how results leave the core. Over the rationals elimination is
-fraction-free (a Bareiss forward pass, content division in the kernel),
-which keeps entry growth polynomial; over GF(p) the pivot is scaled to 1 and
-a row update is row - f * pivot row mod p. `kernel_basis` returns its
-vectors as the core builds them: primitive int vectors over q, residues over
-GF(p). It stores its running basis coordinate-major (one list per
-coordinate, indexed by surviving vector), so a sparse constraint row costs
-one list pass per nonzero entry. Subspaces are stored in reduced row echelon
-form with Fraction entries over q, so equality is plain entrywise
-comparison.
+fraction-free (a Bareiss forward pass, content division in back-substitution
+and in the kernel), which keeps entry growth polynomial; over GF(p) a row
+update is row - f * pivot row mod p.
+
+`kernel_basis` touches only nonzero entries: each surviving vector is a
+sparse {column: int} map, and a coordinate-major index of the same entries
+gives a row's products with every survivor at the cost of the entries it
+meets. It returns dense vectors as the core builds them: primitive int
+vectors over q, residues over GF(p). `rref` returns Fractions over q, built
+once from its int rows at the exit, so subspaces are stored in reduced row
+echelon form and equality is plain entrywise comparison.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, count
 from math import gcd, lcm
 from typing import Optional, Sequence, Union
 
@@ -241,22 +242,17 @@ def _int_row(field: FieldSpec, row) -> list[tuple[int, int]]:
     return list(zip(cols, int_scaled(vals)))
 
 
-def _sub_multiple(p: Optional[int], row: list, f, top: list) -> list:
-    """row - f * top, reduced mod p over GF(p)."""
-    if p is None:
-        return [a - f * b for a, b in zip(row, top)]
-    return [(a - f * b) % p for a, b in zip(row, top)]
-
-
 def rref(field: FieldSpec, rows, ncols: int):
     """Canonical RREF rows (zero rows dropped) and their pivot columns.
 
-    The forward pass runs on int rows. Over q it is fraction-free (Bareiss):
-    each row below the pivot row becomes (piv * row - f * top) / prev, an
-    exact division, which keeps entry growth polynomial. Over GF(p) the
-    pivot row is scaled to 1 and each row below becomes row - f * top mod p.
-    Back-substitution then clears the entries above each pivot, over q after
-    dividing every pivot row by its pivot.
+    Both passes run on int rows. Over q the forward pass is fraction-free
+    (Bareiss): each row below the pivot row becomes (piv * row - f * top) /
+    prev, an exact division, which keeps entry growth polynomial. Back-
+    substitution then clears the entries above each pivot with t * row -
+    f * top (t the pivot of top) and divides the row by its content, and
+    each row becomes Fractions once, divided by its pivot, with one shared
+    zero. Over GF(p) the pivot row is scaled to 1 and every update is
+    row - f * top mod p.
     """
     p = field.p
     m = []
@@ -288,20 +284,30 @@ def rref(field: FieldSpec, rows, ncols: int):
             inv = pow(piv, p - 2, p)
             top = m[pr] = [x * inv % p for x in top]
             for r in range(pr + 1, len(m)):
-                if m[r][pc]:
-                    m[r] = _sub_multiple(p, m[r], m[r][pc], top)
+                f = m[r][pc]
+                if f:
+                    m[r] = [(a - f * b) % p for a, b in zip(m[r], top)]
         pivots.append(pc)
         if len(pivots) == len(m):
             break
-    if p is None:
-        m = [[Fraction(x, row[pc]) for x in row] for row, pc in zip(m, pivots)]
-    else:
-        m = m[:len(pivots)]
+    del m[len(pivots):]
     for r in range(len(pivots) - 1, 0, -1):
         pc, top = pivots[r], m[r]
+        t = top[pc]
         for r2 in range(r):
-            if m[r2][pc]:
-                m[r2] = _sub_multiple(p, m[r2], m[r2][pc], top)
+            f = m[r2][pc]
+            if not f:
+                continue
+            if p is None:
+                row = [t * a - f * b for a, b in zip(m[r2], top)]
+                g = gcd(*row)
+                m[r2] = [a // g for a in row] if g > 1 else row
+            else:
+                m[r2] = [(a - f * b) % p for a, b in zip(m[r2], top)]
+    if p is None:
+        zero = Fraction(0)
+        m = [[Fraction(x, row[pc]) if x else zero for x in row]
+             for row, pc in zip(m, pivots)]
     return m, pivots
 
 
@@ -309,61 +315,79 @@ def kernel_basis(field: FieldSpec, ncols: int, rows) -> list[list[int]]:
     """Exact basis of the joint kernel of `rows` (dicts or dense sequences).
 
     Maintains a basis of the running solution space and shrinks it one
-    constraint at a time, so cost scales with ncols * solution dimension
-    rather than with the (possibly huge) number of rows. The basis is stored
-    coordinate-major: T[i][s] is the i-th coordinate of surviving vector s.
-    A row's products with all surviving vectors then take one list pass per
-    nonzero entry of the row, and most rows of a tall system are dependent
-    and cost only that. An independent row picks the first vector with a
-    nonzero product as pivot, drops it, and updates only the vectors whose
-    product is nonzero.
+    constraint at a time, touching only nonzero entries, so cost scales with
+    the nonzeros the rows meet rather than with the (possibly huge) number
+    of rows. Every basis vector starts as a unit vector and keeps a nonzero
+    entry at its own (free) column, where all the others are 0. It is stored
+    as a sparse {column: int} map keyed by its free column, and a
+    coordinate-major index, index[column] = {free column: int}, holds the
+    same entries. A row's products with all surviving vectors then cost the
+    index entries at the row's nonzero columns; most rows of a tall system
+    are dependent and cost only that. An independent row takes the vector
+    with the lowest free column among those with a nonzero product as pivot,
+    drops it, and updates the others with a nonzero product, each at the
+    cost of its support and the pivot's.
 
-    Every basis vector starts as a unit vector and keeps a nonzero entry at
-    its own (free) column, where all the others are 0. Over q the vectors
-    are combined fraction-free and divided by their content, so each is
-    returned as a primitive int vector; over GF(p) the pivot is scaled to 1,
-    so each vector is returned as residues with a 1 at its free column.
+    Over q the vectors are combined fraction-free (yt * v - ys * pivot) and
+    divided by their content, so each is returned as a primitive int
+    vector; over GF(p) an update is v - (ys / yt) * pivot mod p, so each
+    vector is returned as residues with a 1 at its free column. Vectors come
+    back dense, in order of their free columns.
     """
     p = field.p
-    T = [[0] * ncols for _ in range(ncols)]
-    for i, Ti in enumerate(T):
-        Ti[i] = 1
+    vecs = {s: {s: 1} for s in range(ncols)}
+    index = [{i: 1} for i in range(ncols)]
     for row in rows:
         items = _int_row(field, row)
         if not items:
             continue
-        (i0, c0), *rest = items
-        y = [c0 * a for a in T[i0]]
-        for i, c in rest:
-            y = [v + c * a for v, a in zip(y, T[i])]
+        y = {}
+        for i, c in items:
+            for s, a in index[i].items():
+                y[s] = y.get(s, 0) + c * a
         if p is not None:
-            y = [v % p for v in y]
-        # the first s with y[s] != 0
-        pivot = next(compress(count(), y), None)
-        if pivot is None:
+            y = {s: ys % p for s, ys in y.items() if ys % p}
+        elif not all(y.values()):
+            y = {s: ys for s, ys in y.items() if ys}
+        if not y:
             continue
+        pivot = min(y)
         yt = y.pop(pivot)
-        base = [Ti.pop(pivot) for Ti in T]
-        active = [(s, ys) for s, ys in enumerate(y) if ys]
+        base = vecs.pop(pivot)
+        for i in base:
+            del index[i][pivot]
         if p is None:
-            for Ti, b in zip(T, base):
-                for s, ys in active:
-                    Ti[s] = yt * Ti[s] - ys * b
-            for s, _ in active:
-                g = gcd(*(Ti[s] for Ti in T))
+            for s, ys in y.items():
+                old = vecs[s]
+                v = {i: yt * a for i, a in old.items()}
+                for i, b in base.items():
+                    a = v.get(i, 0) - ys * b
+                    if a:
+                        v[i] = a
+                    else:
+                        del v[i]
+                g = gcd(*v.values())
                 if g > 1:
-                    for Ti in T:
-                        Ti[s] //= g
+                    v = {i: a // g for i, a in v.items()}
+                for i in old.keys() - v.keys():
+                    del index[i][s]
+                for i, a in v.items():
+                    index[i][s] = a
+                vecs[s] = v
         else:
             inv = pow(yt, p - 2, p)
-            active = [(s, ys * inv % p) for s, ys in active]
-            for Ti, b in zip(T, base):
-                if b:
-                    for s, fs in active:
-                        Ti[s] = (Ti[s] - fs * b) % p
-        if not y:
+            for s, ys in y.items():
+                f = ys * inv % p
+                v = vecs[s]
+                for i, b in base.items():
+                    a = (v.get(i, 0) - f * b) % p
+                    if a:
+                        v[i] = index[i][s] = a
+                    else:
+                        del v[i], index[i][s]
+        if not vecs:
             break
-    return [list(col) for col in zip(*T)]
+    return [[v.get(i, 0) for i in range(ncols)] for v in vecs.values()]
 
 
 # ---------------------------------------------------------------------------

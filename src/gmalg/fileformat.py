@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import tempfile
 from typing import Optional
 
@@ -31,10 +32,21 @@ def encode_scalar(field: FieldSpec, value):
     return int(value)
 
 
+# The scalar strings `encode_scalar` writes: "n" or "n/d" over q, "n" over
+# GF(p). Exponents, decimals and spaces are refused: Fraction("1e30000000")
+# would build a 30-million-digit int.
+_Q_SCALAR = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_GF_SCALAR = re.compile(r"[+-]?[0-9]+")
+
+
 def decode_scalar(field: FieldSpec, raw):
+    """A JSON integer or a scalar string; bool, float and null are refused."""
+    form = _Q_SCALAR if field.p is None else _GF_SCALAR
+    if type(raw) is not int and not (type(raw) is str and form.fullmatch(raw)):
+        raise SpecFileError(f"bad coefficient {raw!r} for field {field.name}")
     try:
         return field.of(raw)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise SpecFileError(f"bad coefficient {raw!r} for field {field.name}: {exc}")
 
 

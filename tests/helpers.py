@@ -1,8 +1,11 @@
 """Shared fixtures: corpus instances, independent oracles, fuzz machinery."""
 
 import random
+from itertools import compress, count
+from math import gcd
 
 import gmalg as G
+from gmalg.exact_linear import _int_row
 from gmalg.fileformat import context_from_dict, context_to_dict, decode_scalar, encode_scalar
 
 Q = G.FieldSpec.rationals()
@@ -56,6 +59,56 @@ def naive_rref(field, rows, ncols):
         if pr == len(m):
             break
     return [row for row in m[:pr]], pivots
+
+
+def dense_kernel_basis(field, ncols, rows):
+    """`kernel_basis` on a dense running basis, as an exact-equality oracle.
+
+    The same elimination rules (lowest free column as pivot, fraction-free
+    update and content division over q, v - (ys / yt) * pivot mod p over
+    GF(p)) on a coordinate-major list of lists: T[i][s] is coordinate i of
+    surviving vector s, and every update walks all ncols coordinates.
+    """
+    p = field.p
+    T = [[0] * ncols for _ in range(ncols)]
+    for i, Ti in enumerate(T):
+        Ti[i] = 1
+    for row in rows:
+        items = _int_row(field, row)
+        if not items:
+            continue
+        (i0, c0), *rest = items
+        y = [c0 * a for a in T[i0]]
+        for i, c in rest:
+            y = [v + c * a for v, a in zip(y, T[i])]
+        if p is not None:
+            y = [v % p for v in y]
+        # the first s with y[s] != 0
+        pivot = next(compress(count(), y), None)
+        if pivot is None:
+            continue
+        yt = y.pop(pivot)
+        base = [Ti.pop(pivot) for Ti in T]
+        active = [(s, ys) for s, ys in enumerate(y) if ys]
+        if p is None:
+            for Ti, b in zip(T, base):
+                for s, ys in active:
+                    Ti[s] = yt * Ti[s] - ys * b
+            for s, _ in active:
+                g = gcd(*(Ti[s] for Ti in T))
+                if g > 1:
+                    for Ti in T:
+                        Ti[s] //= g
+        else:
+            inv = pow(yt, p - 2, p)
+            active = [(s, ys * inv % p) for s, ys in active]
+            for Ti, b in zip(T, base):
+                if b:
+                    for s, fs in active:
+                        Ti[s] = (Ti[s] - fs * b) % p
+        if not y:
+            break
+    return [list(col) for col in zip(*T)]
 
 
 # ---------------------------------------------------------------------------

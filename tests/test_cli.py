@@ -268,6 +268,25 @@ def test_spec_indices_must_be_json_integers(tmp_path, capsys, bad, where):
     assert named in err
 
 
+@pytest.mark.parametrize("field,bad", [
+    ("q", "1e30000000"),  # Fraction() alone would not return within seconds
+    ("q", True), ("gf:7", False), ("q", "1.5"), ("q", " 2"), ("gf:7", "1/2"),
+])
+def test_coefficients_must_be_integers_or_scalar_strings(tmp_path, capsys,
+                                                         field, bad):
+    spec = gen(tmp_path, capsys, "m2.json",
+               "--kind", "full-matrix", "--r", "2", "--field", field)
+    with open(spec) as fh:
+        data = json.load(fh)
+    data["a_mul"][0][3] = bad
+    broken = tmp_path / "broken.json"
+    broken.write_text(dumps_canonical(data))
+    code, out, err = run(capsys, "validate", str(broken))
+    assert code == 2
+    assert out == ""
+    assert "bad coefficient" in err
+
+
 @pytest.mark.parametrize("bad", NON_INTEGERS)
 @pytest.mark.parametrize("field", ["entry", "partner", "arity"])
 def test_map_indices_must_be_json_integers(tmp_path, capsys, bad, field):

@@ -11,8 +11,11 @@ from hypothesis import strategies as st
 import gmalg as G
 from gmalg.exact_linear import rref
 from gmalg.fileformat import decode_scalar
+from gmalg.multilinear import _lie_basis_columns, _slot_block_rows
+from gmalg.structure_analysis import leibniz_rows
 
-from helpers import GF7, GF101, Q, naive_rref
+from helpers import (GF7, GF101, Q, change_of_basis, corpus_contexts,
+                     dense_kernel_basis, naive_rref)
 
 FIELDS = (Q, GF7, GF101)
 
@@ -110,6 +113,7 @@ def test_rank_nullity_random_gf7():
 def test_fraction_free_rref_matches_naive_oracle():
     rng = random.Random(23)
     for field in FIELDS:
+        cases = []
         for _ in range(60):
             rows = rng.randrange(1, 7)
             cols = rng.randrange(1, 7)
@@ -122,6 +126,24 @@ def test_fraction_free_rref_matches_naive_oracle():
                 # a combination of two rows keeps some systems rank-deficient
                 data.append([field.add(a, field.mul(3, b))
                              for a, b in zip(data[0], data[-1])])
+            cases.append((data, cols))
+        # sparse and wide, with one dependent row: back-substitution divides
+        # rows by their content and the exit shares one zero
+        for _ in range(40):
+            rows = rng.randrange(1, 11)
+            cols = rng.randrange(1, 31)
+            if field.p is None:
+                entry = lambda: Fraction(rng.choice((-1, 1)) * rng.randint(1, 6),
+                                         rng.randint(1, 6))
+            else:
+                entry = lambda: rng.randrange(1, field.p)
+            data = [[entry() if rng.random() < 0.15 else field.zero
+                     for _ in range(cols)] for _ in range(rows)]
+            a, b = rng.choice(data), rng.choice(data)
+            data.insert(rng.randrange(len(data) + 1),
+                        [field.add(x, field.mul(entry(), y)) for x, y in zip(a, b)])
+            cases.append((data, cols))
+        for data, cols in cases:
             got_rows, got_piv = rref(field, data, cols)
             want_rows, want_piv = naive_rref(field, data, cols)
             assert got_piv == want_piv
@@ -215,12 +237,35 @@ def tall_low_rank_systems(draw):
 @given(linear_systems())
 def test_kernel_basis_form(system):
     check_kernel_form(*system)
+    check_equals_dense_core(*system)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(tall_low_rank_systems())
 def test_kernel_basis_form_tall_low_rank(system):
     check_kernel_form(*system)
+    check_equals_dense_core(*system)
+
+
+@pytest.mark.parametrize("field", [Q, GF101], ids=lambda f: f.name)
+@pytest.mark.parametrize("name", [name for name, _ in corpus_contexts(Q)])
+def test_kernel_basis_equals_dense_core_on_leibniz_systems(field, name):
+    """The Lie-derivation system and the slot block of a dense instance."""
+    ctx = change_of_basis(dict(corpus_contexts(field))[name], f"kernel:{name}")
+    alg = G.assemble(ctx, validate=False).algebra
+    d = alg.dim
+    dcols = _lie_basis_columns(alg)
+    for ncols, rows in ((d * d, leibniz_rows(alg, 1, lie=True)),
+                        (len(dcols) * d, _slot_block_rows(alg, dcols))):
+        assert check_equals_dense_core(field, ncols, rows)
+
+
+def check_equals_dense_core(field, ncols, rows):
+    """The same int vectors, in the same order, as the dense running basis."""
+    ker = G.kernel_basis(field, ncols, rows)
+    assert ker == dense_kernel_basis(field, ncols, rows)
+    assert all(type(x) is int for v in ker for x in v)
+    return ker
 
 
 def check_kernel_form(field, ncols, rows):
