@@ -5,8 +5,9 @@ files, named relatively (the spec path is part of every report). The report
 with `timings` removed is serialised as gmalg serialises it, and its SHA-256
 and the exit code are compared with `report_digests.json`. The cases cover
 what the benchmark's reference digests do not: `validate` on a context whose
-M is not faithful, and the analysis commands on small stock instances over
-q and gf:7.
+M is not faithful and on stock `full_matrix(3)` broken so that several
+axioms fail (up to one past the cap of 32 violations), and the analysis
+commands on small stock instances over q and gf:7.
 
     PYTHONPATH=src python tests/test_report_digests.py
 
@@ -26,7 +27,8 @@ import pytest
 
 import gmalg as G
 from gmalg.cli import main
-from gmalg.fileformat import context_to_dict, dumps_canonical
+from gmalg.fileformat import (context_from_dict, context_to_dict, decode_scalar,
+                              dumps_canonical, encode_scalar)
 
 DIGESTS = Path(__file__).with_name("report_digests.json")
 FIELDS = ("q", "gf:7")
@@ -45,6 +47,16 @@ COMMANDS = {
     "verify-3": ("verify", "--arity", "3"),
 }
 
+# Broken copies of full_matrix(3): tables whose constants are negated, and
+# (table, i, j, k) cells bumped by 1. Over q they fail 26 checks of 5 laws,
+# 32 of 8 (the cap), 33 of 9 (one past it) and 14 of 7.
+BROKEN = {
+    "m3-neg-mb": (("act_m_b",), ()),
+    "m3-neg-am-mb": (("act_a_m", "act_m_b"), ()),
+    "m3-neg-mb-bump-b330": (("act_m_b",), (("b_mul", 3, 3, 0),)),
+    "m3-bump-b032": ((), (("b_mul", 0, 3, 2),)),
+}
+
 
 def spec_name(instance: str, field: str) -> str:
     return f"{instance}-{field.replace(':', '')}.json"
@@ -56,6 +68,9 @@ def cases() -> dict:
     for field in FIELDS:
         spec = spec_name("nonfaithful", field)
         out[f"nonfaithful-{field}-validate"] = ("validate", spec)
+        for instance in BROKEN:
+            spec = spec_name(instance, field)
+            out[f"{instance}-{field}-validate"] = ("validate", spec)
         for instance in STOCK:
             spec = spec_name(instance, field)
             for name, argv in COMMANDS.items():
@@ -79,11 +94,25 @@ def nonfaithful_context(field):
     )
 
 
+def broken_spec(field, negated, bumped) -> dict:
+    """The spec of full_matrix(3) with tables negated and cells bumped."""
+    data = context_to_dict(G.generate_builtin("full_matrix", field, r=3))
+    for key in negated:
+        data[key] = [[i, j, k, encode_scalar(field, field.neg(decode_scalar(field, c)))]
+                     for i, j, k, c in data[key]]
+    for key, *cell in bumped:
+        data[key] = data[key] + [[*cell, 1]]
+    return context_to_dict(context_from_dict(data))
+
+
 def write_specs(directory: Path) -> None:
     for field in FIELDS:
         ctx = nonfaithful_context(G.FieldSpec.from_name(field))
         (directory / spec_name("nonfaithful", field)).write_text(
             dumps_canonical(context_to_dict(ctx)))
+        for instance, edits in BROKEN.items():
+            data = broken_spec(G.FieldSpec.from_name(field), *edits)
+            (directory / spec_name(instance, field)).write_text(dumps_canonical(data))
         for instance, argv in STOCK.items():
             path = directory / spec_name(instance, field)
             code = main(["gen", "--kind", *argv, "--field", field,
