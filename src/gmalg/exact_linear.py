@@ -33,12 +33,17 @@ from .errors import DimensionMismatchError, FieldMismatchError
 Scalar = Union[Fraction, int]
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin to the bases above decides primality exactly below this bound
+# (Sorenson and Webster, Math. Comp. 86, 2017). The bound itself,
+# 399165290221 * 798330580441, is a strong pseudoprime to all twelve.
+_MR_BOUND = 318665857834031151167461
 
 
 def _is_prime(n: int) -> bool:
+    """Exact for n < _MR_BOUND."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_BASES:
         if n % q == 0:
             return n == q
     d, s = n - 1, 0
@@ -68,6 +73,9 @@ class FieldSpec:
         if self.p is not None:
             if self.p == 2:
                 raise ValueError("characteristic 2 is not supported (need 2 invertible)")
+            if self.p >= _MR_BOUND:
+                raise ValueError(f"{self.p} is too large: primality is decided "
+                                 f"exactly only below {_MR_BOUND}")
             if not _is_prime(self.p):
                 raise ValueError(f"{self.p} is not prime")
 

@@ -15,8 +15,8 @@ import tempfile
 from typing import Optional
 
 from .algebra_core import BilinearTable, StructureAlgebra
-from .budget import guard_tuples
-from .errors import GmalgError, SpecFileError
+from .budget import guard_tuples, tuple_budget
+from .errors import BudgetExceededError, GmalgError, SpecFileError
 from .exact_linear import FieldSpec, Matrix, Subspace
 from .gma import MoritaContext, validate_context
 from .multilinear import MultilinearMap
@@ -172,6 +172,8 @@ def load_json(path: str) -> dict:
     except json.JSONDecodeError as exc:
         raise SpecFileError(f"{path}: invalid JSON at line {exc.lineno}, "
                             f"column {exc.colno}: {exc.msg}")
+    except RecursionError:
+        raise SpecFileError(f"{path}: JSON nested too deeply")
 
 
 def load_context(path: str) -> MoritaContext:
@@ -228,6 +230,14 @@ def map_from_dict(data: dict, field: Optional[FieldSpec] = None) -> MultilinearM
     if arity < 1 or dim < 1:
         raise SpecFileError(f"map header: arity {arity} and dim {dim} "
                             "must be positive")
+    # A map is used on its dim ** arity basis tuples. For dim >= 2 that is at
+    # least 2 ** arity, past the budget once arity reaches its bit length;
+    # refuse here, before any guard forms the power itself.
+    bits = tuple_budget().bit_length()
+    if dim >= 2 and arity >= bits:
+        raise BudgetExceededError(
+            f"map basis tuples ({dim}**{arity}, at least 2**{bits})",
+            2 ** bits, tuple_budget())
     if field is not None and field != file_field:
         raise SpecFileError(
             f"map field {file_field.name} does not match instance {field.name}")

@@ -4,6 +4,13 @@ A context packs two unital algebras A and B, bimodules M and N, and the two
 pairings M x N -> A and N x M -> B. Assembly produces the block algebra on
 the ordered basis (A-block, M-block, N-block, B-block) together with the
 diagonal idempotents e and f.
+
+The context axioms say exactly that this 2 x 2 block algebra is unital and
+associative (Sands, Radicals and Morita contexts, J. Algebra 24, 1973): each
+is associativity on one of the 16 composable block triples (A A A, A A M,
+A M N, ..., B B B) or a unit law on one block. `validate_context` checks
+them as data, a law table walked by `algebra_core.block_violations` over the
+map from each composable block pair to its product table.
 """
 
 from __future__ import annotations
@@ -11,8 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra_core import (BilinearTable, Element, StructureAlgebra,
-                           ValidationReport, Violation, matrix_algebra,
-                           matrix_product_table, stack_rows, validate_algebra)
+                           ValidationReport, Violation, block_violations,
+                           matrix_algebra, matrix_product_table, stack_rows,
+                           validate_algebra)
 from .errors import DimensionMismatchError, FieldMismatchError, InvalidContextError
 from .exact_linear import FieldSpec, Subspace, kernel_basis
 
@@ -64,9 +72,55 @@ class MoritaContext:
     def dims(self) -> tuple:
         return (self.a.dim, self.m_dim, self.n_dim, self.b.dim)
 
+    @property
+    def products(self) -> dict:
+        """Each composable block pair "XY": (its product table, block of XY)."""
+        return {"AA": (self.a.mul, "A"), "AM": (self.act_am, "M"),
+                "MN": (self.pair_mn, "A"), "MB": (self.act_mb, "M"),
+                "NA": (self.act_na, "N"), "NM": (self.pair_nm, "B"),
+                "BN": (self.act_bn, "N"), "BB": (self.b.mul, "B")}
+
+
+# The axioms on the 14 composable block triples through M or N and the unit
+# laws of the four actions; A A A, B B B and the units of A and B are
+# `validate_algebra`'s. Entries are in report order, and laws that share a
+# loop are checked at the same step, so the cap falls where it always has.
+_CONTEXT_LAWS = (
+    ("", (("M", (("unit-acts-m", "ak", "1_A . m != m"),
+                 ("m-acts-unit", "kb", "m . 1_B != m"))),)),
+    ("", (("N", (("unit-acts-n", "bk", "1_B . n != n"),
+                 ("n-acts-unit", "ka", "n . 1_A != n"))),)),
+    ("AA", (("M", (("m-left-assoc", "ijk", ""),)),
+            ("N", (("n-right-assoc", "kij", ""),)))),
+    ("BB", (("M", (("m-right-assoc", "kij", ""),)),
+            ("N", (("n-left-assoc", "ijk", ""),)))),
+    ("AM", (("B", (("m-bimodule", "ijk", ""),)),)),
+    ("BN", (("A", (("n-bimodule", "ijk", ""),)),)),
+    ("MN", (("A", (("pair-mn-left-linear", "kij", ""),
+                   ("pair-mn-right-linear", "ijk", ""))),
+            ("B", (("pair-mn-balance", "ikj", ""),)),
+            ("B", (("pair-nm-left-linear", "kji", ""),
+                   ("pair-nm-right-linear", "jik", ""))),
+            ("A", (("pair-nm-balance", "jki", ""),)))),
+    ("MN", (("M", (("diagram-mnm", "ijk", "(m n) m' != m (n m')"),)),)),
+    ("NM", (("N", (("diagram-nmn", "ijk", "(n m) n' != n (m n')"),)),)),
+)
+
 
 def validate_context(ctx: MoritaContext) -> ValidationReport:
-    """Check every Morita-context axiom on all basis tuples."""
+    """Check every Morita-context axiom on all basis tuples.
+
+    The axioms say that the 2 x 2 block algebra (A M / N B) is unital and
+    associative. A and B are checked first as algebras (laws prefixed A-
+    and B-), and M must be nonzero. Then the law table `_CONTEXT_LAWS`
+    checks, on basis elements, the unit laws of the actions on M and N and
+    associativity on each of the 14 composable block triples through M or
+    N: one law per triple, named for the module or pairing axiom it is
+    (m-left-assoc is A A M, pair-mn-balance is M B N, diagram-mnm is
+    M N M). Last, M must be faithful on both sides. Collection stops at 32
+    violations, tested after each step of a loop, so a step that breaks two
+    laws can leave 33.
+    """
     f = ctx.field
     bad: list[Violation] = []
 
@@ -87,129 +141,15 @@ def validate_context(ctx: MoritaContext) -> ValidationReport:
         record("m-nonzero", (), "M = 0 is rejected: M must be a faithful bimodule")
         return ValidationReport(tuple(bad))
 
-    da, db, dm, dn = ctx.a.dim, ctx.b.dim, ctx.m_dim, ctx.n_dim
-    ea, eb, em, en = ([f.unit(k, i) for i in range(k)] for k in (da, db, dm, dn))
-    am = lambda x, y: ctx.act_am.apply(f, x, y)
-    mb = lambda x, y: ctx.act_mb.apply(f, x, y)
-    bn = lambda x, y: ctx.act_bn.apply(f, x, y)
-    na = lambda x, y: ctx.act_na.apply(f, x, y)
-    mn = lambda x, y: ctx.pair_mn.apply(f, x, y)
-    nm = lambda x, y: ctx.pair_nm.apply(f, x, y)
-
-    unit_a = list(ctx.a.unit)
-    unit_b = list(ctx.b.unit)
-
-    # unit actions
-    for j in range(dm):
-        if am(unit_a, em[j]) != em[j]:
-            record("unit-acts-m", (j,), "1_A . m != m")
-        if mb(em[j], unit_b) != em[j]:
-            record("m-acts-unit", (j,), "m . 1_B != m")
-        if full():
-            return ValidationReport(tuple(bad))
-    for j in range(dn):
-        if bn(unit_b, en[j]) != en[j]:
-            record("unit-acts-n", (j,), "1_B . n != n")
-        if na(en[j], unit_a) != en[j]:
-            record("n-acts-unit", (j,), "n . 1_A != n")
-        if full():
-            return ValidationReport(tuple(bad))
-
-    # module associativity
-    for i in range(da):
-        for j in range(da):
-            aa = ctx.a.mul_coords(ea[i], ea[j])
-            for k in range(dm):
-                if am(aa, em[k]) != am(ea[i], am(ea[j], em[k])):
-                    record("m-left-assoc", (i, j, k))
-                    if full():
-                        return ValidationReport(tuple(bad))
-            for k in range(dn):
-                if na(na(en[k], ea[i]), ea[j]) != na(en[k], aa):
-                    record("n-right-assoc", (k, i, j))
-                    if full():
-                        return ValidationReport(tuple(bad))
-    for i in range(db):
-        for j in range(db):
-            bb = ctx.b.mul_coords(eb[i], eb[j])
-            for k in range(dm):
-                if mb(mb(em[k], eb[i]), eb[j]) != mb(em[k], bb):
-                    record("m-right-assoc", (k, i, j))
-                    if full():
-                        return ValidationReport(tuple(bad))
-            for k in range(dn):
-                if bn(bb, en[k]) != bn(eb[i], bn(eb[j], en[k])):
-                    record("n-left-assoc", (i, j, k))
-                    if full():
-                        return ValidationReport(tuple(bad))
-
-    # two-sided compatibility
-    for i in range(da):
-        for k in range(dm):
-            aim = am(ea[i], em[k])
-            for j in range(db):
-                if mb(aim, eb[j]) != am(ea[i], mb(em[k], eb[j])):
-                    record("m-bimodule", (i, k, j))
-                    if full():
-                        return ValidationReport(tuple(bad))
-    for i in range(db):
-        for k in range(dn):
-            bin_ = bn(eb[i], en[k])
-            for j in range(da):
-                if na(bin_, ea[j]) != bn(eb[i], na(en[k], ea[j])):
-                    record("n-bimodule", (i, k, j))
-                    if full():
-                        return ValidationReport(tuple(bad))
-
-    # pairing linearity and balance
-    for i in range(dm):
-        for j in range(dn):
-            base_mn = mn(em[i], en[j])
-            for k in range(da):
-                if mn(am(ea[k], em[i]), en[j]) != ctx.a.mul_coords(ea[k], base_mn):
-                    record("pair-mn-left-linear", (k, i, j))
-                if mn(em[i], na(en[j], ea[k])) != ctx.a.mul_coords(base_mn, ea[k]):
-                    record("pair-mn-right-linear", (i, j, k))
-                if full():
-                    return ValidationReport(tuple(bad))
-            for k in range(db):
-                if mn(mb(em[i], eb[k]), en[j]) != mn(em[i], bn(eb[k], en[j])):
-                    record("pair-mn-balance", (i, k, j))
-                if full():
-                    return ValidationReport(tuple(bad))
-            base_nm = nm(en[j], em[i])
-            for k in range(db):
-                if nm(bn(eb[k], en[j]), em[i]) != ctx.b.mul_coords(eb[k], base_nm):
-                    record("pair-nm-left-linear", (k, j, i))
-                if nm(en[j], mb(em[i], eb[k])) != ctx.b.mul_coords(base_nm, eb[k]):
-                    record("pair-nm-right-linear", (j, i, k))
-                if full():
-                    return ValidationReport(tuple(bad))
-            for k in range(da):
-                if nm(na(en[j], ea[k]), em[i]) != nm(en[j], am(ea[k], em[i])):
-                    record("pair-nm-balance", (j, k, i))
-                if full():
-                    return ValidationReport(tuple(bad))
-
-    # associativity diagrams
-    for i in range(dm):
-        for j in range(dn):
-            for k in range(dm):
-                if am(mn(em[i], en[j]), em[k]) != mb(em[i], nm(en[j], em[k])):
-                    record("diagram-mnm", (i, j, k),
-                           "(m n) m' != m (n m')")
-                if full():
-                    return ValidationReport(tuple(bad))
-    for i in range(dn):
-        for j in range(dm):
-            for k in range(dn):
-                if bn(nm(en[i], em[j]), en[k]) != na(en[i], mn(em[j], en[k])):
-                    record("diagram-nmn", (i, j, k),
-                           "(n m) n' != n (m n')")
-                if full():
-                    return ValidationReport(tuple(bad))
+    bad += block_violations(f, dict(zip("AMNB", ctx.dims)), ctx.products,
+                            {"A": ctx.a.unit, "B": ctx.b.unit},
+                            _CONTEXT_LAWS, _MAX_VIOLATIONS - len(bad))
+    if full():
+        return ValidationReport(tuple(bad))
 
     # faithfulness of M on both sides
+    da, dm, _, db = ctx.dims
+    em = [f.unit(dm, i) for i in range(dm)]
     left_rows = stack_rows(ctx.act_am.operator_rows(f, right=m) for m in em)
     for vec in kernel_basis(f, da, left_rows):
         record("m-left-faithful", (), f"a = {tuple(map(f.of, vec))} kills M")
@@ -309,7 +249,9 @@ def assemble(ctx: MoritaContext, validate: bool = True) -> GMAlgebra:
 
     Products follow the matrix-like rule: the A component of a product is
     a a' + pair_mn(m, n'), the M component a m' + m b', the N component
-    n a' + b n', the B component pair_nm(n, m') + b b'.
+    n a' + b n', the B component pair_nm(n, m') + b b'. With `validate`,
+    a context that fails `validate_context` is refused; one that passes
+    assembles to a unital associative algebra, which is not checked again.
     """
     if validate:
         report = validate_context(ctx)
@@ -318,56 +260,16 @@ def assemble(ctx: MoritaContext, validate: bool = True) -> GMAlgebra:
     f = ctx.field
     da, dm, dn, db = ctx.dims
     dim = da + dm + dn + db
-    off_a, off_m, off_n, off_b = 0, da, da + dm, da + dm + dn
-    quads = []
+    offset = {"A": 0, "M": da, "N": da + dm, "B": da + dm + dn}
+    quads = [(offset[pair[0]] + i, offset[pair[1]] + j, offset[out] + k, c)
+             for pair, (table, out) in ctx.products.items()
+             for i, j, k, c in table.quadruples()]
 
-    def emit(table: BilinearTable, li, rj, left_off, right_off, out_off):
-        for k, c in table.at(li, rj):
-            quads.append((left_off + li, right_off + rj, out_off + k, c))
-
-    for i in range(da):
-        for j in range(da):
-            emit(ctx.a.mul, i, j, off_a, off_a, off_a)
-        for j in range(dm):
-            emit(ctx.act_am, i, j, off_a, off_m, off_m)
-    for i in range(dm):
-        for j in range(dn):
-            emit(ctx.pair_mn, i, j, off_m, off_n, off_a)
-        for j in range(db):
-            emit(ctx.act_mb, i, j, off_m, off_b, off_m)
-    for i in range(dn):
-        for j in range(da):
-            emit(ctx.act_na, i, j, off_n, off_a, off_n)
-        for j in range(dm):
-            emit(ctx.pair_nm, i, j, off_n, off_m, off_b)
-    for i in range(db):
-        for j in range(dn):
-            emit(ctx.act_bn, i, j, off_b, off_n, off_n)
-        for j in range(db):
-            emit(ctx.b.mul, i, j, off_b, off_b, off_b)
-
-    unit = f.vec_zero(dim)
-    for k, c in enumerate(ctx.a.unit):
-        unit[off_a + k] = c
-    for k, c in enumerate(ctx.b.unit):
-        unit[off_b + k] = c
-    algebra = StructureAlgebra.build(f, dim, quads, unit)
-    if validate:
-        rep = validate_algebra(algebra)
-        if not rep.ok:
-            raise InvalidContextError(ValidationReport(tuple(
-                Violation("assembled-" + v.law, v.indices, v.detail)
-                for v in rep.violations)))
-
-    e_coords = f.vec_zero(dim)
-    for k, c in enumerate(ctx.a.unit):
-        e_coords[off_a + k] = c
-    f_coords = f.vec_zero(dim)
-    for k, c in enumerate(ctx.b.unit):
-        f_coords[off_b + k] = c
-    g = GMAlgebra(ctx, algebra,
-                  algebra.element(e_coords), algebra.element(f_coords))
-    return g
+    e_coords = list(ctx.a.unit) + f.vec_zero(dim - da)
+    f_coords = f.vec_zero(dim - db) + list(ctx.b.unit)
+    algebra = StructureAlgebra.build(f, dim, quads, f.vec_add(e_coords, f_coords))
+    return GMAlgebra(ctx, algebra,
+                     algebra.element(e_coords), algebra.element(f_coords))
 
 
 def pairing_image_mn(g: GMAlgebra) -> Subspace:

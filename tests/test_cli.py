@@ -13,6 +13,7 @@ from gmalg.cli import main
 from gmalg.fileformat import dumps_canonical, map_to_dict
 
 from test_decompose import t2_worked_example
+from test_exact_linear import PSEUDOPRIME_12
 
 
 def run(capsys, *argv):
@@ -220,6 +221,33 @@ def test_budget_exit_code_inside_verify(tmp_path, capsys, monkeypatch):
     assert "slot-restricted space" in err
 
 
+def test_spec_over_a_modulus_past_the_primality_bound_is_refused(tmp_path, capsys):
+    spec = gen(tmp_path, capsys, "m2.json",
+               "--kind", "full-matrix", "--r", "2", "--field", "gf:7")
+    with open(spec) as fh:
+        data = json.load(fh)
+    data["field"] = f"gf:{PSEUDOPRIME_12}"
+    broken = tmp_path / "broken.json"
+    broken.write_text(dumps_canonical(data))
+    code, out, err = run(capsys, "validate", str(broken))
+    assert code == 2
+    assert out == ""
+    assert str(PSEUDOPRIME_12) in err
+
+
+def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):
+    spec = gen(tmp_path, capsys, "m2.json",
+               "--kind", "full-matrix", "--r", "2", "--field", "q")
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    code, out, err = run(capsys, "validate", str(deep))
+    assert (code, out) == (2, "")
+    assert "nested too deeply" in err
+    code, out, err = run(capsys, "decompose", spec, str(deep))
+    assert (code, out) == (2, "")
+    assert "nested too deeply" in err
+
+
 def test_gen_requires_dimension_flags(capsys):
     code, _, err = run(capsys, "gen", "--kind", "full-matrix", "--field", "q")
     assert code == 2
@@ -231,6 +259,11 @@ def test_gen_field_guards(capsys, tmp_path):
     code, _, err = run(capsys, "gen", "--kind", "full-matrix", "--r", "3",
                        "--field", "gf:2", "-o", str(tmp_path / "x.json"))
     assert code == 2
+    # a strong pseudoprime to every Miller-Rabin base used, refused by size
+    code, _, err = run(capsys, "gen", "--kind", "full-matrix", "--r", "3",
+                       "--field", f"gf:{PSEUDOPRIME_12}", "-o", str(tmp_path / "x.json"))
+    assert code == 2
+    assert str(PSEUDOPRIME_12) in err
     code, _, err = run(capsys, "gen", "--kind", "full-matrix", "--r", "1",
                        "--field", "q", "-o", str(tmp_path / "x.json"))
     assert code == 2
@@ -321,6 +354,35 @@ def test_map_header_must_be_positive(tmp_path, capsys, arity, dim):
     assert code == 2
     assert out == ""
     assert "positive" in err
+
+
+@pytest.mark.parametrize("arity", [100_000_000, 10_000_000_000])
+def test_huge_map_arity_exits_on_budget(tmp_path, capsys, arity):
+    """Refused from the header, before any dim ** arity is formed."""
+    spec = gen(tmp_path, capsys, "m2.json",
+               "--kind", "full-matrix", "--r", "2", "--field", "q")
+    data = {"format": "gma-map/1", "field": "q", "arity": arity, "dim": 4,
+            "entries": []}
+    map_path = tmp_path / "k.json"
+    map_path.write_text(dumps_canonical(data))
+    env = dict(os.environ, PYTHONPATH=str(Path(G.__file__).parents[1]))
+    env.pop("GMALG_BUDGET", None)
+
+    def one_gigabyte():
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+    proc = subprocess.run([sys.executable, "-m", "gmalg.cli", "decompose", spec,
+                           str(map_path)], capture_output=True, text=True,
+                          env=env, timeout=8, preexec_fn=one_gigabyte)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert "budget exceeded: map basis tuples" in proc.stderr
+    # the same map at arity 3 loads and decomposes
+    data["arity"] = 3
+    map_path.write_text(dumps_canonical(data))
+    code, out, err = run(capsys, "decompose", spec, str(map_path))
+    assert code == 0, err
 
 
 @pytest.mark.parametrize("argv", [

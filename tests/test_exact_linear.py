@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gmalg as G
-from gmalg.exact_linear import rref
+from gmalg.exact_linear import _is_prime, rref
 from gmalg.fileformat import decode_scalar
 from gmalg.multilinear import _lie_basis_columns, _slot_block_rows
 from gmalg.structure_analysis import leibniz_rows
@@ -34,6 +34,33 @@ def test_field_rejects_two_and_composites():
         G.FieldSpec.gf(9)
     with pytest.raises(ValueError):
         G.FieldSpec.from_name("gf:15")
+
+
+# 399165290221 * 798330580441: a strong pseudoprime to the first twelve
+# primes, and the least one, so Miller-Rabin to those bases is exact below it.
+PSEUDOPRIME_12 = 318665857834031151167461
+
+
+def test_field_refuses_moduli_where_primality_is_not_exact():
+    assert PSEUDOPRIME_12 == 399165290221 * 798330580441
+    for p in (PSEUDOPRIME_12, PSEUDOPRIME_12 + 2, 2 ** 89 - 1):
+        with pytest.raises(ValueError, match=str(PSEUDOPRIME_12)):
+            G.FieldSpec.gf(p)
+    assert G.FieldSpec.gf(2 ** 61 - 1).p == 2 ** 61 - 1
+
+
+def test_is_prime_is_exact_on_small_numbers_and_pseudoprimes():
+    sieve = [True] * 3000
+    sieve[0] = sieve[1] = False
+    for i in range(2, 3000):
+        if sieve[i]:
+            sieve[i * i::i] = [False] * len(range(i * i, 3000, i))
+    assert [n for n in range(3000) if _is_prime(n)] == \
+        [n for n in range(3000) if sieve[n]]
+    # the least strong pseudoprime to the first nine (and eleven) prime bases
+    assert 149491 * 747451 * 34233211 == 3825123056546413051
+    assert not _is_prime(3825123056546413051)
+    assert _is_prime(2 ** 61 - 1) and _is_prime(2 ** 31 - 1)
 
 
 def test_scalar_coercion():

@@ -1,13 +1,15 @@
 """Morita context validation, assembly, Pierce splitting, builtins."""
 
 import random
+from itertools import product
 
 import pytest
 
 import gmalg as G
 from gmalg.fileformat import context_from_dict, context_to_dict
 
-from helpers import GF7, Q, corpus_contexts, perturb_context, perturbation_sites
+from helpers import (GF7, Q, change_of_basis, corpus_contexts, perturb_context,
+                     perturbation_sites)
 
 
 def test_full_matrix_context_valid():
@@ -197,3 +199,59 @@ def test_corpus_perturbations_all_rejected():
             rep = G.validate_context(broken)
             assert not rep.ok, f"{name}: perturbation at {site} not caught"
             assert rep.first is not None
+
+
+# The law of the assembled algebra that each context law is: a block triple
+# for associativity, "1X" and "X1" for the unit laws on block X.
+BLOCK_LAW = {
+    "A-left-unit": "1A", "A-right-unit": "A1", "A-associativity": "AAA",
+    "B-left-unit": "1B", "B-right-unit": "B1", "B-associativity": "BBB",
+    "unit-acts-m": "1M", "m-acts-unit": "M1", "unit-acts-n": "1N", "n-acts-unit": "N1",
+    "m-left-assoc": "AAM", "n-right-assoc": "NAA", "m-right-assoc": "MBB",
+    "n-left-assoc": "BBN", "m-bimodule": "AMB", "n-bimodule": "BNA",
+    "pair-mn-left-linear": "AMN", "pair-mn-right-linear": "MNA",
+    "pair-mn-balance": "MBN", "pair-nm-left-linear": "BNM",
+    "pair-nm-right-linear": "NMB", "pair-nm-balance": "NAM",
+    "diagram-mnm": "MNM", "diagram-nmn": "NMN",
+}
+
+
+def broken_block_laws(g):
+    """The BLOCK_LAW words of the laws the assembled algebra breaks, from
+    dense products on every basis element and triple."""
+    alg, f = g.algebra, g.field
+    block = "".join(x * d for x, d in zip("AMNB", g.context.dims))
+    basis = [f.unit(alg.dim, i) for i in range(alg.dim)]
+    prod = [[alg.mul_coords(x, y) for y in basis] for x in basis]
+    broken = set()
+    for i, x in enumerate(basis):
+        if alg.mul_coords(alg.unit, x) != x:
+            broken.add("1" + block[i])
+        if alg.mul_coords(x, alg.unit) != x:
+            broken.add(block[i] + "1")
+    for i, j, k in product(range(alg.dim), repeat=3):
+        if alg.mul_coords(prod[i][j], basis[k]) != alg.mul_coords(basis[i], prod[j][k]):
+            broken.add(block[i] + block[j] + block[k])
+    return broken
+
+
+def test_context_laws_are_the_assembled_algebra_laws():
+    """A context law other than faithfulness fails exactly when the assembled
+    algebra fails validate_algebra, and, below every cap, on exactly the
+    block triples and unit laws where the assembled algebra fails."""
+    faithful = {"m-left-faithful", "m-right-faithful"}
+    rng = random.Random(8)
+    for field in (Q, GF7):
+        for name, stock in corpus_contexts(field):
+            for ctx in (stock, change_of_basis(stock, rng.randrange(1000))):
+                assert G.validate_algebra(G.assemble(ctx).algebra).ok, name
+                sites = perturbation_sites(ctx)
+                for site in rng.sample(sites, min(20, len(sites))):
+                    broken = perturb_context(ctx, site, rng.choice((1, -1, 2)))
+                    rep = G.validate_context(broken)
+                    laws = {v.law for v in rep.violations} - faithful
+                    g = G.assemble(broken, validate=False)
+                    where = (name, field.name, site)
+                    assert bool(laws) == (not G.validate_algebra(g.algebra).ok), where
+                    if len(rep.violations) < 16:
+                        assert {BLOCK_LAW[law] for law in laws} == broken_block_laws(g), where
