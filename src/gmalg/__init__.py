@@ -19,15 +19,12 @@ from .errors import (BudgetExceededError, CenterStructureError,
                      DimensionMismatchError, ExtremalPreconditionError,
                      FieldMismatchError, GmalgError, InvalidContextError,
                      LieLeibnizError, SpecFileError)
-from .exact_linear import (FieldSpec, Matrix, Subspace, kernel_basis, rref,
-                           solve_particular)
-from .gma import (GMAlgebra, MoritaContext, PierceParts, assemble,
-                  generate_builtin, pairing_image_mn, pairing_image_nm,
-                  pierce_project, validate_context)
+from .exact_linear import FieldSpec, Subspace, kernel_basis, rref
+from .gma import (GMAlgebra, MoritaContext, assemble, generate_builtin,
+                  validate_context)
 from .multilinear import (LeibnizWitness, MultilinearMap, is_centrally_valued,
-                          is_n_derivation, is_n_lie_derivation, is_permuting,
-                          maps_span, n_lie_derivation_space,
-                          n_lie_derivation_space_direct, swap_identity_check)
+                          is_n_derivation, is_n_lie_derivation, maps_span,
+                          n_lie_derivation_space, n_lie_derivation_space_direct)
 from .structure_analysis import (CenterData, CheckStatus, HypothesisReport,
                                  PairSpaces, all_derivations_inner, center,
                                  center_data, check_hypotheses,

@@ -371,19 +371,23 @@ def stack_rows(blocks, offset: int = 0) -> list:
             for rows in blocks for row in rows if row]
 
 
-def commutator_span(alg: StructureAlgebra) -> Subspace:
-    """Span of all basis-pair brackets [b_i, b_j]."""
-    d, f = alg.dim, alg.field
+def span_cells(field: FieldSpec, dim: int, cells) -> Subspace:
+    """Span of table cells ((k, c), ...), each read as a vector of length dim."""
     vecs = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            cell = alg.bracket_table.at(i, j)
-            if cell:
-                v = f.vec_zero(d)
-                for k, c in cell:
-                    v[k] = c
-                vecs.append(v)
-    return Subspace.span(f, d, vecs)
+    for cell in cells:
+        if cell:
+            v = field.vec_zero(dim)
+            for k, c in cell:
+                v[k] = c
+            vecs.append(v)
+    return Subspace.span(field, dim, vecs)
+
+
+def commutator_span(alg: StructureAlgebra) -> Subspace:
+    """Span of all basis-pair brackets [b_i, b_j]; the pairs i < j suffice."""
+    d, bt = alg.dim, alg.bracket_table
+    return span_cells(alg.field, d, (bt.at(i, j) for i in range(d)
+                                     for j in range(i + 1, d)))
 
 
 def is_commutative(alg: StructureAlgebra) -> bool:

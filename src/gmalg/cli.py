@@ -161,7 +161,7 @@ def _cmd_center(args) -> int:
         "center_b": subspace_to_dict(cd.center_b),
         "a_part": subspace_to_dict(cd.a_part),
         "b_part": subspace_to_dict(cd.b_part),
-        "a_to_b": matrix_to_dict(cd.a_to_b),
+        "a_to_b": matrix_to_dict(g.field, cd.a_to_b),
     }
     return _emit(rep, args.output, started)
 

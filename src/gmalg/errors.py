@@ -13,11 +13,18 @@ class DimensionMismatchError(GmalgError):
     """Shapes or ambient dimensions do not line up."""
 
 
+def _count(n: int) -> str:
+    """n in decimal, or past 256 bits by its bit length: Python refuses to
+    convert an int of more than 4300 digits to a string."""
+    return str(n) if n.bit_length() <= 256 else f"at least 2**{n.bit_length() - 1}"
+
+
 class BudgetExceededError(GmalgError):
     """A computation would exceed the configured resource budget."""
 
     def __init__(self, what: str, required: int, allowed: int):
-        super().__init__(f"{what}: needs {required}, budget allows {allowed}")
+        super().__init__(
+            f"{what}: needs {_count(required)}, budget allows {_count(allowed)}")
         self.what = what
         self.required = required
         self.allowed = allowed

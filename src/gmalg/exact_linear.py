@@ -1,5 +1,7 @@
 """Exact linear algebra over the rationals and odd prime fields.
 
+Three parts: the fields (`FieldSpec`), one elimination core (`rref` and
+`kernel_basis`), and `Subspace`, a subspace held by its canonical basis.
 Scalars are `fractions.Fraction` over the rationals and canonical int
 residues over GF(p). Both fields share one elimination core on int rows:
 `rref` and `kernel_basis` each run one loop for both. A scalar enters the
@@ -16,8 +18,8 @@ sparse {column: int} map, and a coordinate-major index of the same entries
 gives a row's products with every survivor at the cost of the entries it
 meets. It returns dense vectors as the core builds them: primitive int
 vectors over q, residues over GF(p). `rref` returns Fractions over q, built
-once from its int rows at the exit, so subspaces are stored in reduced row
-echelon form and equality is plain entrywise comparison.
+once from its int rows at the exit. A `Subspace` stores the `rref` of a
+spanning set, so equality is plain entrywise comparison.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Optional, Sequence, Union
 
-from .errors import DimensionMismatchError, FieldMismatchError
+from .errors import DimensionMismatchError
 
 Scalar = Union[Fraction, int]
 
@@ -399,58 +401,8 @@ def kernel_basis(field: FieldSpec, ncols: int, rows) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# public value types
+# canonical subspaces
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Matrix:
-    """Immutable dense matrix over a FieldSpec."""
-
-    field: FieldSpec
-    rows: int
-    cols: int
-    entries: tuple
-
-    @classmethod
-    def from_rows(cls, field: FieldSpec, rows) -> "Matrix":
-        data = tuple(tuple(field.of(x) for x in row) for row in rows)
-        nrows = len(data)
-        ncols = len(data[0]) if data else 0
-        if any(len(r) != ncols for r in data):
-            raise DimensionMismatchError("ragged rows")
-        return cls(field, nrows, ncols, data)
-
-    @classmethod
-    def identity(cls, field: FieldSpec, n: int) -> "Matrix":
-        one, zero = field.one, field.zero
-        return cls(
-            field, n, n,
-            tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)),
-        )
-
-    @classmethod
-    def zeros(cls, field: FieldSpec, rows: int, cols: int) -> "Matrix":
-        z = field.zero
-        return cls(field, rows, cols, tuple(tuple(z for _ in range(cols)) for _ in range(rows)))
-
-    def apply(self, vec) -> tuple:
-        """Matrix-vector product m @ v."""
-        if len(vec) != self.cols:
-            raise DimensionMismatchError(f"vector length {len(vec)} != cols {self.cols}")
-        f = self.field
-        out = []
-        for row in self.entries:
-            acc = f.zero
-            for a, x in zip(row, vec):
-                if a and x:
-                    acc = f.add(acc, f.mul(a, x))
-            out.append(acc)
-        return tuple(out)
-
-    def rank(self) -> int:
-        _, pivots = rref(self.field, self.entries, self.cols)
-        return len(pivots)
 
 
 @dataclass(frozen=True)
@@ -526,34 +478,3 @@ class Subspace:
         if not f.vec_is_zero(v):
             return None
         return coeffs
-
-    def sum(self, other: "Subspace") -> "Subspace":
-        self._check_compatible(other)
-        return Subspace.span(self.field, self.ambient_dim,
-                             list(self.basis) + list(other.basis))
-
-    def __add__(self, other: "Subspace") -> "Subspace":
-        return self.sum(other)
-
-    def _check_compatible(self, other: "Subspace") -> None:
-        if self.field != other.field:
-            raise FieldMismatchError("subspaces over different fields")
-        if self.ambient_dim != other.ambient_dim:
-            raise DimensionMismatchError(
-                f"ambient {self.ambient_dim} != {other.ambient_dim}")
-
-
-def solve_particular(m: Matrix, b) -> Optional[tuple]:
-    """One exact solution of m x = b (free variables zero), or None."""
-    f = m.field
-    bvec = [f.of(x) for x in b]
-    if len(bvec) != m.rows:
-        raise DimensionMismatchError(f"rhs length {len(bvec)} != rows {m.rows}")
-    aug = [list(row) + [bv] for row, bv in zip(m.entries, bvec)]
-    rows, pivots = rref(f, aug, m.cols + 1)
-    if m.cols in pivots:
-        return None
-    x = f.vec_zero(m.cols)
-    for row, pc in zip(rows, pivots):
-        x[pc] = row[m.cols]
-    return tuple(x)

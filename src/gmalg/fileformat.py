@@ -17,7 +17,7 @@ from typing import Optional
 from .algebra_core import BilinearTable, StructureAlgebra
 from .budget import guard_tuples, tuple_budget
 from .errors import BudgetExceededError, GmalgError, SpecFileError
-from .exact_linear import FieldSpec, Matrix, Subspace
+from .exact_linear import FieldSpec, Subspace
 from .gma import MoritaContext, validate_context
 from .multilinear import MultilinearMap
 
@@ -276,9 +276,10 @@ def subspace_to_dict(s: Subspace) -> dict:
     }
 
 
-def matrix_to_dict(m: Matrix) -> dict:
+def matrix_to_dict(field: FieldSpec, rows) -> dict:
+    """A matrix given as a sequence of equal-length rows."""
     return {
-        "rows": m.rows,
-        "cols": m.cols,
-        "entries": [encode_vector(m.field, row) for row in m.entries],
+        "rows": len(rows),
+        "cols": len(rows[0]) if rows else 0,
+        "entries": [encode_vector(field, row) for row in rows],
     }

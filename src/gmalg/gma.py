@@ -22,7 +22,7 @@ from .algebra_core import (BilinearTable, Element, StructureAlgebra,
                            matrix_algebra, matrix_product_table, stack_rows,
                            validate_algebra)
 from .errors import DimensionMismatchError, FieldMismatchError, InvalidContextError
-from .exact_linear import FieldSpec, Subspace, kernel_basis
+from .exact_linear import FieldSpec, kernel_basis
 
 _MAX_VIOLATIONS = 32
 
@@ -168,16 +168,6 @@ def validate_context(ctx: MoritaContext) -> ValidationReport:
 
 
 @dataclass(frozen=True)
-class PierceParts:
-    """Block components (a, m, n, b) of a G element, in block coordinates."""
-
-    a: tuple
-    m: tuple
-    n: tuple
-    b: tuple
-
-
-@dataclass(frozen=True)
 class GMAlgebra:
     """Assembled block algebra with its context and diagonal idempotents."""
 
@@ -199,17 +189,11 @@ class GMAlgebra:
         da, dm, dn, _ = self.context.dims
         return (0, da, da + dm, da + dm + dn)
 
-    def embed_a(self, coords) -> Element:
-        return self._embed(coords, 0, self.context.a.dim)
-
     def embed_m(self, coords) -> Element:
         return self._embed(coords, self.offsets[1], self.context.m_dim)
 
     def embed_n(self, coords) -> Element:
         return self._embed(coords, self.offsets[2], self.context.n_dim)
-
-    def embed_b(self, coords) -> Element:
-        return self._embed(coords, self.offsets[3], self.context.b.dim)
 
     def _embed(self, coords, offset, block_dim) -> Element:
         f = self.field
@@ -219,29 +203,6 @@ class GMAlgebra:
         full = f.vec_zero(self.dim)
         full[offset:offset + block_dim] = coords
         return self.algebra.element(full)
-
-    def assemble_element(self, a, m, n, b) -> Element:
-        return (self.embed_a(a) + self.embed_m(m) + self.embed_n(n)
-                + self.embed_b(b))
-
-
-def pierce_project(g: GMAlgebra, x: Element) -> PierceParts:
-    """Split x into exe, exf, fxe, fxf, reading each in block coordinates."""
-    alg = g.algebra
-    ex = alg.mul_coords(g.e.coords, x.coords)
-    xf__ = alg.mul_coords(x.coords, g.f.coords)
-    exe = alg.mul_coords(ex, g.e.coords)
-    exf = alg.mul_coords(ex, g.f.coords)
-    fxe = alg.mul_coords(alg.mul_coords(g.f.coords, x.coords), g.e.coords)
-    fxf = alg.mul_coords(g.f.coords, xf__)
-    o = g.offsets
-    da, dm, dn, db = g.context.dims
-    return PierceParts(
-        a=tuple(exe[0:da]),
-        m=tuple(exf[o[1]:o[1] + dm]),
-        n=tuple(fxe[o[2]:o[2] + dn]),
-        b=tuple(fxf[o[3]:o[3] + db]),
-    )
 
 
 def assemble(ctx: MoritaContext, validate: bool = True) -> GMAlgebra:
@@ -270,36 +231,6 @@ def assemble(ctx: MoritaContext, validate: bool = True) -> GMAlgebra:
     algebra = StructureAlgebra.build(f, dim, quads, f.vec_add(e_coords, f_coords))
     return GMAlgebra(ctx, algebra,
                      algebra.element(e_coords), algebra.element(f_coords))
-
-
-def pairing_image_mn(g: GMAlgebra) -> Subspace:
-    """Span of all pairing values m_i n_j inside A."""
-    ctx, f = g.context, g.field
-    vecs = []
-    for i in range(ctx.m_dim):
-        for j in range(ctx.n_dim):
-            cell = ctx.pair_mn.at(i, j)
-            if cell:
-                v = f.vec_zero(ctx.a.dim)
-                for k, c in cell:
-                    v[k] = c
-                vecs.append(v)
-    return Subspace.span(f, ctx.a.dim, vecs)
-
-
-def pairing_image_nm(g: GMAlgebra) -> Subspace:
-    """Span of all pairing values n_j m_i inside B."""
-    ctx, f = g.context, g.field
-    vecs = []
-    for j in range(ctx.n_dim):
-        for i in range(ctx.m_dim):
-            cell = ctx.pair_nm.at(j, i)
-            if cell:
-                v = f.vec_zero(ctx.b.dim)
-                for k, c in cell:
-                    v[k] = c
-                vecs.append(v)
-    return Subspace.span(f, ctx.b.dim, vecs)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ predicate tests and the slot-against-direct comparison stay independent.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import islice, permutations, product
+from itertools import islice, product
 from typing import Callable, Sequence
 
 from .algebra_core import Element, StructureAlgebra
@@ -184,21 +184,6 @@ class LeibnizWitness:
     partner: int
 
 
-def _dense_values(mmap: MultilinearMap):
-    d, n = mmap.dim, mmap.arity
-    vals = [None] * (d ** n)
-    zero = mmap.field.vec_zero(d)
-    for key, vec in mmap.entries.items():
-        rank = 0
-        for i in key:
-            rank = rank * d + i
-        vals[rank] = list(vec)
-    for r in range(len(vals)):
-        if vals[r] is None:
-            vals[r] = zero
-    return vals
-
-
 def _check_algebra_map(alg: StructureAlgebra, mmap: MultilinearMap) -> None:
     if mmap.dim != alg.dim or mmap.field != alg.field:
         raise DimensionMismatchError("map does not live on this algebra")
@@ -291,15 +276,6 @@ def _leibniz_predicate(g, mmap: MultilinearMap, lie: bool) -> CheckStatus:
     return CheckStatus("pass")
 
 
-def is_permuting(mmap: MultilinearMap) -> bool:
-    """True iff values are invariant under every argument permutation."""
-    for key, vec in mmap.entries.items():
-        for perm in set(permutations(key)):
-            if mmap.value_at(perm) != vec:
-                return False
-    return True
-
-
 def is_centrally_valued(g, mmap: MultilinearMap) -> CheckStatus:
     """Every stored basis-tuple value must lie in the center."""
     alg = core_algebra(g)
@@ -308,49 +284,6 @@ def is_centrally_valued(g, mmap: MultilinearMap) -> CheckStatus:
     for key in sorted(mmap.entries):
         if not z.contains(mmap.entries[key]):
             return CheckStatus("fail", witness=key)
-    return CheckStatus("pass")
-
-
-def swap_identity_check(g, mmap: MultilinearMap) -> CheckStatus:
-    """Bracket identity every Lie biderivation satisfies, on basis 4-tuples.
-
-    [m(x,y),[v,u]] + [m(x,v),[u,y]] = [m(u,y),[v,x]] + [m(u,v),[x,y]].
-
-    Follows from expanding m([x,u],[y,v]) through either slot first and
-    cancelling with the Jacobi identity. (A widely copied variant brackets
-    the third term with [x,v]; that version already fails for the inner
-    biderivation (x,y) -> [x,y], see the test suite.)
-    """
-    alg = core_algebra(g)
-    _check_algebra_map(alg, mmap)
-    if mmap.arity != 2:
-        raise DimensionMismatchError("identity applies to arity-2 maps")
-    d, f = alg.dim, alg.field
-    guard_tuples("swap identity", d ** 4)
-    bt = alg.bracket_table
-
-    def bvec(i, j):
-        out = f.vec_zero(d)
-        for k, c in bt.at(i, j):
-            out[k] = c
-        return out
-
-    def br(x, y):
-        return f.vec_sub(alg.mul_coords(x, y), alg.mul_coords(y, x))
-
-    vals = _dense_values(mmap)
-    for x in range(d):
-        for y in range(d):
-            m_xy = vals[x * d + y]
-            for u in range(d):
-                m_uy = vals[u * d + y]
-                for v in range(d):
-                    lhs = f.vec_add(br(m_xy, bvec(v, u)),
-                                    br(vals[x * d + v], bvec(u, y)))
-                    rhs = f.vec_add(br(m_uy, bvec(v, x)),
-                                    br(vals[u * d + v], bvec(x, y)))
-                    if lhs != rhs:
-                        return CheckStatus("fail", witness=(x, y, u, v))
     return CheckStatus("pass")
 
 

@@ -21,10 +21,11 @@ from functools import lru_cache
 from itertools import product
 from typing import Optional, Union
 
-from .algebra_core import Element, StructureAlgebra, is_commutative, stack_rows
+from .algebra_core import (Element, StructureAlgebra, is_commutative, span_cells,
+                           stack_rows)
 from .errors import CenterStructureError
-from .exact_linear import Matrix, Subspace, kernel_basis, solve_particular
-from .gma import GMAlgebra, MoritaContext, pairing_image_mn, pairing_image_nm
+from .exact_linear import Subspace, kernel_basis
+from .gma import GMAlgebra, MoritaContext
 
 _PROBE_SEED = 0x5EED_CA_FE
 _PROBES = 64
@@ -126,10 +127,10 @@ def all_derivations_inner(alg: StructureAlgebra) -> bool:
 class CenterData:
     """Center of G with its diagonal projections and the linking map.
 
-    a_to_b is the matrix (in the canonical bases of a_part and b_part) of
-    the isomorphism carrying the A part of a central element to its B part;
-    it satisfies a.m = m.eta(a) and n.a = eta(a).n on all module basis
-    vectors, where eta denotes the linked image.
+    The linking map eta carries the A part of a central element to its B
+    part. a_to_b is its matrix as a tuple of rows: a_to_b[r][c] is the
+    coordinate on b_part.basis[r] of the image of a_part.basis[c]. It
+    satisfies a.m = m.eta(a) and n.a = eta(a).n on all module basis vectors.
     """
 
     center_g: Subspace
@@ -137,69 +138,54 @@ class CenterData:
     center_b: Subspace
     a_part: Subspace
     b_part: Subspace
-    a_to_b: Matrix
+    a_to_b: tuple
 
 
 def center_data(g: GMAlgebra) -> CenterData:
+    """The center of G, its projections to A and B, and the linking map.
+
+    The basis of Z(G) is in RREF and vanishes on M and N, so once the A
+    projection is injective every pivot lies in A: the A parts of the basis
+    rows are a_part.basis, in order, and their B parts are the linked images.
+    """
     ctx, f = g.context, g.field
-    da, dm, dn, db = ctx.dims
+    da, _, _, db = ctx.dims
     off = g.offsets
     zg = center(g.algebra)
     za = center(ctx.a)
     zb = center(ctx.b)
 
     for row in zg.basis:
-        m_part = row[off[1]:off[1] + dm]
-        n_part = row[off[2]:off[2] + dn]
-        if any(m_part) or any(n_part):
+        if any(row[off[1]:off[3]]):
             raise CenterStructureError(
                 "central element with nonzero off-diagonal part")
 
-    a_vecs = [row[0:da] for row in zg.basis]
-    b_vecs = [row[off[3]:off[3] + db] for row in zg.basis]
-    a_part = Subspace.span(f, da, a_vecs)
+    a_part = Subspace.span(f, da, [row[:da] for row in zg.basis])
+    b_vecs = [row[off[3]:] for row in zg.basis]
     b_part = Subspace.span(f, db, b_vecs)
     if a_part.dim != zg.dim:
         raise CenterStructureError(
             "A-projection of the center is not injective; "
             "the context cannot have a faithful M")
-
-    # link each canonical a_part basis vector through the center
-    cols = []
-    proj_matrix = Matrix.from_rows(f, [list(v) for v in zip(*a_vecs)]) if a_vecs \
-        else Matrix.zeros(f, da, 0)
-    for arow in a_part.basis:
-        combo = solve_particular(proj_matrix, arow) if a_vecs else None
-        if combo is None:
-            raise CenterStructureError("a_part vector without center preimage")
-        coords = b_part.coordinates_of(f.combine(combo, b_vecs, db))
-        if coords is None:
-            raise CenterStructureError("linked image outside b_part")
-        cols.append(coords)
-    dimz = zg.dim
-    a_to_b = Matrix.from_rows(
-        f, [[cols[c][r] for c in range(dimz)] for r in range(dimz)]) \
-        if dimz else Matrix.zeros(f, 0, 0)
-    if a_to_b.rank() != dimz:
+    if b_part.dim != zg.dim:
         raise CenterStructureError("linking map is singular")
+    a_to_b = tuple(zip(*(b_part.coordinates_of(v) for v in b_vecs)))
 
-    _verify_link(g, a_part, b_part, a_to_b)
+    _verify_link(g, a_part, b_vecs)
     return CenterData(zg, za, zb, a_part, b_part, a_to_b)
 
 
-def _linked_image(a_part: Subspace, b_part: Subspace, a_to_b: Matrix, avec):
-    """Image of an a_part vector under the linking map, or None if outside."""
-    coords = a_part.coordinates_of(avec)
-    if coords is None:
-        return None
-    return b_part.field.combine(a_to_b.apply(coords), b_part.basis, b_part.ambient_dim)
-
-
-def _verify_link(g: GMAlgebra, a_part, b_part, a_to_b) -> None:
+def _verify_link(g: GMAlgebra, a_part: Subspace, b_vecs) -> None:
+    """Check the linking map a_part.basis[i] -> b_vecs[i] on modules and products."""
     ctx, f = g.context, g.field
-    da, dm, dn, db = ctx.dims
+    _, dm, dn, db = ctx.dims
+
+    def linked_image(avec):
+        coords = a_part.coordinates_of(avec)
+        return None if coords is None else f.combine(coords, b_vecs, db)
+
     for arow in a_part.basis:
-        bvec = _linked_image(a_part, b_part, a_to_b, arow)
+        bvec = linked_image(arow)
         for j in range(dm):
             m = f.unit(dm, j)
             if ctx.act_am.apply(f, arow, m) != ctx.act_mb.apply(f, m, bvec):
@@ -212,11 +198,11 @@ def _verify_link(g: GMAlgebra, a_part, b_part, a_to_b) -> None:
     for x in a_part.basis:
         for y in a_part.basis:
             prod = ctx.a.mul_coords(x, y)
-            lhs = _linked_image(a_part, b_part, a_to_b, prod)
+            lhs = linked_image(prod)
             if lhs is None:
                 raise CenterStructureError("a_part not closed under product")
-            bx = _linked_image(a_part, b_part, a_to_b, x)
-            by = _linked_image(a_part, b_part, a_to_b, y)
+            bx = linked_image(x)
+            by = linked_image(y)
             if lhs != ctx.b.mul_coords(bx, by):
                 raise CenterStructureError("linking map not multiplicative")
 
@@ -529,9 +515,8 @@ def check_hypotheses(g: GMAlgebra, variant: str,
 
     if variant == "4.1":
         conds.append((3, torsion_action_check(g)))
-        mn = pairing_image_mn(g)
-        nm = pairing_image_nm(g)
-        if mn.dim or nm.dim:
+        if (span_cells(g.field, ctx.a.dim, ctx.pair_mn.entries).dim
+                or span_cells(g.field, ctx.b.dim, ctx.pair_nm.entries).dim):
             conds.append((4, CheckStatus("pass", reason="pairings not both zero")))
         elif not is_commutative(ctx.a) or not is_commutative(ctx.b):
             conds.append((4, CheckStatus("pass")))

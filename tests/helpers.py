@@ -1,6 +1,7 @@
 """Shared fixtures: corpus instances, independent oracles, fuzz machinery."""
 
 import random
+from collections import namedtuple
 from itertools import compress, count
 from math import gcd
 
@@ -27,6 +28,30 @@ def corpus_contexts(field):
 def corpus_algebras(field):
     return [(name, G.assemble(ctx, validate=False))
             for name, ctx in corpus_contexts(field)]
+
+
+def diagonal_context(field):
+    """A = B = k x k on its two idempotents, M = k^2 acted on componentwise, N = 0.
+
+    Z(G) = {(a, 0, 0, a)} has dimension 2, so the linking map is 2 x 2: the
+    identity here, and not in general after `change_of_basis`.
+    """
+    k2 = G.StructureAlgebra.build(field, 2, [(0, 0, 0, 1), (1, 1, 1, 1)], [1, 1])
+    componentwise = [(0, 0, 0, 1), (1, 1, 1, 1)]
+    return G.MoritaContext(
+        a=k2, b=k2, m_dim=2, n_dim=0,
+        act_am=G.BilinearTable.from_quadruples(field, 2, 2, 2, componentwise),
+        act_mb=G.BilinearTable.from_quadruples(field, 2, 2, 2, componentwise),
+        act_bn=G.BilinearTable.zero(2, 0, 0),
+        act_na=G.BilinearTable.zero(0, 2, 0),
+        pair_mn=G.BilinearTable.zero(2, 0, 2),
+        pair_nm=G.BilinearTable.zero(0, 2, 2),
+    )
+
+
+def mat_vec(field, rows, vec):
+    """The product of the matrix with these rows and the column vec."""
+    return field.combine(vec, list(zip(*rows)), len(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +134,93 @@ def dense_kernel_basis(field, ncols, rows):
         if not y:
             break
     return [list(col) for col in zip(*T)]
+
+
+# ---------------------------------------------------------------------------
+# oracles on the assembled algebra
+# ---------------------------------------------------------------------------
+
+PierceParts = namedtuple("PierceParts", "a m n b")
+
+
+def pierce_project(g, x):
+    """Split x into exe, exf, fxe, fxf, reading each in block coordinates."""
+    alg = g.algebra
+    ex = alg.mul_coords(g.e.coords, x.coords)
+    xf__ = alg.mul_coords(x.coords, g.f.coords)
+    exe = alg.mul_coords(ex, g.e.coords)
+    exf = alg.mul_coords(ex, g.f.coords)
+    fxe = alg.mul_coords(alg.mul_coords(g.f.coords, x.coords), g.e.coords)
+    fxf = alg.mul_coords(g.f.coords, xf__)
+    o = g.offsets
+    da, dm, dn, db = g.context.dims
+    return PierceParts(
+        a=tuple(exe[0:da]),
+        m=tuple(exf[o[1]:o[1] + dm]),
+        n=tuple(fxe[o[2]:o[2] + dn]),
+        b=tuple(fxf[o[3]:o[3] + db]),
+    )
+
+
+def assemble_element(g, a, m, n, b):
+    """The element of G with block coordinates a, m, n and b."""
+    return g.algebra.element([*a, *m, *n, *b])
+
+
+def _dense_values(mmap):
+    d, n = mmap.dim, mmap.arity
+    vals = [None] * (d ** n)
+    zero = mmap.field.vec_zero(d)
+    for key, vec in mmap.entries.items():
+        rank = 0
+        for i in key:
+            rank = rank * d + i
+        vals[rank] = list(vec)
+    for r in range(len(vals)):
+        if vals[r] is None:
+            vals[r] = zero
+    return vals
+
+
+def swap_identity_check(g, mmap):
+    """Bracket identity every Lie biderivation satisfies, on basis 4-tuples.
+
+    [m(x,y),[v,u]] + [m(x,v),[u,y]] = [m(u,y),[v,x]] + [m(u,v),[x,y]].
+
+    Follows from expanding m([x,u],[y,v]) through either slot first and
+    cancelling with the Jacobi identity. (A widely copied variant brackets
+    the third term with [x,v]; that version already fails for the inner
+    biderivation (x,y) -> [x,y], see test_multilinear.)
+    """
+    alg = g.algebra
+    if mmap.arity != 2:
+        raise G.DimensionMismatchError("identity applies to arity-2 maps")
+    d, f = alg.dim, alg.field
+    bt = alg.bracket_table
+
+    def bvec(i, j):
+        out = f.vec_zero(d)
+        for k, c in bt.at(i, j):
+            out[k] = c
+        return out
+
+    def br(x, y):
+        return f.vec_sub(alg.mul_coords(x, y), alg.mul_coords(y, x))
+
+    vals = _dense_values(mmap)
+    for x in range(d):
+        for y in range(d):
+            m_xy = vals[x * d + y]
+            for u in range(d):
+                m_uy = vals[u * d + y]
+                for v in range(d):
+                    lhs = f.vec_add(br(m_xy, bvec(v, u)),
+                                    br(vals[x * d + v], bvec(u, y)))
+                    rhs = f.vec_add(br(m_uy, bvec(v, x)),
+                                    br(vals[u * d + v], bvec(x, y)))
+                    if lhs != rhs:
+                        return G.CheckStatus("fail", witness=(x, y, u, v))
+    return G.CheckStatus("pass")
 
 
 # ---------------------------------------------------------------------------

@@ -428,18 +428,23 @@ def test_large_stock_context_loads_at_default_budget(tmp_path, capsys, monkeypat
 
 
 def test_oversized_declared_blocks_exit_on_budget(tmp_path, capsys):
-    """A huge declared block size stops at load, before any table is built."""
+    """A huge declared block size stops at load, before any table is built.
+
+    At 10**3000 the requirement has 6001 digits, more than Python converts
+    to a string, so the budget message must not print it in decimal.
+    """
     spec = gen(tmp_path, capsys, "t2.json",
                "--kind", "upper-triangular", "--s", "1", "--t", "1", "--field", "q")
     with open(spec) as fh:
         data = json.load(fh)
-    data["blocks"]["a_dim"] = 1000000
-    big = tmp_path / "big.json"
-    big.write_text(dumps_canonical(data))
     env = dict(os.environ, PYTHONPATH=str(Path(G.__file__).parents[1]))
     env.pop("GMALG_BUDGET", None)
-    proc = subprocess.run([sys.executable, "-m", "gmalg.cli", "validate", str(big)],
-                          capture_output=True, text=True, env=env, timeout=8)
-    assert proc.returncode == 3
-    assert proc.stdout == ""
-    assert "budget" in proc.stderr
+    for a_dim in (1000000, 10 ** 3000):
+        data["blocks"]["a_dim"] = a_dim
+        big = tmp_path / "big.json"
+        big.write_text(dumps_canonical(data))
+        proc = subprocess.run([sys.executable, "-m", "gmalg.cli", "validate", str(big)],
+                              capture_output=True, text=True, env=env, timeout=8)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert "budget" in proc.stderr

@@ -7,7 +7,7 @@ import pytest
 
 import gmalg as G
 
-from helpers import GF7, GF101, Q, change_of_basis
+from helpers import GF7, GF101, Q, change_of_basis, swap_identity_check
 from test_algebra_core import dual_numbers
 
 
@@ -107,16 +107,6 @@ def test_is_n_derivation_extremal_true_trace_false():
     assert G.is_n_derivation(m3, zero).ok
 
 
-def test_is_permuting():
-    sym = G.MultilinearMap.from_entries(
-        Q, 2, 2, {(0, 1): [1, 0], (1, 0): [1, 0]})
-    assert G.is_permuting(sym)
-    asym = G.MultilinearMap.from_entries(Q, 2, 2, {(0, 1): [1, 0]})
-    assert not G.is_permuting(asym)
-    arity1 = G.MultilinearMap.from_entries(Q, 1, 2, {(0,): [1, 1]})
-    assert G.is_permuting(arity1)
-
-
 def test_extremal_on_t2_is_permuting_on_idempotent_slots():
     g = gma("upper_triangular", Q, s=1, t=1)
     kappa = G.build_extremal(g, g.embed_m([1]), 3)
@@ -137,9 +127,9 @@ def test_is_centrally_valued():
 def test_swap_identity_on_bilie_space_t2():
     g = gma("upper_triangular", Q, s=1, t=1)
     for mmap in G.n_lie_derivation_space(g, 2):
-        assert G.swap_identity_check(g, mmap).ok
+        assert swap_identity_check(g, mmap).ok
     zero = G.MultilinearMap.zero(Q, 2, 3)
-    assert G.swap_identity_check(g, zero).ok
+    assert swap_identity_check(g, zero).ok
 
 
 def test_swap_identity_holds_for_inner_biderivation():
@@ -158,13 +148,13 @@ def test_swap_identity_holds_for_inner_biderivation():
 
     inner = G.MultilinearMap.from_basis_function(alg, 2, fn)
     assert G.is_n_lie_derivation(g, inner).ok
-    assert G.swap_identity_check(g, inner).ok
+    assert swap_identity_check(g, inner).ok
 
 
 def test_swap_identity_rejects_random_tensor():
     g = gma("full_matrix", Q, r=2)
     bad = G.MultilinearMap.from_entries(Q, 2, 4, {(1, 2): [0, 1, 0, 0]})
-    res = G.swap_identity_check(g, bad)
+    res = swap_identity_check(g, bad)
     assert not res.ok
     assert len(res.witness) == 4
 
@@ -172,7 +162,7 @@ def test_swap_identity_rejects_random_tensor():
 def test_swap_identity_requires_arity_2():
     g = gma("upper_triangular", Q, s=1, t=1)
     with pytest.raises(G.DimensionMismatchError):
-        G.swap_identity_check(g, G.MultilinearMap.zero(Q, 3, 3))
+        swap_identity_check(g, G.MultilinearMap.zero(Q, 3, 3))
 
 
 def test_slot_restriction_matches_direct_t2():

@@ -6,8 +6,10 @@ with `timings` removed is serialised as gmalg serialises it, and its SHA-256
 and the exit code are compared with `report_digests.json`. The cases cover
 what the benchmark's reference digests do not: `validate` on a context whose
 M is not faithful and on stock `full_matrix(3)` broken so that several
-axioms fail (up to one past the cap of 32 violations), and the analysis
-commands on small stock instances over q and gf:7.
+axioms fail (up to one past the cap of 32 violations), the analysis
+commands on small stock instances over q and gf:7, and `center` on a context
+whose center has dimension 2, as built and in a seeded basis where its
+linking matrix is not the identity.
 
     PYTHONPATH=src python tests/test_report_digests.py
 
@@ -29,6 +31,8 @@ import gmalg as G
 from gmalg.cli import main
 from gmalg.fileformat import (context_from_dict, context_to_dict, decode_scalar,
                               dumps_canonical, encode_scalar)
+
+from helpers import change_of_basis, diagonal_context
 
 DIGESTS = Path(__file__).with_name("report_digests.json")
 FIELDS = ("q", "gf:7")
@@ -57,6 +61,9 @@ BROKEN = {
     "m3-bump-b032": ((), (("b_mul", 0, 3, 2),)),
 }
 
+# `helpers.diagonal_context` and its `change_of_basis` seeds (None: as built).
+DIAGONAL = {"diag2": None, "diag2-s5": 5}
+
 
 def spec_name(instance: str, field: str) -> str:
     return f"{instance}-{field.replace(':', '')}.json"
@@ -71,6 +78,8 @@ def cases() -> dict:
         for instance in BROKEN:
             spec = spec_name(instance, field)
             out[f"{instance}-{field}-validate"] = ("validate", spec)
+        for instance in DIAGONAL:
+            out[f"{instance}-{field}-center"] = ("center", spec_name(instance, field))
         for instance in STOCK:
             spec = spec_name(instance, field)
             for name, argv in COMMANDS.items():
@@ -113,6 +122,12 @@ def write_specs(directory: Path) -> None:
         for instance, edits in BROKEN.items():
             data = broken_spec(G.FieldSpec.from_name(field), *edits)
             (directory / spec_name(instance, field)).write_text(dumps_canonical(data))
+        for instance, seed in DIAGONAL.items():
+            ctx = diagonal_context(G.FieldSpec.from_name(field))
+            if seed is not None:
+                ctx = change_of_basis(ctx, seed)
+            (directory / spec_name(instance, field)).write_text(
+                dumps_canonical(context_to_dict(ctx)))
         for instance, argv in STOCK.items():
             path = directory / spec_name(instance, field)
             code = main(["gen", "--kind", *argv, "--field", field,

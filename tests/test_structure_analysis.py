@@ -4,7 +4,7 @@ import pytest
 
 import gmalg as G
 
-from helpers import GF7, Q, corpus_algebras
+from helpers import GF7, Q, change_of_basis, corpus_algebras, diagonal_context, mat_vec
 from test_algebra_core import dual_numbers, quadratic_extension, t2_algebra
 
 
@@ -38,7 +38,29 @@ def test_center_data_full_matrix():
     assert cd.a_part == G.center(g.context.a)
     assert cd.b_part == G.center(g.context.b)
     # the link carries 1_A to the B unit: both canonical bases are unit rows
-    assert cd.a_to_b.entries == ((1,),)
+    assert cd.a_to_b == ((1,),)
+
+
+@pytest.mark.parametrize("field", [Q, GF7], ids=["q", "gf7"])
+def test_linking_matrix_carries_a_coordinates_to_b_coordinates(field):
+    """On a center of dimension 2, in bases where the link is not the identity.
+
+    Each center basis vector z = (a, 0, 0, b) must have b's coordinates on
+    b_part equal to a_to_b times a's coordinates on a_part.
+    """
+    ctx = diagonal_context(field)
+    non_identity = 0
+    for seed in (None, 0, 1, 2, 3, 4, 5):
+        g = G.assemble(ctx if seed is None else change_of_basis(ctx, seed))
+        cd = G.center_data(g)
+        assert cd.center_g.dim == 2 and len(cd.a_to_b) == 2
+        off = g.offsets
+        for z in cd.center_g.basis:
+            a_coords = cd.a_part.coordinates_of(z[:off[1]])
+            b_coords = cd.b_part.coordinates_of(z[off[3]:])
+            assert list(b_coords) == mat_vec(field, cd.a_to_b, a_coords), seed
+        non_identity += cd.a_to_b != ((1, 0), (0, 1))
+    assert non_identity >= 5
 
 
 def test_center_data_block_triangular():
