@@ -2,18 +2,18 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from typing import Callable, Iterable, Optional
 
 from .errors import DimensionMismatchError, FieldMismatchError
 from .exact_linear import FieldSpec, Scalar, Subspace, int_scaled
+from .records import record
 
 _MAX_VIOLATIONS = 16
 
 
-@dataclass(frozen=True)
+@record
 class BilinearTable:
     """Sparse constants of a bilinear map V_left x V_right -> V_out.
 
@@ -129,7 +129,7 @@ class BilinearTable:
         return quads
 
 
-@dataclass(frozen=True)
+@record
 class StructureAlgebra:
     """Unital associative algebra with basis-indexed multiplication constants."""
 
@@ -208,7 +208,7 @@ class StructureAlgebra:
                 raise FieldMismatchError("element belongs to a different algebra")
 
 
-@dataclass(frozen=True)
+@record
 class Element:
     """Coordinate vector in a fixed StructureAlgebra basis."""
 
@@ -258,14 +258,14 @@ class Element:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Violation:
     law: str
     indices: tuple
     detail: str = ""
 
 
-@dataclass(frozen=True)
+@record
 class ValidationReport:
     violations: tuple
 

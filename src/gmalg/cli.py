@@ -244,10 +244,7 @@ def _cmd_decompose(args) -> int:
     started = time.perf_counter()
     ctx = load_context(args.spec)
     g = assemble(ctx, validate=False)
-    mmap = load_map(args.map, g.field)
-    if mmap.dim != g.dim:
-        raise SpecFileError(
-            f"map dimension {mmap.dim} does not match instance {g.dim}")
+    mmap = load_map(args.map, g.field, g.dim)
     if args.arity is not None and args.arity != mmap.arity:
         raise SpecFileError(
             f"--arity {args.arity} does not match map arity {mmap.arity}")

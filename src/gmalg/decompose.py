@@ -9,7 +9,6 @@ annihilator ties the existence question to a small linear system on M (+) N.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .algebra_core import Element, stack_rows
@@ -19,6 +18,7 @@ from .exact_linear import Subspace, kernel_basis
 from .gma import GMAlgebra
 from .multilinear import (MultilinearMap, is_centrally_valued,
                           is_n_lie_derivation, n_lie_derivation_space)
+from .records import record
 from .structure_analysis import (VARIANTS, CheckStatus, center,
                                  center_data, check_hypotheses, pair_spaces,
                                  pairing_rows)
@@ -72,7 +72,7 @@ def build_extremal(g: GMAlgebra, seed: Element, n: int) -> MultilinearMap:
     return MultilinearMap.from_entries(f, n, d, layer)
 
 
-@dataclass(frozen=True)
+@record
 class DecompositionChecks:
     seed_annihilates_commutators: bool
     central_part_is_central: CheckStatus
@@ -80,7 +80,7 @@ class DecompositionChecks:
     seed_is_central: bool
 
 
-@dataclass(frozen=True)
+@record
 class Decomposition:
     seed: Element
     extremal_part: MultilinearMap
@@ -121,7 +121,7 @@ def decompose(g: GMAlgebra, mmap: MultilinearMap) -> Decomposition:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class ExtremalExistence:
     """Solutions of the linear existence conditions plus the brute oracle.
 
@@ -187,7 +187,7 @@ def double_bracket_annihilator(g: GMAlgebra) -> Subspace:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class UniquenessProbe:
     """Kernel of seed -> extremal map on the admissible off-diagonal space.
 
@@ -221,7 +221,7 @@ def probe_seed_uniqueness(g: GMAlgebra, n: int) -> UniquenessProbe:
     return UniquenessProbe(adm.dim, len(ker))
 
 
-@dataclass(frozen=True)
+@record
 class ElementVerdict:
     index: int
     exact_sum: bool
@@ -233,7 +233,7 @@ class ElementVerdict:
     triangular_seed_form: Optional[bool]
 
 
-@dataclass(frozen=True)
+@record
 class VerificationReport:
     arity: int
     space_dim: int

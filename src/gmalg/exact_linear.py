@@ -24,13 +24,13 @@ spanning set, so equality is plain entrywise comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from typing import Optional, Sequence, Union
 
 from .errors import DimensionMismatchError
+from .records import record
 
 Scalar = Union[Fraction, int]
 
@@ -65,7 +65,7 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@record
 class FieldSpec:
     """Rationals when `p` is None, otherwise GF(p) for an odd prime p."""
 
@@ -405,12 +405,12 @@ def kernel_basis(field: FieldSpec, ncols: int, rows) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Subspace:
     """Linear subspace in canonical (RREF basis) form.
 
     Two subspaces are equal iff their canonical bases agree entrywise, so
-    dataclass equality is the subspace equality test.
+    record equality (field by field) is the subspace equality test.
     """
 
     field: FieldSpec

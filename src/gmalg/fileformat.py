@@ -12,7 +12,6 @@ import json
 import os
 import re
 import tempfile
-from typing import Optional
 
 from .algebra_core import BilinearTable, StructureAlgebra
 from .budget import guard_tuples, tuple_budget
@@ -218,18 +217,26 @@ def map_to_dict(mmap: MultilinearMap) -> dict:
     }
 
 
-def map_from_dict(data: dict, field: Optional[FieldSpec] = None) -> MultilinearMap:
+def map_from_dict(data: dict, field: FieldSpec, dim: int) -> MultilinearMap:
+    """A map for an instance over `field` of dimension `dim`.
+
+    The header is checked against the instance before any entry is read,
+    so a map declaring another dimension allocates nothing.
+    """
     if not isinstance(data, dict) or data.get("format") != MAP_FORMAT:
         raise SpecFileError(f"not a {MAP_FORMAT} document")
     try:
         file_field = FieldSpec.from_name(data["field"])
         arity = decode_index(data["arity"], "map header: arity")
-        dim = decode_index(data["dim"], "map header: dim")
+        map_dim = decode_index(data["dim"], "map header: dim")
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecFileError(f"map header: {exc}")
-    if arity < 1 or dim < 1:
-        raise SpecFileError(f"map header: arity {arity} and dim {dim} "
+    if arity < 1 or map_dim < 1:
+        raise SpecFileError(f"map header: arity {arity} and dim {map_dim} "
                             "must be positive")
+    if map_dim != dim:
+        raise SpecFileError(
+            f"map dimension {map_dim} does not match instance {dim}")
     # A map is used on its dim ** arity basis tuples. For dim >= 2 that is at
     # least 2 ** arity, past the budget once arity reaches its bit length;
     # refuse here, before any guard forms the power itself.
@@ -238,7 +245,7 @@ def map_from_dict(data: dict, field: Optional[FieldSpec] = None) -> MultilinearM
         raise BudgetExceededError(
             f"map basis tuples ({dim}**{arity}, at least 2**{bits})",
             2 ** bits, tuple_budget())
-    if field is not None and field != file_field:
+    if field != file_field:
         raise SpecFileError(
             f"map field {file_field.name} does not match instance {field.name}")
     f = file_field
@@ -259,8 +266,8 @@ def map_from_dict(data: dict, field: Optional[FieldSpec] = None) -> MultilinearM
     return MultilinearMap.from_entries(f, arity, dim, acc)
 
 
-def load_map(path: str, field: Optional[FieldSpec] = None) -> MultilinearMap:
-    return map_from_dict(load_json(path), field)
+def load_map(path: str, field: FieldSpec, dim: int) -> MultilinearMap:
+    return map_from_dict(load_json(path), field, dim)
 
 
 # ---------------------------------------------------------------------------

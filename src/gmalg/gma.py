@@ -15,19 +15,18 @@ map from each composable block pair to its product table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra_core import (BilinearTable, Element, StructureAlgebra,
                            ValidationReport, Violation, block_violations,
                            matrix_algebra, matrix_product_table, stack_rows,
                            validate_algebra)
 from .errors import DimensionMismatchError, FieldMismatchError, InvalidContextError
 from .exact_linear import FieldSpec, kernel_basis
+from .records import record
 
 _MAX_VIOLATIONS = 32
 
 
-@dataclass(frozen=True)
+@record
 class MoritaContext:
     """The sextuple (A, B, M, N, pairings) as explicit basis constants.
 
@@ -167,7 +166,7 @@ def validate_context(ctx: MoritaContext) -> ValidationReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class GMAlgebra:
     """Assembled block algebra with its context and diagonal idempotents."""
 

@@ -21,19 +21,19 @@ predicate tests and the slot-against-direct comparison stay independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from itertools import islice, product
 from typing import Callable, Sequence
 
-from .algebra_core import Element, StructureAlgebra
+from .algebra_core import BilinearTable, Element, StructureAlgebra
 from .budget import guard_tuples, guard_unknowns
 from .errors import DimensionMismatchError, FieldMismatchError
 from .exact_linear import FieldSpec, Subspace, int_scaled, kernel_basis
+from .records import record
 from .structure_analysis import (CheckStatus, center, core_algebra,
                                  leibniz_rows, lie_derivation_space)
 
 
-@dataclass(frozen=True)
+@record
 class MultilinearMap:
     """Arity-n map stored as tensor entries on basis tuples.
 
@@ -175,7 +175,7 @@ class MultilinearMap:
         return out
 
 
-@dataclass(frozen=True)
+@record
 class LeibnizWitness:
     """Failing instance: slot, argument tuple with u at the slot, partner v."""
 
@@ -320,7 +320,7 @@ def _slot_block_rows(alg: StructureAlgebra, dcols) -> list:
     d, f = alg.dim, alg.field
     ell = len(dcols)
     bt = alg.bracket_table
-    bt = replace(bt, entries=bt.int_entries)
+    bt = BilinearTable(bt.left_dim, bt.right_dim, bt.out_dim, bt.int_entries)
     scaled = iter(int_scaled([x for cols in dcols for col in cols for x in col]))
     icols = [[list(islice(scaled, d)) for _ in cols] for cols in dcols]
     rows = []
@@ -352,9 +352,10 @@ def _slot_block_rows(alg: StructureAlgebra, dcols) -> list:
                         if y:
                             key = al * d + v
                             row[key] = row.get(key, 0) + y
-                    row = f.sparse(row)
                     if row:
-                        rows.append(row)
+                        row = f.sparse(row)
+                        if row:
+                            rows.append(row)
     return rows
 
 

@@ -16,7 +16,6 @@ cell b_u.b_v with the rows of x -> x.b_v and x -> b_u.x.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from typing import Optional, Union
@@ -26,6 +25,7 @@ from .algebra_core import (Element, StructureAlgebra, is_commutative, span_cells
 from .errors import CenterStructureError
 from .exact_linear import Subspace, kernel_basis
 from .gma import GMAlgebra, MoritaContext
+from .records import record
 
 _PROBE_SEED = 0x5EED_CA_FE
 _PROBES = 64
@@ -123,7 +123,7 @@ def all_derivations_inner(alg: StructureAlgebra) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class CenterData:
     """Center of G with its diagonal projections and the linking map.
 
@@ -212,7 +212,7 @@ def _verify_link(g: GMAlgebra, a_part: Subspace, b_vecs) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class CentralIdealResult:
     answer: bool
     witness: Optional[Element] = None
@@ -246,7 +246,7 @@ def has_nonzero_central_ideal(alg: StructureAlgebra) -> CentralIdealResult:
     return CentralIdealResult(True, alg.element(f.combine(sols[0], z.basis, d)))
 
 
-@dataclass(frozen=True)
+@record
 class CheckStatus:
     """Outcome of a check or predicate, with the witness of a failure."""
 
@@ -323,7 +323,7 @@ def torsion_action_check(g: Union[GMAlgebra, StructureAlgebra]) -> CheckStatus:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class PairSpaces:
     """Bimodule endomorphism spaces of M and N and the compatible pairs.
 
@@ -454,7 +454,7 @@ def pairing_rows(ctx: MoritaContext) -> tuple:
 VARIANTS = ("4.1", "4.3")
 
 
-@dataclass(frozen=True)
+@record
 class HypothesisReport:
     variant: str
     conditions: tuple  # five (number, CheckStatus) pairs

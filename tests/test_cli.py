@@ -29,6 +29,25 @@ def gen(tmp_path, capsys, name, *argv):
     return str(path)
 
 
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    """Every invocation pays for what `import gmalg.cli` loads.
+
+    `-S` skips the site module, so no site hook preloads either module.
+    """
+    script = ("import sys\n"
+              "sys.path.insert(0, sys.argv[1])\n"
+              "import gmalg.cli\n"
+              "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))\n"
+              "sys.exit(gmalg.cli.main(['--help']))\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", script,
+                           str(Path(G.__file__).parents[1])],
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    loaded, _, help_text = proc.stdout.partition("\n")
+    assert loaded == "[]"
+    assert help_text.startswith("usage:")
+
+
 def test_gen_and_validate_full_matrix(tmp_path, capsys):
     spec = gen(tmp_path, capsys, "m3.json",
                "--kind", "full-matrix", "--r", "3", "--field", "gf:7")
@@ -356,6 +375,20 @@ def test_map_header_must_be_positive(tmp_path, capsys, arity, dim):
     assert "positive" in err
 
 
+def run_in_one_gigabyte(*argv):
+    """The CLI in a subprocess whose address space is capped at 1 GB."""
+    env = dict(os.environ, PYTHONPATH=str(Path(G.__file__).parents[1]))
+    env.pop("GMALG_BUDGET", None)
+
+    def one_gigabyte():
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+    return subprocess.run([sys.executable, "-m", "gmalg.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=8,
+                          preexec_fn=one_gigabyte)
+
+
 @pytest.mark.parametrize("arity", [100_000_000, 10_000_000_000])
 def test_huge_map_arity_exits_on_budget(tmp_path, capsys, arity):
     """Refused from the header, before any dim ** arity is formed."""
@@ -365,16 +398,7 @@ def test_huge_map_arity_exits_on_budget(tmp_path, capsys, arity):
             "entries": []}
     map_path = tmp_path / "k.json"
     map_path.write_text(dumps_canonical(data))
-    env = dict(os.environ, PYTHONPATH=str(Path(G.__file__).parents[1]))
-    env.pop("GMALG_BUDGET", None)
-
-    def one_gigabyte():
-        import resource
-        resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
-
-    proc = subprocess.run([sys.executable, "-m", "gmalg.cli", "decompose", spec,
-                           str(map_path)], capture_output=True, text=True,
-                          env=env, timeout=8, preexec_fn=one_gigabyte)
+    proc = run_in_one_gigabyte("decompose", spec, str(map_path))
     assert proc.returncode == 3, proc.stderr
     assert proc.stdout == ""
     assert "budget exceeded: map basis tuples" in proc.stderr
@@ -383,6 +407,22 @@ def test_huge_map_arity_exits_on_budget(tmp_path, capsys, arity):
     map_path.write_text(dumps_canonical(data))
     code, out, err = run(capsys, "decompose", spec, str(map_path))
     assert code == 0, err
+
+
+@pytest.mark.parametrize("dim", [10 ** 8, 10 ** 30])
+def test_map_dim_other_than_the_instance_is_refused_from_the_header(
+        tmp_path, capsys, dim):
+    """Refused before any entry is read, so no vector of length dim is built."""
+    spec = gen(tmp_path, capsys, "m2.json",
+               "--kind", "full-matrix", "--r", "2", "--field", "q")
+    data = {"format": "gma-map/1", "field": "q", "arity": 3, "dim": dim,
+            "entries": [[0, 0, 0, 1, "1"], [1, 2, 3, 0, "2"]]}
+    map_path = tmp_path / "k.json"
+    map_path.write_text(dumps_canonical(data))
+    proc = run_in_one_gigabyte("decompose", spec, str(map_path))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert f"map dimension {dim} does not match instance 4" in proc.stderr
 
 
 @pytest.mark.parametrize("argv", [
