@@ -15,6 +15,11 @@ so defining a record costs next to nothing at import.
 
 from operator import attrgetter
 
+# Sets a field past the record's own __setattr__. Unlike an update of the
+# instance __dict__, it keeps the attribute values in CPython's compact
+# per-instance layout.
+_set = object.__setattr__
+
 
 def record(cls):
     names = tuple(cls.__annotations__)
@@ -25,10 +30,10 @@ def record(cls):
     values = get if count > 1 else lambda self: (get(self),)
 
     def __init__(self, *args, **kwargs):
-        if len(args) == count and not kwargs:
-            vars(self).update(zip(names, args))
-        else:
-            vars(self).update(_bind(cls.__name__, names, defaults, args, kwargs))
+        if len(args) != count or kwargs:
+            args = _bind(cls.__name__, names, defaults, args, kwargs)
+        for name, value in zip(names, args):
+            _set(self, name, value)
         if post_init:
             self.__post_init__()
 
@@ -56,8 +61,8 @@ def record(cls):
     return cls
 
 
-def _bind(name: str, names: tuple, defaults: dict, args: tuple, kwargs: dict) -> dict:
-    """The field values of a call with keywords, defaults or a wrong count."""
+def _bind(name: str, names: tuple, defaults: dict, args: tuple, kwargs: dict) -> list:
+    """The field values, in order, of a call with keywords or defaults."""
     if len(args) > len(names):
         raise TypeError(f"{name}() takes {len(names)} arguments "
                         f"but {len(args)} were given")
@@ -71,4 +76,4 @@ def _bind(name: str, names: tuple, defaults: dict, args: tuple, kwargs: dict) ->
     missing = [n for n in names if n not in given and n not in defaults]
     if missing:
         raise TypeError(f"{name}() missing argument(s): {', '.join(missing)}")
-    return {n: given[n] if n in given else defaults[n] for n in names}
+    return [given[n] if n in given else defaults[n] for n in names]
