@@ -24,12 +24,12 @@ from .gma import (GMAlgebra, MoritaContext, assemble, generate_builtin,
                   validate_context)
 from .multilinear import (LeibnizWitness, MultilinearMap, is_centrally_valued,
                           is_n_derivation, is_n_lie_derivation, maps_span,
-                          n_lie_derivation_space, n_lie_derivation_space_direct)
+                          n_lie_derivation_space)
 from .structure_analysis import (CenterData, CheckStatus, HypothesisReport,
-                                 PairSpaces, all_derivations_inner, center,
-                                 center_data, check_hypotheses,
-                                 derivation_space, has_nonzero_central_ideal,
-                                 inner_derivation_space, lie_derivation_space,
-                                 pair_spaces, torsion_action_check)
+                                 PairSpaces, center, center_data,
+                                 check_hypotheses, derivation_space,
+                                 has_nonzero_central_ideal,
+                                 lie_derivation_space, pair_spaces,
+                                 torsion_action_check)
 
 __version__ = "0.1.0"

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from functools import cached_property
 from itertools import product
-from typing import Callable, Iterable, Optional
 
 from .errors import DimensionMismatchError, FieldMismatchError
 from .exact_linear import FieldSpec, Scalar, Subspace, int_scaled
@@ -48,18 +48,6 @@ class BilinearTable:
     def zero(cls, left_dim: int, right_dim: int, out_dim: int) -> "BilinearTable":
         return cls(left_dim, right_dim, out_dim,
                    tuple(() for _ in range(left_dim * right_dim)))
-
-    @classmethod
-    def from_function(cls, field: FieldSpec, left_dim: int, right_dim: int,
-                      out_dim: int, fn: Callable[[int, int], Iterable]) -> "BilinearTable":
-        """Build from fn(i, j) -> output coordinate vector."""
-        quads = []
-        for i in range(left_dim):
-            for j in range(right_dim):
-                for k, c in enumerate(fn(i, j)):
-                    if c:
-                        quads.append((i, j, k, c))
-        return cls.from_quadruples(field, left_dim, right_dim, out_dim, quads)
 
     def at(self, i: int, j: int) -> tuple:
         return self.entries[i * self.right_dim + j]
@@ -156,11 +144,6 @@ class StructureAlgebra:
         if len(coords) != self.dim:
             raise DimensionMismatchError("coordinate length != dim")
         return Element(self, coords)
-
-    def basis_element(self, i: int) -> "Element":
-        coords = [self.field.zero] * self.dim
-        coords[i] = self.field.one
-        return Element(self, tuple(coords))
 
     @property
     def zero(self) -> "Element":
@@ -274,7 +257,7 @@ class ValidationReport:
         return not self.violations
 
     @property
-    def first(self) -> Optional[Violation]:
+    def first(self) -> Violation | None:
         return self.violations[0] if self.violations else None
 
     def summary(self) -> str:

@@ -3,7 +3,8 @@
 Predicates walk on the order of d**(n+1) basis tuples and full-space
 computations solve systems with ell*d**(n-1) unknowns; both are capped so a
 careless arity never silently degrades into sampling. ``GMALG_BUDGET``
-overrides the tuple cap; the unknown cap scales with it (one tenth).
+overrides the tuple cap; the unknown cap scales with it (one tenth). These
+caps are the only bound on the arity.
 """
 
 import os
@@ -36,3 +37,16 @@ def guard_unknowns(what: str, required: int) -> None:
     allowed = unknown_budget()
     if required > allowed:
         raise BudgetExceededError(what, required, allowed)
+
+
+def guard_power(what: str, base: int, exp: int) -> None:
+    """Refuse base ** exp basis tuples without forming the power.
+
+    For base >= 2 the power is at least 2 ** exp, past the tuple budget once
+    exp reaches the budget's bit length; a huge exponent would take unbounded
+    time and memory to raise to.
+    """
+    bits = tuple_budget().bit_length()
+    if base >= 2 and exp >= bits:
+        raise BudgetExceededError(
+            f"{what} ({base}**{exp}, at least 2**{bits})", 2 ** bits, tuple_budget())

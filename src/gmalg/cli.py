@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Optional
 
 from . import budget
 from .algebra_core import Element
@@ -18,13 +17,13 @@ from .decompose import decompose, extremal_exists, verify_decomposition
 from .errors import (BudgetExceededError, CenterStructureError, GmalgError,
                      LieLeibnizError, SpecFileError)
 from .exact_linear import FieldSpec, Subspace
-from .fileformat import (context_fingerprint, context_to_dict, dumps_canonical,
-                         load_context, load_json, load_map, map_to_dict,
-                         matrix_to_dict, save_atomic,
+from .fileformat import (REPORT_FORMAT, context_fingerprint, context_to_dict,
+                         dumps_canonical, load_context, load_json, load_map,
+                         map_to_dict, matrix_to_dict, save_atomic,
                          subspace_to_dict, context_from_dict, encode_vector)
-from .gma import assemble, generate_builtin, validate_context
-from .multilinear import (MAX_SPACE_ARITY, LeibnizWitness, MultilinearMap,
-                          n_lie_derivation_space)
+from .gma import (assemble, builtin_dims, generate_builtin, guard_context_tables,
+                  validate_context)
+from .multilinear import LeibnizWitness, MultilinearMap, n_lie_derivation_space
 from .structure_analysis import (CheckStatus, center_data, derivation_space,
                                  lie_derivation_space, check_hypotheses)
 
@@ -39,7 +38,8 @@ JSON; map and spec coefficients are 'num/den' strings over q and residues
 over gf:P. Global basis indices are block ordered: A block, M block,
 N block, B block. The environment variable {budget.ENV_VAR} overrides the
 basis-tuple budget (default {budget.DEFAULT_TUPLE_BUDGET}); one tenth of it
-caps the unknown count of space computations.
+caps the unknown count of space computations. These budgets are the only
+bound on --arity.
 """
 
 
@@ -72,7 +72,7 @@ def _status_check(name: str, st: CheckStatus) -> dict:
     return _check(name, st.status, st.witness, st.reason)
 
 
-def _emit(report: dict, out: Optional[str], started: float) -> int:
+def _emit(report: dict, out: str | None, started: float) -> int:
     report["timings"] = {"elapsed_s": round(time.perf_counter() - started, 6)}
     text = dumps_canonical(report)
     if out:
@@ -84,20 +84,19 @@ def _emit(report: dict, out: Optional[str], started: float) -> int:
 
 
 def _emit_center_failure(report: dict, exc: CenterStructureError,
-                         out: Optional[str], started: float) -> int:
+                         out: str | None, started: float) -> int:
     """The report of a command stopped by a center-structure failure."""
     report["checks"] = [_check("center-structure", "fail", reason=str(exc))]
     return _emit(report, out, started)
 
 
 def _check_arity(command: str, arity: int, lowest: int) -> None:
-    if not lowest <= arity <= MAX_SPACE_ARITY:
-        raise SpecFileError(f"{command}: --arity {arity} is out of range "
-                            f"{lowest}..{MAX_SPACE_ARITY}")
+    if arity < lowest:
+        raise SpecFileError(f"{command}: --arity {arity} is below {lowest}")
 
 
 def _report_skeleton(command: str, options: dict, ctx=None) -> dict:
-    rep = {"format": "gma-report/1", "command": command, "options": options}
+    rep = {"format": REPORT_FORMAT, "command": command, "options": options}
     if ctx is not None:
         rep["instance"] = context_fingerprint(ctx)
     return rep
@@ -114,11 +113,14 @@ def _cmd_gen(args) -> int:
     if kind == "full_matrix":
         if args.r is None:
             raise SpecFileError("--r is required for full-matrix")
-        ctx = generate_builtin(kind, field, r=args.r)
+        sizes = {"r": args.r}
     else:
         if args.s is None or args.t is None:
             raise SpecFileError(f"--s and --t are required for {args.kind}")
-        ctx = generate_builtin(kind, field, s=args.s, t=args.t)
+        sizes = {"s": args.s, "t": args.t}
+    # the check a spec gets on load, made before any table is built
+    guard_context_tables(*builtin_dims(kind, **sizes))
+    ctx = generate_builtin(kind, field, **sizes)
     report = validate_context(ctx)
     if not report.ok:
         raise SpecFileError(f"generated context failed validation: "
@@ -292,21 +294,19 @@ def _cmd_verify(args) -> int:
         for num, st in hrep.conditions:
             checks.append(_status_check(
                 f"hypothesis-{hrep.variant}-({num})", st))
-    for v in vr.verdicts:
-        checks.append(_check(f"element-{v.index}-exact-sum",
-                             "pass" if v.exact_sum else "fail"))
+    for idx, (dec, tri) in enumerate(vr.verdicts):
+        ch = dec.checks
+        checks.append(_check(f"element-{idx}-exact-sum",
+                             "pass" if ch.exact_sum else "fail"))
         if vr.theorem_applicable:
             checks.append(_check(
-                f"element-{v.index}-seed-annihilates",
-                "pass" if v.seed_annihilates else "fail"))
-            checks.append(_check(
-                f"element-{v.index}-central-part-central",
-                "pass" if v.central_part_central else "fail",
-                witness=v.central_witness if not v.central_part_central else None))
-        if v.triangular_seed_form is not None:
-            checks.append(_check(
-                f"element-{v.index}-triangular-seed-form",
-                "pass" if v.triangular_seed_form else "fail"))
+                f"element-{idx}-seed-annihilates",
+                "pass" if ch.seed_annihilates_commutators else "fail"))
+            checks.append(_status_check(
+                f"element-{idx}-central-part-central", ch.central_part_is_central))
+        if tri is not None:
+            checks.append(_check(f"element-{idx}-triangular-seed-form",
+                                 "pass" if tri else "fail"))
     rep["checks"] = checks
     rep["details"] = {
         "space_dim": vr.space_dim,
@@ -318,15 +318,15 @@ def _cmd_verify(args) -> int:
         },
         "verdicts": [
             {
-                "index": v.index,
-                "exact_sum": v.exact_sum,
-                "seed_coords": encode_vector(g.field, v.seed_coords),
-                "seed_annihilates": v.seed_annihilates,
-                "central_part_central": v.central_part_central,
-                "seed_degenerate": v.seed_degenerate,
-                "triangular_seed_form": v.triangular_seed_form,
+                "index": idx,
+                "exact_sum": dec.checks.exact_sum,
+                "seed_coords": encode_vector(g.field, dec.seed.coords),
+                "seed_annihilates": dec.checks.seed_annihilates_commutators,
+                "central_part_central": dec.checks.central_part_is_central.ok,
+                "seed_degenerate": dec.checks.seed_is_central,
+                "triangular_seed_form": tri,
             }
-            for v in vr.verdicts
+            for idx, (dec, tri) in enumerate(vr.verdicts)
         ],
         "failures": list(vr.failures),
     }
@@ -380,7 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("--lie", action="store_true",
                    help="Lie version (required for arity >= 2)")
-    p.add_argument("--arity", type=int, default=1)
+    p.add_argument("--arity", type=int, default=1,
+                   help=f"arity n >= 1 (default 1); bounded only by {budget.ENV_VAR}")
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_derivations)
 
@@ -398,7 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="decompose the whole n-Lie space")
     p.add_argument("spec")
-    p.add_argument("--arity", type=int, required=True)
+    p.add_argument("--arity", type=int, required=True,
+                   help=f"arity n >= 2; bounded only by {budget.ENV_VAR}")
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_verify)
     return parser

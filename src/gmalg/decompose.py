@@ -9,8 +9,6 @@ annihilator ties the existence question to a small linear system on M (+) N.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .algebra_core import Element, stack_rows
 from .budget import guard_tuples
 from .errors import ExtremalPreconditionError, LieLeibnizError
@@ -131,7 +129,7 @@ class ExtremalExistence:
     """
 
     exists: bool
-    witness: Optional[tuple]
+    witness: tuple | None
     solution: Subspace
     annihilator: Subspace
     offdiag_annihilator: Subspace
@@ -222,24 +220,12 @@ def probe_seed_uniqueness(g: GMAlgebra, n: int) -> UniquenessProbe:
 
 
 @record
-class ElementVerdict:
-    index: int
-    exact_sum: bool
-    seed_coords: tuple
-    seed_annihilates: bool
-    central_part_central: bool
-    central_witness: object
-    seed_degenerate: bool
-    triangular_seed_form: Optional[bool]
-
-
-@record
 class VerificationReport:
     arity: int
     space_dim: int
     hypothesis_reports: tuple  # (HypothesisReport, ...)
     theorem_applicable: bool
-    verdicts: tuple
+    verdicts: tuple  # ((Decomposition, triangular seed form or None), ...)
     uniqueness: UniquenessProbe
     failures: tuple
 
@@ -279,16 +265,7 @@ def verify_decomposition(g: GMAlgebra, n: int) -> VerificationReport:
                     f"element {idx}: seed fails double-bracket annihilation")
             if not dec.checks.central_part_is_central.ok:
                 failures.append(f"element {idx}: remainder not centrally valued")
-        verdicts.append(ElementVerdict(
-            index=idx,
-            exact_sum=dec.checks.exact_sum,
-            seed_coords=dec.seed.coords,
-            seed_annihilates=dec.checks.seed_annihilates_commutators,
-            central_part_central=dec.checks.central_part_is_central.ok,
-            central_witness=dec.checks.central_part_is_central.witness,
-            seed_degenerate=dec.checks.seed_is_central,
-            triangular_seed_form=tri_ok,
-        ))
+        verdicts.append((dec, tri_ok))
     uniq = probe_seed_uniqueness(g, n)
     return VerificationReport(
         arity=n,

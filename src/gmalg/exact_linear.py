@@ -24,15 +24,15 @@ spanning set, so equality is plain entrywise comparison.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Optional, Sequence, Union
 
 from .errors import DimensionMismatchError
 from .records import record
 
-Scalar = Union[Fraction, int]
+Scalar = Fraction | int
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # Miller-Rabin to the bases above decides primality exactly below this bound
@@ -69,7 +69,7 @@ def _is_prime(n: int) -> bool:
 class FieldSpec:
     """Rationals when `p` is None, otherwise GF(p) for an odd prime p."""
 
-    p: Optional[int] = None
+    p: int | None = None
 
     def __post_init__(self):
         if self.p is not None:
@@ -147,14 +147,6 @@ class FieldSpec:
 
     def neg(self, a):
         return -a if self.p is None else (-a) % self.p
-
-    def inv(self, a):
-        if not a:
-            raise ZeroDivisionError("inverse of zero")
-        return 1 / Fraction(a) if self.p is None else pow(a, self.p - 2, self.p)
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     # -- vectors -------------------------------------------------------------
 
@@ -441,11 +433,6 @@ class Subspace:
         for row in self.basis:
             cols.append(next(j for j, x in enumerate(row) if x))
         return tuple(cols)
-
-    @property
-    def free_columns(self) -> tuple:
-        piv = set(self.pivot_columns)
-        return tuple(j for j in range(self.ambient_dim) if j not in piv)
 
     def reduce(self, vec) -> list:
         """Residual of `vec` after elimination against the basis rows."""

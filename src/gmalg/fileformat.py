@@ -11,13 +11,12 @@ import hashlib
 import json
 import os
 import re
-import tempfile
 
 from .algebra_core import BilinearTable, StructureAlgebra
-from .budget import guard_tuples, tuple_budget
-from .errors import BudgetExceededError, GmalgError, SpecFileError
+from .budget import guard_power
+from .errors import GmalgError, SpecFileError
 from .exact_linear import FieldSpec, Subspace
-from .gma import MoritaContext, validate_context
+from .gma import MoritaContext, guard_context_tables, validate_context
 from .multilinear import MultilinearMap
 
 SPEC_FORMAT = "gma-spec/1"
@@ -117,8 +116,7 @@ def context_from_dict(data: dict) -> MoritaContext:
         raise SpecFileError("blocks: need integer a_dim, m_dim, n_dim, b_dim")
     if min(da, db) < 1 or min(dm, dn) < 0:
         raise SpecFileError("blocks: A and B must be nonzero")
-    guard_tuples("context tables", da * da + db * db + (da + db) * (dm + dn)
-                 + 2 * dm * dn)
+    guard_context_tables(da, dm, dn, db)
 
     def unit(key, dim):
         raw = data.get(key)
@@ -150,6 +148,9 @@ def dumps_canonical(data) -> str:
 
 
 def save_atomic(path: str, text: str) -> None:
+    # imported here, so that only a command writing to -o loads it
+    import tempfile
+
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".gmalg-", suffix=".tmp")
     try:
@@ -237,14 +238,9 @@ def map_from_dict(data: dict, field: FieldSpec, dim: int) -> MultilinearMap:
     if map_dim != dim:
         raise SpecFileError(
             f"map dimension {map_dim} does not match instance {dim}")
-    # A map is used on its dim ** arity basis tuples. For dim >= 2 that is at
-    # least 2 ** arity, past the budget once arity reaches its bit length;
-    # refuse here, before any guard forms the power itself.
-    bits = tuple_budget().bit_length()
-    if dim >= 2 and arity >= bits:
-        raise BudgetExceededError(
-            f"map basis tuples ({dim}**{arity}, at least 2**{bits})",
-            2 ** bits, tuple_budget())
+    # A map is used on its dim ** arity basis tuples; refuse a huge arity
+    # here, before any guard forms the power itself.
+    guard_power("map basis tuples", dim, arity)
     if field != file_field:
         raise SpecFileError(
             f"map field {file_field.name} does not match instance {field.name}")

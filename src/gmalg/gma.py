@@ -19,6 +19,7 @@ from .algebra_core import (BilinearTable, Element, StructureAlgebra,
                            ValidationReport, Violation, block_violations,
                            matrix_algebra, matrix_product_table, stack_rows,
                            validate_algebra)
+from .budget import guard_tuples
 from .errors import DimensionMismatchError, FieldMismatchError, InvalidContextError
 from .exact_linear import FieldSpec, kernel_basis
 from .records import record
@@ -78,6 +79,13 @@ class MoritaContext:
                 "MN": (self.pair_mn, "A"), "MB": (self.act_mb, "M"),
                 "NA": (self.act_na, "N"), "NM": (self.pair_nm, "B"),
                 "BN": (self.act_bn, "N"), "BB": (self.b.mul, "B")}
+
+
+def guard_context_tables(da: int, dm: int, dn: int, db: int) -> None:
+    """Refuse block dimensions whose eight tables have more cells than the
+    tuple budget allows, before any table is built."""
+    guard_tuples("context tables", da * da + db * db + (da + db) * (dm + dn)
+                 + 2 * dm * dn)
 
 
 # The axioms on the 14 composable block triples through M or N and the unit
@@ -239,6 +247,25 @@ def assemble(ctx: MoritaContext, validate: bool = True) -> GMAlgebra:
 BUILTIN_KINDS = ("full_matrix", "upper_triangular", "lower_triangular", "zero_pairing")
 
 
+def builtin_dims(kind: str, *, r: int = 0, s: int = 0, t: int = 0) -> tuple:
+    """Block dimensions (A, M, N, B) of `generate_builtin(kind, ...)`.
+
+    Refuses the same kinds and sizes, and builds nothing.
+    """
+    kind = kind.replace("-", "_")
+    if kind == "full_matrix":
+        if r < 2:
+            raise ValueError("full_matrix needs r >= 2")
+        s, t = 1, r - 1
+    elif kind not in BUILTIN_KINDS:
+        raise ValueError(f"unknown builtin kind {kind!r} (choose from {BUILTIN_KINDS})")
+    elif s < 1 or t < 1:
+        raise ValueError("block sizes s and t must be >= 1")
+    elif kind == "lower_triangular":
+        s, t = t, s
+    return s * s, s * t, 0 if kind.endswith("triangular") else t * s, t * t
+
+
 def generate_builtin(kind: str, field: FieldSpec, *, r: int = 0,
                      s: int = 0, t: int = 0) -> MoritaContext:
     """Stock Morita contexts assembled from square and rectangular matrix blocks.
@@ -253,25 +280,14 @@ def generate_builtin(kind: str, field: FieldSpec, *, r: int = 0,
     pairings identically zero.
     """
     kind = kind.replace("-", "_")
+    builtin_dims(kind, r=r, s=s, t=t)  # refuses a bad kind or size
     if kind == "full_matrix":
-        if r < 2:
-            raise ValueError("full_matrix needs r >= 2")
         return _rect_context(field, 1, r - 1, zero_pairings=False)
     if kind == "upper_triangular":
-        _need(s, t)
         return _triangular_context(field, s, t)
     if kind == "lower_triangular":
-        _need(s, t)
         return _triangular_context(field, t, s)
-    if kind == "zero_pairing":
-        _need(s, t)
-        return _rect_context(field, s, t, zero_pairings=True)
-    raise ValueError(f"unknown builtin kind {kind!r} (choose from {BUILTIN_KINDS})")
-
-
-def _need(s: int, t: int) -> None:
-    if s < 1 or t < 1:
-        raise ValueError("block sizes s and t must be >= 1")
+    return _rect_context(field, s, t, zero_pairings=True)
 
 
 def _rect_context(field: FieldSpec, s: int, t: int, zero_pairings: bool) -> MoritaContext:

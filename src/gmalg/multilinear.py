@@ -11,26 +11,25 @@ stage works on the int vectors `kernel_basis` returns (primitive over q,
 residues over GF(p)). Rationals come back only in the final canonical span
 and the materialized maps. Arity n = 2 needs only the block's kernel; from
 n = 3 on each further slot also needs its annihilator, the block's row space
-in reduced size. A direct dense-kernel method is kept alongside as the
-cross-validation oracle.
+in reduced size. The arity has no cap of its own: the budgets bound the work.
 
 Both the Leibniz predicate and the slot block write the Leibniz law out by
-hand rather than through `structure_analysis.leibniz_rows`, so that the
-predicate tests and the slot-against-direct comparison stay independent.
+hand rather than through `structure_analysis.leibniz_rows`, so that they stay
+independent of the dense-kernel oracle the tests build from those rows.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from itertools import islice, product
-from typing import Callable, Sequence
 
 from .algebra_core import BilinearTable, Element, StructureAlgebra
-from .budget import guard_tuples, guard_unknowns
+from .budget import guard_power, guard_tuples, guard_unknowns
 from .errors import DimensionMismatchError, FieldMismatchError
 from .exact_linear import FieldSpec, Subspace, int_scaled, kernel_basis
 from .records import record
 from .structure_analysis import (CheckStatus, center, core_algebra,
-                                 leibniz_rows, lie_derivation_space)
+                                 lie_derivation_space)
 
 
 @record
@@ -68,17 +67,6 @@ class MultilinearMap:
             if any(coords):
                 clean[key] = coords
         return cls(field, arity, dim, clean)
-
-    @classmethod
-    def from_basis_function(cls, alg: StructureAlgebra, arity: int,
-                            fn: Callable[[tuple], Sequence]) -> "MultilinearMap":
-        guard_tuples("map materialization", alg.dim ** arity)
-        entries = {}
-        for key in product(range(alg.dim), repeat=arity):
-            vec = tuple(alg.field.of(x) for x in fn(key))
-            if any(vec):
-                entries[key] = vec
-        return cls(alg.field, arity, alg.dim, entries)
 
     # -- access ----------------------------------------------------------
 
@@ -147,15 +135,6 @@ class MultilinearMap:
         return MultilinearMap(
             f, self.arity, self.dim,
             {k: tuple(f.neg(x) for x in v) for k, v in self.entries.items()})
-
-    def scale(self, c) -> "MultilinearMap":
-        f = self.field
-        c = f.of(c)
-        if not c:
-            return MultilinearMap.zero(f, self.arity, self.dim)
-        return MultilinearMap(
-            f, self.arity, self.dim,
-            {k: tuple(f.vec_scale(c, v)) for k, v in self.entries.items()})
 
     @property
     def is_zero(self) -> bool:
@@ -291,8 +270,6 @@ def is_centrally_valued(g, mmap: MultilinearMap) -> CheckStatus:
 # n-Lie derivation spaces
 # ---------------------------------------------------------------------------
 
-MAX_SPACE_ARITY = 4
-
 
 def _lie_basis_columns(alg: StructureAlgebra):
     """Lie derivation basis as per-input-column vectors: dcols[a][i] = D_a(b_i)."""
@@ -372,10 +349,8 @@ def n_lie_derivation_space(g, n: int) -> list:
     alg = core_algebra(g)
     if n < 2:
         raise DimensionMismatchError("full-space computation needs arity >= 2")
-    if n > MAX_SPACE_ARITY:
-        raise DimensionMismatchError(
-            f"full-space computation supports arity <= {MAX_SPACE_ARITY}")
     d, f, p = alg.dim, alg.field, alg.field.p
+    guard_power("space materialization", d, n)
     dcols = _lie_basis_columns(alg)
     ell = len(dcols)
     guard_unknowns("slot-restricted space", ell * d ** (n - 1))
@@ -441,31 +416,6 @@ def n_lie_derivation_space(g, n: int) -> list:
                 vec = f.combine(cs, [col[i1] for col in dcols], d)
                 if any(vec):
                     entries[(i1,) + key_rest] = tuple(vec)
-        maps.append(MultilinearMap(f, n, d, entries))
-    return maps
-
-
-def n_lie_derivation_space_direct(g, n: int) -> list:
-    """Dense-kernel oracle: one unknown per tensor entry, all slots at once."""
-    alg = core_algebra(g)
-    if n < 1:
-        raise DimensionMismatchError("arity must be >= 1")
-    d, f = alg.dim, alg.field
-    nunk = d ** (n + 1)
-    guard_unknowns("direct space", nunk)
-    size = d ** n
-    sols = kernel_basis(f, nunk, leibniz_rows(alg, n, lie=True))
-    # component-major kernel vectors, reordered tuple-major like flatten()
-    flat_space = Subspace.span(f, nunk, [
-        [sol[t * size + rank] for rank in range(size) for t in range(d)]
-        for sol in sols])
-    maps = []
-    for flat in flat_space.basis:
-        entries = {}
-        for rank in range(size):
-            vec = flat[rank * d:(rank + 1) * d]
-            if any(vec):
-                entries[_rank_digits(rank, d, n)] = tuple(vec)
         maps.append(MultilinearMap(f, n, d, entries))
     return maps
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 from itertools import product
-from typing import Optional, Union
 
 from .algebra_core import (Element, StructureAlgebra, is_commutative, span_cells,
                            stack_rows)
@@ -32,7 +31,7 @@ _PROBES = 64
 _ENUM_LIMIT = 10 ** 6
 
 
-def core_algebra(g: Union[GMAlgebra, StructureAlgebra]) -> StructureAlgebra:
+def core_algebra(g: GMAlgebra | StructureAlgebra) -> StructureAlgebra:
     return g.algebra if isinstance(g, GMAlgebra) else g
 
 
@@ -98,24 +97,6 @@ def leibniz_rows(alg: StructureAlgebra, n: int, lie: bool) -> list:
                         if row:
                             rows.append(row)
     return rows
-
-
-@lru_cache(maxsize=None)
-def inner_derivation_space(alg: StructureAlgebra) -> Subspace:
-    """Span of the maps ad_{b_i} : y -> [b_i, y]."""
-    d, f = alg.dim, alg.field
-    vecs = []
-    for i in range(d):
-        flat = f.vec_zero(d * d)
-        for t, row in enumerate(alg.bracket_table.operator_rows(f, left=f.unit(d, i))):
-            for s, c in row.items():
-                flat[t * d + s] = c
-        vecs.append(flat)
-    return Subspace.span(f, d * d, vecs)
-
-
-def all_derivations_inner(alg: StructureAlgebra) -> bool:
-    return inner_derivation_space(alg) == derivation_space(alg)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +196,7 @@ def _verify_link(g: GMAlgebra, a_part: Subspace, b_vecs) -> None:
 @record
 class CentralIdealResult:
     answer: bool
-    witness: Optional[Element] = None
+    witness: Element | None = None
 
 
 def has_nonzero_central_ideal(alg: StructureAlgebra) -> CentralIdealResult:
@@ -262,7 +243,7 @@ class CheckStatus:
         return self.ok
 
 
-def torsion_action_check(g: Union[GMAlgebra, StructureAlgebra]) -> CheckStatus:
+def torsion_action_check(g: GMAlgebra | StructureAlgebra) -> CheckStatus:
     """Decide whether nonzero central elements act without kernel.
 
     dim Z <= 1 is decided exactly. For larger centers a fixed deterministic
@@ -471,8 +452,8 @@ class HypothesisReport:
 
 
 def check_hypotheses(g: GMAlgebra, variant: str,
-                     cd: Optional[CenterData] = None,
-                     ps: Optional[PairSpaces] = None) -> HypothesisReport:
+                     cd: CenterData | None = None,
+                     ps: PairSpaces | None = None) -> HypothesisReport:
     """Evaluate the five decomposition hypotheses, ruleset 4.1 or 4.3.
 
     Both rulesets share (1) the center projections are onto, (2) A or B has

@@ -2,12 +2,15 @@
 
 import random
 from collections import namedtuple
-from itertools import compress, count
+from fractions import Fraction
+from itertools import compress, count, product
 from math import gcd
 
 import gmalg as G
+from gmalg.budget import guard_tuples, guard_unknowns
 from gmalg.exact_linear import _int_row
 from gmalg.fileformat import context_from_dict, context_to_dict, decode_scalar, encode_scalar
+from gmalg.structure_analysis import core_algebra, leibniz_rows
 
 Q = G.FieldSpec.rationals()
 GF7 = G.FieldSpec.gf(7)
@@ -54,6 +57,29 @@ def mat_vec(field, rows, vec):
     return field.combine(vec, list(zip(*rows)), len(rows))
 
 
+def inverse(field, a):
+    """The inverse of a nonzero field scalar."""
+    if not a:
+        raise ZeroDivisionError("inverse of zero")
+    return 1 / Fraction(a) if field.p is None else pow(a, field.p - 2, field.p)
+
+
+def basis_element(alg, i):
+    """The i-th basis element of a structure algebra."""
+    return alg.element(alg.field.unit(alg.dim, i))
+
+
+def map_from_basis_function(alg, arity, fn):
+    """The arity-n map on alg whose value at a basis tuple key is fn(key)."""
+    guard_tuples("map materialization", alg.dim ** arity)
+    entries = {}
+    for key in product(range(alg.dim), repeat=arity):
+        vec = tuple(alg.field.of(x) for x in fn(key))
+        if any(vec):
+            entries[key] = vec
+    return G.MultilinearMap(alg.field, arity, alg.dim, entries)
+
+
 # ---------------------------------------------------------------------------
 # independent naive elimination oracle (plain FieldSpec arithmetic)
 # ---------------------------------------------------------------------------
@@ -73,7 +99,7 @@ def naive_rref(field, rows, ncols):
         if piv is None:
             continue
         m[pr], m[piv] = m[piv], m[pr]
-        inv = field.inv(m[pr][pc])
+        inv = inverse(field, m[pr][pc])
         m[pr] = [field.mul(x, inv) for x in m[pr]]
         for r in range(len(m)):
             if r != pr and m[r][pc] != 0:
@@ -165,6 +191,50 @@ def pierce_project(g, x):
 def assemble_element(g, a, m, n, b):
     """The element of G with block coordinates a, m, n and b."""
     return g.algebra.element([*a, *m, *n, *b])
+
+
+def inner_derivation_space(alg):
+    """Span of the maps ad_{b_i} : y -> [b_i, y], flattened like
+    `derivation_space`."""
+    d, f = alg.dim, alg.field
+    vecs = []
+    for i in range(d):
+        flat = f.vec_zero(d * d)
+        for t, row in enumerate(alg.bracket_table.operator_rows(f, left=f.unit(d, i))):
+            for s, c in row.items():
+                flat[t * d + s] = c
+        vecs.append(flat)
+    return G.Subspace.span(f, d * d, vecs)
+
+
+def all_derivations_inner(alg):
+    return inner_derivation_space(alg) == G.derivation_space(alg)
+
+
+def n_lie_derivation_space_direct(g, n):
+    """Dense-kernel oracle for `n_lie_derivation_space`: one unknown per
+    tensor entry, the Leibniz law of every slot at once."""
+    alg = core_algebra(g)
+    if n < 1:
+        raise G.DimensionMismatchError("arity must be >= 1")
+    d, f = alg.dim, alg.field
+    nunk = d ** (n + 1)
+    guard_unknowns("direct space", nunk)
+    size = d ** n
+    sols = G.kernel_basis(f, nunk, leibniz_rows(alg, n, lie=True))
+    # component-major kernel vectors, reordered tuple-major like flatten()
+    flat_space = G.Subspace.span(f, nunk, [
+        [sol[t * size + rank] for rank in range(size) for t in range(d)]
+        for sol in sols])
+    maps = []
+    for flat in flat_space.basis:
+        entries = {}
+        for rank, key in enumerate(product(range(d), repeat=n)):
+            vec = flat[rank * d:(rank + 1) * d]
+            if any(vec):
+                entries[key] = tuple(vec)
+        maps.append(G.MultilinearMap(f, n, d, entries))
+    return maps
 
 
 def _dense_values(mmap):
@@ -279,7 +349,7 @@ def quotient_coordinates(g):
     """Per-basis-element coordinates in G/[G, G] (vanish on commutators)."""
     alg = g.algebra
     span = G.commutator_span(alg)
-    free = span.free_columns
+    free = [j for j in range(alg.dim) if j not in span.pivot_columns]
     lam = []
     for i in range(alg.dim):
         v = alg.field.vec_zero(alg.dim)
@@ -320,7 +390,7 @@ def random_central_map(g, n, rng):
                 out = f.vec_add(out, f.vec_scale(w, z.basis[s]))
         return out
 
-    return G.MultilinearMap.from_basis_function(alg, n, fn)
+    return map_from_basis_function(alg, n, fn)
 
 
 def _tuples(base, length):
@@ -361,7 +431,7 @@ def _block_change(field, rng, k, start):
             acc = field.one if i == col else field.zero
             for j in range(i + 1, k):
                 acc = field.sub(acc, field.mul(mat[i][j], inv[j][col]))
-            inv[i][col] = field.div(acc, mat[i][i])
+            inv[i][col] = field.mul(acc, inverse(field, mat[i][i]))
     return mat, inv
 
 
@@ -388,12 +458,13 @@ def change_of_basis(ctx, seed):
     def rewrite(table, left, right, res):
         pu, pv = change[left][0], change[right][0]
 
-        def image(i, j):
-            old = table.apply(f, [row[i] for row in pu], [row[j] for row in pv])
-            return to_new(res, old)
-
-        return G.BilinearTable.from_function(
-            f, table.left_dim, table.right_dim, table.out_dim, image)
+        quads = []
+        for i in range(table.left_dim):
+            for j in range(table.right_dim):
+                old = table.apply(f, [row[i] for row in pu], [row[j] for row in pv])
+                quads += [(i, j, k, c) for k, c in enumerate(to_new(res, old)) if c]
+        return G.BilinearTable.from_quadruples(
+            f, table.left_dim, table.right_dim, table.out_dim, quads)
 
     def algebra(alg, x):
         return G.StructureAlgebra(f, alg.dim, rewrite(alg.mul, x, x, x),

@@ -11,9 +11,11 @@ from contextlib import contextmanager
 
 import gmalg as G
 
-from helpers import (GF7, GF101, Q, corpus_algebras, corpus_contexts,
-                     mat_vec, perturb_context, perturbation_sites,
-                     random_central_map, swap_identity_check)
+from helpers import (GF7, GF101, Q, all_derivations_inner, corpus_algebras,
+                     corpus_contexts, inner_derivation_space, mat_vec,
+                     n_lie_derivation_space_direct, perturb_context,
+                     perturbation_sites, random_central_map,
+                     swap_identity_check)
 
 
 @contextmanager
@@ -58,10 +60,10 @@ def test_criterion_2_structure_dimensions():
         assert G.derivation_space(m2q).dim == 3
         m3f = G.matrix_algebra(GF7, 3)
         assert G.derivation_space(m3f).dim == 8
-        assert G.all_derivations_inner(m2q)
-        assert G.all_derivations_inner(m3q)
-        assert G.all_derivations_inner(G.matrix_algebra(GF7, 2))
-        assert G.all_derivations_inner(m3f)
+        assert all_derivations_inner(m2q)
+        assert all_derivations_inner(m3q)
+        assert all_derivations_inner(G.matrix_algebra(GF7, 2))
+        assert all_derivations_inner(m3f)
         block = gma("upper_triangular", Q, s=2, t=1)
         assert G.center(block.algebra).dim == 1
 
@@ -107,7 +109,7 @@ def test_criterion_5_slot_restriction_vs_brute_force():
         t2 = gma("upper_triangular", Q, s=1, t=1)
         for n in (2, 3):
             slot = G.n_lie_derivation_space(t2, n)
-            direct = G.n_lie_derivation_space_direct(t2, n)
+            direct = n_lie_derivation_space_direct(t2, n)
             assert (G.maps_span(Q, n, t2.dim, slot)
                     == G.maps_span(Q, n, t2.dim, direct)), n
 
@@ -196,7 +198,7 @@ def test_criterion_9_link_and_pierce_invariants():
                     bp = _expand(fld, mat_vec(fld, cd.a_to_b, cp), cd.b_part)
                     assert bp == g.context.b.mul_coords(bx, by), name
             alg = g.algebra
-            inner = G.inner_derivation_space(alg)
+            inner = inner_derivation_space(alg)
             der = G.derivation_space(alg)
             lie = G.lie_derivation_space(alg)
             assert der.contains_subspace(inner), name

@@ -29,15 +29,17 @@ def gen(tmp_path, capsys, name, *argv):
     return str(path)
 
 
-def test_cli_import_loads_neither_dataclasses_nor_inspect():
+def test_cli_import_loads_none_of_dataclasses_inspect_typing_tempfile():
     """Every invocation pays for what `import gmalg.cli` loads.
 
-    `-S` skips the site module, so no site hook preloads either module.
+    `-S` skips the site module, so no site hook preloads any of them.
+    `tempfile` is loaded only by a command that writes to -o.
     """
     script = ("import sys\n"
               "sys.path.insert(0, sys.argv[1])\n"
               "import gmalg.cli\n"
-              "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))\n"
+              "print(sorted({'dataclasses', 'inspect', 'typing', 'tempfile'}\n"
+              "             & sys.modules.keys()))\n"
               "sys.exit(gmalg.cli.main(['--help']))\n")
     proc = subprocess.run([sys.executable, "-S", "-c", script,
                            str(Path(G.__file__).parents[1])],
@@ -427,9 +429,10 @@ def test_map_dim_other_than_the_instance_is_refused_from_the_header(
 
 @pytest.mark.parametrize("argv", [
     ("verify", "--arity", "1"),
-    ("verify", "--arity", "5"),
+    # however large, an arity below the lower end is an input error
+    ("verify", "--arity", str(-10 ** 30)),
     ("derivations", "--lie", "--arity", "0"),
-    ("derivations", "--lie", "--arity", "5"),
+    ("derivations", "--lie", "--arity", str(-10 ** 10)),
     ("derivations", "--arity", "-1"),
 ])
 def test_arity_out_of_range_is_input_error(tmp_path, capsys, argv):
@@ -443,6 +446,43 @@ def test_arity_out_of_range_is_input_error(tmp_path, capsys, argv):
     code, _, err = run(capsys, argv[0], str(tmp_path / "missing.json"), *argv[1:])
     assert code == 2
     assert "--arity" in err
+
+
+def test_verify_arity_five_runs_within_the_default_budget(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("GMALG_BUDGET", raising=False)
+    spec = gen(tmp_path, capsys, "t2.json",
+               "--kind", "upper-triangular", "--s", "1", "--t", "1", "--field", "q")
+    code, out, err = run(capsys, "verify", spec, "--arity", "5")
+    assert code == 1, err
+    rep = json.loads(out)
+    assert rep["options"]["arity"] == 5
+    assert rep["details"]["space_dim"] == 64
+
+
+@pytest.mark.parametrize("arity", [10 ** 10, 10 ** 30])
+def test_huge_space_arity_exits_on_budget(tmp_path, capsys, arity):
+    """Refused before any power of the dimension is formed."""
+    spec = gen(tmp_path, capsys, "t2.json",
+               "--kind", "upper-triangular", "--s", "1", "--t", "1", "--field", "q")
+    proc = run_in_one_gigabyte("derivations", spec, "--lie", "--arity", str(arity))
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert "budget exceeded: space materialization" in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("--kind", "upper-triangular", "--s", "100000", "--t", "1"),
+    ("--kind", "full-matrix", "--r", "100"),
+])
+def test_gen_of_oversized_tables_exits_on_budget(tmp_path, argv):
+    """The cell count a spec is refused by on load, checked before any
+    table is built."""
+    out = tmp_path / "big.json"
+    proc = run_in_one_gigabyte("gen", *argv, "--field", "q", "-o", str(out))
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert "budget exceeded: context tables" in proc.stderr
+    assert not out.exists()
 
 
 def test_derivations_arity_one_and_four_stay_valid(tmp_path, capsys):

@@ -6,7 +6,8 @@ import pytest
 
 import gmalg as G
 
-from helpers import GF101, GF7, Q, corpus_algebras, random_central_map
+from helpers import (GF101, GF7, Q, basis_element, corpus_algebras,
+                     map_from_basis_function, random_central_map)
 from test_multilinear import trace_power_map
 
 
@@ -26,7 +27,7 @@ def t2_worked_example(field=Q):
             w = g.field.mul(w, g.field.one if i == 0 else g.field.zero)
         return [g.field.mul(w, c) for c in unit]
 
-    psi = G.MultilinearMap.from_basis_function(g.algebra, 3, psi_fn)
+    psi = map_from_basis_function(g.algebra, 3, psi_fn)
     return g, kappa, psi
 
 
@@ -161,7 +162,7 @@ def test_bracket_identities_for_witness_shape():
     m0 = g.embed_m([1])
     n0 = g.embed_n([1])
     for i in range(g.dim):
-        x = g.algebra.basis_element(i)
+        x = basis_element(g.algebra, i)
         bm = x.bracket(m0)
         assert (g.e * bm * g.f).coords == bm.coords
         bn = x.bracket(n0)
@@ -184,9 +185,9 @@ def test_verify_decomposition_dim7():
     assert vr.theorem_applicable
     assert vr.ok
     assert vr.space_dim == 8
-    for v in vr.verdicts:
-        assert v.exact_sum and v.central_part_central
-        assert v.triangular_seed_form
+    for dec, triangular_seed_form in vr.verdicts:
+        assert dec.checks.exact_sum and dec.checks.central_part_is_central.ok
+        assert triangular_seed_form
 
 
 def test_verify_decomposition_m3_gf7():
@@ -202,8 +203,8 @@ def test_verify_decomposition_t2_negative_path():
     assert not vr.theorem_applicable
     assert vr.ok  # nothing asserted beyond exact sums and triangular form
     assert vr.space_dim > 0
-    assert any(not v.central_part_central for v in vr.verdicts)
-    assert all(v.exact_sum for v in vr.verdicts)
+    assert any(not dec.checks.central_part_is_central.ok for dec, _ in vr.verdicts)
+    assert all(dec.checks.exact_sum for dec, _ in vr.verdicts)
 
 
 def test_randomized_roundtrip_gf101():

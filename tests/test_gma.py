@@ -8,8 +8,10 @@ import pytest
 import gmalg as G
 from gmalg.algebra_core import span_cells
 from gmalg.fileformat import context_from_dict, context_to_dict
+from gmalg.gma import BUILTIN_KINDS, builtin_dims
 
-from helpers import (GF7, Q, assemble_element, change_of_basis, corpus_contexts,
+from helpers import (GF7, Q, assemble_element, basis_element, change_of_basis,
+                     corpus_contexts,
                      perturb_context, perturbation_sites, pierce_project)
 
 
@@ -72,7 +74,7 @@ def test_assembled_full_matrix_isomorphic_to_direct_m3():
 
     def image(idx):
         i, j = to_unit[idx]
-        return m3.basis_element(i * 3 + j)
+        return basis_element(m3, i * 3 + j)
 
     def transport(coords):
         out = m3.zero
@@ -84,8 +86,8 @@ def test_assembled_full_matrix_isomorphic_to_direct_m3():
     for i in range(9):
         for j in range(9):
             block = g.algebra.mul_coords(
-                list(g.algebra.basis_element(i).coords),
-                list(g.algebra.basis_element(j).coords))
+                list(basis_element(g.algebra, i).coords),
+                list(basis_element(g.algebra, j).coords))
             assert transport(block).coords == (image(i) * image(j)).coords
 
 
@@ -182,6 +184,16 @@ def test_builtin_argument_guards():
         G.generate_builtin("nonsense", Q, s=1, t=1)
     with pytest.raises(ValueError):
         G.FieldSpec.from_name("gf:2")
+
+
+@pytest.mark.parametrize("kind", BUILTIN_KINDS)
+def test_builtin_dims_are_the_generated_dims(kind):
+    """`gmalg gen` budgets a spec by these dimensions before building it."""
+    for r, s, t in ((2, 1, 1), (3, 2, 1), (4, 1, 3)):
+        ctx = G.generate_builtin(kind, GF7, r=r, s=s, t=t)
+        assert builtin_dims(kind, r=r, s=s, t=t) == ctx.dims
+    with pytest.raises(ValueError):
+        builtin_dims(kind, r=1, s=0, t=1)
 
 
 def test_lower_triangular_canonicalizes():

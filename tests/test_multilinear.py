@@ -7,7 +7,9 @@ import pytest
 
 import gmalg as G
 
-from helpers import GF7, GF101, Q, change_of_basis, swap_identity_check
+from helpers import (GF7, GF101, Q, basis_element, change_of_basis,
+                     map_from_basis_function, n_lie_derivation_space_direct,
+                     quotient_coordinates, swap_identity_check)
 from test_algebra_core import dual_numbers
 
 
@@ -23,25 +25,18 @@ def trace_power_map(g, n):
     """
     alg = g.algebra
     f = alg.field
-    span = G.commutator_span(alg)
-
-    def lam(i):
-        v = f.vec_zero(alg.dim)
-        v[i] = f.one
-        res = span.reduce(v)
-        return sum(res[c] for c in span.free_columns)
-
+    lam, _ = quotient_coordinates(g)
     unit = alg.unit
 
     def fn(key):
         w = f.one
         for i in key:
-            w = f.mul(w, lam(i))
+            w = f.mul(w, sum(lam[i]))
             if not w:
                 break
         return [f.mul(w, c) for c in unit]
 
-    return G.MultilinearMap.from_basis_function(alg, n, fn)
+    return map_from_basis_function(alg, n, fn)
 
 
 def test_zero_map_evaluates_to_zero():
@@ -85,11 +80,11 @@ def test_is_n_lie_derivation_rejects_triple_product():
 
     def fn(key):
         i, j, k = key
-        a = alg.mul_coords(list(alg.basis_element(i).coords),
-                           list(alg.basis_element(j).coords))
-        return alg.mul_coords(a, list(alg.basis_element(k).coords))
+        a = alg.mul_coords(list(basis_element(alg, i).coords),
+                           list(basis_element(alg, j).coords))
+        return alg.mul_coords(a, list(basis_element(alg, k).coords))
 
-    triple = G.MultilinearMap.from_basis_function(alg, 3, fn)
+    triple = map_from_basis_function(alg, 3, fn)
     res = G.is_n_lie_derivation(g, triple)
     assert not res.ok
     assert res.witness is not None
@@ -143,10 +138,10 @@ def test_swap_identity_holds_for_inner_biderivation():
 
     def fn(key):
         i, j = key
-        return alg.bracket_coords(list(alg.basis_element(i).coords),
-                                  list(alg.basis_element(j).coords))
+        return alg.bracket_coords(list(basis_element(alg, i).coords),
+                                  list(basis_element(alg, j).coords))
 
-    inner = G.MultilinearMap.from_basis_function(alg, 2, fn)
+    inner = map_from_basis_function(alg, 2, fn)
     assert G.is_n_lie_derivation(g, inner).ok
     assert swap_identity_check(g, inner).ok
 
@@ -169,7 +164,7 @@ def test_slot_restriction_matches_direct_t2():
     g = gma("upper_triangular", Q, s=1, t=1)
     for n in (2, 3):
         slot = G.n_lie_derivation_space(g, n)
-        direct = G.n_lie_derivation_space_direct(g, n)
+        direct = n_lie_derivation_space_direct(g, n)
         assert (G.maps_span(Q, n, 3, slot)
                 == G.maps_span(Q, n, 3, direct))
 
@@ -178,7 +173,7 @@ def test_slot_restriction_matches_direct_m2_gf7():
     g = gma("full_matrix", GF7, r=2)
     for n in (2, 3):
         slot = G.n_lie_derivation_space(g, n)
-        direct = G.n_lie_derivation_space_direct(g, n)
+        direct = n_lie_derivation_space_direct(g, n)
         assert (G.maps_span(GF7, n, 4, slot)
                 == G.maps_span(GF7, n, 4, direct))
 
@@ -201,9 +196,26 @@ def test_slot_restriction_matches_direct_on_dense_constants(field, kind, kw):
         assert slot
         assert all(type(x) is scalar
                    for m in slot for vec in m.entries.values() for x in vec)
-        direct = G.n_lie_derivation_space_direct(g, n)
+        direct = n_lie_derivation_space_direct(g, n)
         assert (G.maps_span(field, n, g.dim, slot)
                 == G.maps_span(field, n, g.dim, direct))
+
+
+@pytest.mark.parametrize("kind, kw, field, dim", [
+    ("upper_triangular", dict(s=1, t=1), Q, 64),
+    ("upper_triangular", dict(s=1, t=1), GF101, 64),
+    ("full_matrix", dict(r=2), Q, 1),
+    ("full_matrix", dict(r=2), GF101, 1),
+    ("zero_pairing", dict(s=1, t=1), GF101, 96),
+], ids=["t2-q", "t2-gf101", "m2-q", "m2-gf101", "zp11-gf101"])
+def test_slot_restriction_matches_direct_at_arity_5(kind, kw, field, dim):
+    """No arity cap: the budgets admit n = 5 on d <= 4."""
+    g = gma(kind, field, **kw)
+    slot = G.n_lie_derivation_space(g, 5)
+    assert len(slot) == dim
+    direct = n_lie_derivation_space_direct(g, 5)
+    assert (G.maps_span(field, 5, g.dim, slot)
+            == G.maps_span(field, 5, g.dim, direct))
 
 
 def test_space_elements_pass_predicate_dim7():
@@ -242,8 +254,9 @@ def test_space_arity_bounds():
     g = gma("upper_triangular", Q, s=1, t=1)
     with pytest.raises(G.DimensionMismatchError):
         G.n_lie_derivation_space(g, 1)
-    with pytest.raises(G.DimensionMismatchError):
-        G.n_lie_derivation_space(g, 5)
+    # refused by the budget before 3 ** n is formed
+    with pytest.raises(G.BudgetExceededError):
+        G.n_lie_derivation_space(g, 10 ** 30)
 
 
 def test_arity_4_space_t2():

@@ -11,7 +11,7 @@ import pytest
 
 import gmalg as G
 from gmalg.algebra_core import ValidationReport, Violation
-from gmalg.decompose import DecompositionChecks, ElementVerdict
+from gmalg.decompose import DecompositionChecks
 from gmalg.structure_analysis import CentralIdealResult
 from helpers import GF7, Q
 
@@ -31,9 +31,6 @@ FIELDS = {
     G.ExtremalExistence: ("exists", "witness", "solution", "annihilator",
                           "offdiag_annihilator"),
     G.UniquenessProbe: ("admissible_dim", "kernel_dim"),
-    ElementVerdict: ("index", "exact_sum", "seed_coords", "seed_annihilates",
-                     "central_part_central", "central_witness",
-                     "seed_degenerate", "triangular_seed_form"),
     G.VerificationReport: ("arity", "space_dim", "hypothesis_reports",
                            "theorem_applicable", "verdicts", "uniqueness",
                            "failures"),
@@ -63,7 +60,7 @@ def records():
         Violation("A-associativity", (0, 1, 2), "detail"),
         ValidationReport((Violation("unit", (1,)),)),
         dec.checks, dec, G.extremal_exists(g), report.uniqueness,
-        report.verdicts[0], report, Q, G.center(g.algebra), g.context, g,
+        report, Q, G.center(g.algebra), g.context, g,
         kappa, G.LeibnizWitness(1, (0, 2, 1), 2), G.center_data(g),
         G.has_nonzero_central_ideal(g.context.a), G.CheckStatus("pass"),
         G.pair_spaces(g), report.hypothesis_reports[0],
