@@ -14,8 +14,9 @@ from .budget import guard_tuples
 from .errors import ExtremalPreconditionError, LieLeibnizError
 from .exact_linear import Subspace, kernel_basis
 from .gma import GMAlgebra
-from .multilinear import (MultilinearMap, is_centrally_valued,
-                          is_n_lie_derivation, n_lie_derivation_space)
+from .multilinear import (MultilinearMap, _leibniz_predicate,
+                          is_centrally_valued, is_n_lie_derivation,
+                          n_lie_derivation_space)
 from .records import record
 from .structure_analysis import (VARIANTS, CheckStatus, center,
                                  center_data, check_hypotheses, pair_spaces,
@@ -96,6 +97,11 @@ def decompose(g: GMAlgebra, mmap: MultilinearMap) -> Decomposition:
     ok = is_n_lie_derivation(g, mmap)
     if not ok:
         raise LieLeibnizError(ok.witness)
+    return _split(g, mmap)
+
+
+def _split(g: GMAlgebra, mmap: MultilinearMap) -> Decomposition:
+    """The split of `decompose`, for a map already checked to satisfy the law."""
     n = mmap.arity
     seed = extract_seed(g, mmap)
     try:
@@ -237,24 +243,28 @@ class VerificationReport:
 def verify_decomposition(g: GMAlgebra, n: int) -> VerificationReport:
     """Decompose every basis element of the n-Lie derivation space.
 
-    exact-sum is asserted unconditionally; seed-annihilation and central
-    remainders are asserted only when one hypothesis set fully passes, and
-    the triangular seed form is asserted whenever the context has N = 0.
+    One pass of the Leibniz predicate checks the whole space first, and each
+    map is then split. exact-sum is asserted unconditionally; seed-annihilation
+    and central remainders are asserted only when one hypothesis set fully
+    passes, and the triangular seed form is asserted whenever the context has
+    N = 0. That form asks f T(e, ..., e) e = 0, and f seed e is that corner up
+    to sign, so it is read off the seed.
     """
     cd, ps = center_data(g), pair_spaces(g)
     reports = tuple(check_hypotheses(g, v, cd, ps) for v in VARIANTS)
     applicable = any(r.all_pass for r in reports)
     space = n_lie_derivation_space(g, n)
+    for ok in _leibniz_predicate(g, space, lie=True):
+        if not ok:
+            raise LieLeibnizError(ok.witness)
     triangular = g.context.n_dim == 0
     verdicts = []
     failures = []
     for idx, mmap in enumerate(space):
-        dec = decompose(g, mmap)
+        dec = _split(g, mmap)
         tri_ok = None
         if triangular:
-            value = mmap.evaluate([g.e] * n)
-            fe = g.f * value * g.e
-            tri_ok = fe.is_zero
+            tri_ok = (g.f * dec.seed * g.e).is_zero
             if not tri_ok:
                 failures.append(f"element {idx}: triangular seed form violated")
         if not dec.checks.exact_sum:

@@ -13,9 +13,14 @@ and the materialized maps. Arity n = 2 needs only the block's kernel; from
 n = 3 on each further slot also needs its annihilator, the block's row space
 in reduced size. The arity has no cap of its own: the budgets bound the work.
 
-Both the Leibniz predicate and the slot block write the Leibniz law out by
-hand rather than through `structure_analysis.leibniz_rows`, so that they stay
-independent of the dense-kernel oracle the tests build from those rows.
+The Leibniz predicate checks k maps of one arity in one pass over the
+(slot, spectator tuple, pair) cases, with each case's residuals held as one
+sparse int dict over (output component, map index); each map gets the
+witness a pass over it alone would find. `is_n_lie_derivation` and
+`is_n_derivation` are that pass with k = 1, and `verify` runs it once on the
+whole space. Both the predicate and the slot block write the Leibniz law out
+by hand rather than through `structure_analysis.leibniz_rows`, so that they
+stay independent of the dense-kernel oracle the tests build from those rows.
 """
 
 from __future__ import annotations
@@ -178,91 +183,148 @@ def _rank_digits(rank: int, d: int, n: int) -> tuple:
 
 def is_n_lie_derivation(g, mmap: MultilinearMap) -> CheckStatus:
     """Slot-by-slot Lie Leibniz law on all basis tuples; first failure wins."""
-    return _leibniz_predicate(g, mmap, lie=True)
+    return _leibniz_predicate(g, [mmap], lie=True)[0]
 
 
 def is_n_derivation(g, mmap: MultilinearMap) -> CheckStatus:
     """Slot-by-slot (associative) Leibniz law on all basis tuples."""
-    return _leibniz_predicate(g, mmap, lie=False)
+    return _leibniz_predicate(g, [mmap], lie=False)[0]
 
 
-def _integer_values(mmap: MultilinearMap) -> list:
-    """Per basis-tuple rank, the map's value as sparse (component, int) pairs.
+def _integer_values(maps: list) -> list:
+    """Per basis-tuple rank, the values of all maps as sparse int entries.
 
-    All values are `int_scaled` by one common factor.
+    An entry (t, m, t * k + m, x) says that map m (of k) has the int x at
+    component t there. Each map's values are `int_scaled` by one common
+    factor of its own.
     """
-    d, n = mmap.dim, mmap.arity
-    scaled = iter(int_scaled([x for vec in mmap.entries.values() for x in vec]))
-    vals = [()] * (d ** n)
-    for key, vec in mmap.entries.items():
-        rank = 0
-        for i in key:
-            rank = rank * d + i
-        vals[rank] = tuple((t, x) for t, x in
-                           enumerate(islice(scaled, len(vec))) if x)
+    d, n, k = maps[0].dim, maps[0].arity, len(maps)
+    vals = [[] for _ in range(d ** n)]
+    for m, mmap in enumerate(maps):
+        scaled = iter(int_scaled([x for vec in mmap.entries.values()
+                                  for x in vec]))
+        for key, vec in mmap.entries.items():
+            rank = 0
+            for i in key:
+                rank = rank * d + i
+            vals[rank] += [(t, m, t * k + m, x) for t, x in
+                           enumerate(islice(scaled, len(vec))) if x]
     return vals
 
 
-def _leibniz_predicate(g, mmap: MultilinearMap, lie: bool) -> CheckStatus:
-    """Check T(..u.v..) = T(..u..).b_v + b_u.T(..v..) slot by slot.
+def _leibniz_predicate(g, maps: Sequence[MultilinearMap],
+                       lie: bool) -> list[CheckStatus]:
+    """Check T(..u.v..) = T(..u..).b_v + b_u.T(..v..) slot by slot, for k maps.
 
     The product is the bracket for the Lie law (pairs u < v suffice, by
     antisymmetry) and the multiplication for the associative law (all
-    pairs). Each (slot, tuple, partner) case builds one residual
-    T(..u.v..) - T(..u..).b_v - b_u.T(..v..) with plain ints, and the first
-    nonzero residual in loop order is the witness.
+    pairs). One pass over the (slot, tuple, partner) cases checks all k maps
+    of one arity at once, and returns one status per map, in order. A map's
+    witness is its first case in loop order with a nonzero residual
+    T(..u.v..) - T(..u..).b_v - b_u.T(..v..), the one a pass over that map
+    alone would find; the pass stops once every map has failed.
 
     The residual is linear in the map and linear in the structure constants,
-    so scaling the constants by one nonzero int and the map's values by
-    another scales every residual by their product: over q, clearing both
-    sets of denominators gives integer residuals with the same zero pattern.
-    Over GF(p) the values and constants are residues, and reduction mod p is
-    a ring homomorphism from the ints, so the unreduced int residual is zero
-    in GF(p) exactly when it is divisible by p; that is the only place p
-    enters.
+    so scaling the constants by one nonzero int and a map's values by
+    another scales every residual of that map by their product: over q,
+    clearing both sets of denominators gives integer residuals with the same
+    zero pattern. Over GF(p) the values and constants are residues, and
+    reduction mod p is a ring homomorphism from the ints, so the unreduced
+    int residual is zero in GF(p) exactly when it is divisible by p; that is
+    the only place p enters.
     """
     alg = core_algebra(g)
-    _check_algebra_map(alg, mmap)
-    d, n, p = alg.dim, mmap.arity, alg.field.p
+    maps = list(maps)
+    if not maps:
+        return []
+    n = maps[0].arity
+    for mmap in maps:
+        _check_algebra_map(alg, mmap)
+        if mmap.arity != n:
+            raise DimensionMismatchError("maps of different arities")
+    d, k, p = alg.dim, len(maps), alg.field.p
     guard_tuples("leibniz predicate", d ** n)
+    witnesses = [None] * k
+    open_maps = k
+    for m, slot, spect, u, v in _nonzero_residuals(alg, maps, lie):
+        if witnesses[m] is None:
+            digits = list(_rank_digits(spect, d, n - 1))
+            digits.insert(slot, u)
+            witnesses[m] = LeibnizWitness(slot, tuple(digits), v)
+            open_maps -= 1
+            if not open_maps:
+                break
+    return [CheckStatus("pass") if w is None else CheckStatus("fail", witness=w)
+            for w in witnesses]
+
+
+def _nonzero_residuals(alg: StructureAlgebra, maps: list, lie: bool):
+    """(map index, slot, spectator rank, u, v) of every nonzero residual.
+
+    Cases come in loop order. A case's residuals, for all k maps, are one
+    sparse int dict keyed by output component times k plus map index, so a
+    case that no cell and no value reaches holds nothing. A line, the d
+    tuples that differ only in the slot, on which every map vanishes is
+    skipped whole: all of its residuals are zero.
+    """
+    d, n, k, p = alg.dim, maps[0].arity, len(maps), alg.field.p
     cells = (alg.bracket_table if lie else alg.mul).int_entries
-    vals = _integer_values(mmap)
+    # the same cells with each output component pre-multiplied by k, so
+    # that component kk of map m has the residual key kk + m
+    keyed = [[(kk * k, c) for kk, c in cell] for cell in cells]
+    by_right = [keyed[v::d] for v in range(d)]
+    vals = _integer_values(maps)
     for slot in range(n):
         st = d ** (n - 1 - slot)
         for spect in range(d ** (n - 1)):
             lo = spect % st
             base = (spect // st) * (st * d) + lo
             line = [vals[base + w * st] for w in range(d)]
+            if not any(line):
+                continue
             for u in range(d):
                 t_u = line[u]
-                left = cells[u * d:(u + 1) * d]
+                left = keyed[u * d:(u + 1) * d]
                 for v in range(u + 1, d) if lie else range(d):
-                    r = [0] * d
+                    r = {}
                     for w, c in cells[u * d + v]:
-                        for t, x in line[w]:
-                            r[t] += c * x
-                    for i, x in t_u:
-                        for k, c in cells[i * d + v]:
-                            r[k] -= c * x
-                    for j, x in line[v]:
-                        for k, c in left[j]:
-                            r[k] -= c * x
-                    if any(r) and (p is None or any(x % p for x in r)):
-                        digits = list(_rank_digits(spect, d, n - 1))
-                        digits.insert(slot, u)
-                        return CheckStatus("fail", witness=LeibnizWitness(
-                            slot, tuple(digits), v))
-    return CheckStatus("pass")
+                        for _, _, key, x in line[w]:
+                            r[key] = r.get(key, 0) + c * x
+                    right = by_right[v]
+                    for i, m, _, x in t_u:
+                        for kk, c in right[i]:
+                            r[kk + m] = r.get(kk + m, 0) - c * x
+                    for j, m, _, x in line[v]:
+                        for kk, c in left[j]:
+                            r[kk + m] = r.get(kk + m, 0) - c * x
+                    for key, x in r.items():
+                        if x and (p is None or x % p):
+                            yield key % k, slot, spect, u, v
 
 
 def is_centrally_valued(g, mmap: MultilinearMap) -> CheckStatus:
-    """Every stored basis-tuple value must lie in the center."""
+    """Every stored basis-tuple value must lie in the center.
+
+    Z(G) is the joint kernel of its annihilator rows, so a value lies in Z
+    exactly when its dot product with each row is zero. The rows are the int
+    vectors `kernel_basis` returns for Z's basis, and the values are
+    `int_scaled` by one common factor, which keeps each product's zero
+    pattern; over GF(p) a product is zero when p divides it. The witness is
+    the first failing basis tuple in sorted order.
+    """
     alg = core_algebra(g)
     _check_algebra_map(alg, mmap)
-    z = center(alg)
-    for key in sorted(mmap.entries):
-        if not z.contains(mmap.entries[key]):
-            return CheckStatus("fail", witness=key)
+    d, p = alg.dim, alg.field.p
+    ann = [[(i, a) for i, a in enumerate(row) if a]
+           for row in kernel_basis(alg.field, d, center(alg).basis)]
+    keys = sorted(mmap.entries)
+    scaled = iter(int_scaled([x for key in keys for x in mmap.entries[key]]))
+    for key in keys:
+        vec = list(islice(scaled, d))
+        for row in ann:
+            x = sum(a * vec[i] for i, a in row)
+            if x and (p is None or x % p):
+                return CheckStatus("fail", witness=key)
     return CheckStatus("pass")
 
 

@@ -5,15 +5,19 @@ seeded block-diagonal basis (constants like 2, -1/2, 1/3 over q), and the
 predicates are checked against two independent oracles: membership in the
 span of the dense-kernel n-Lie space (for n = 1, the derivation or
 Lie-derivation space), and a brute-force scan of the law on basis elements
-through `MultilinearMap.evaluate` and element products.
+through `MultilinearMap.evaluate` and element products. One pass of the
+predicate over a batch of maps must give each map the status a pass over that
+map alone gives.
 """
 
+import importlib
 import random
 from itertools import product
 
 import pytest
 
 import gmalg as G
+from gmalg.multilinear import _leibniz_predicate
 
 from helpers import (GF101, Q, basis_element, change_of_basis,
                      n_lie_derivation_space_direct)
@@ -186,3 +190,60 @@ def test_n_derivation_accepts_dense_extremal_maps(field):
             assert res.witness == first_violation(g, m, lie=False)
             if not res.ok:
                 assert violates(g, m, res.witness, lie=False)
+
+
+@pytest.mark.parametrize("field", [Q, GF101], ids=["q", "gf101"])
+@pytest.mark.parametrize("name,kind,kw", INSTANCES,
+                         ids=[i[0] for i in INSTANCES])
+@pytest.mark.parametrize("lie", [False, True], ids=["assoc", "lie"])
+def test_batched_statuses_equal_single_map_statuses(field, name, kind, kw, lie):
+    g = dense_gma(kind, field, **kw)
+    pred = G.is_n_lie_derivation if lie else G.is_n_derivation
+    rng = random.Random(f"batch:{name}:{field.name}:{lie}")
+    for n in (2, 3):
+        # six solver maps keep the brute-force oracle's scans short
+        basis = G.n_lie_derivation_space(g, n)[:6]
+        maps = basis + [G.MultilinearMap.zero(field, n, g.dim)]
+        for m in basis:
+            maps += single_entry_perturbations(m, rng, 2)
+        rng.shuffle(maps)
+        statuses = _leibniz_predicate(g, maps, lie)
+        assert len(statuses) == len(maps)
+        assert {st.ok for st in statuses} == {False, True}
+        for m, st in zip(maps, statuses):
+            assert st == pred(g, m)
+            assert st.witness == first_violation(g, m, lie)
+
+
+def test_empty_batch_returns_no_statuses():
+    g = dense_gma("upper_triangular", Q, s=1, t=1)
+    assert _leibniz_predicate(g, [], lie=True) == []
+    assert _leibniz_predicate(g, [], lie=False) == []
+
+
+def test_batch_of_mixed_arities_or_algebras_is_refused():
+    g = dense_gma("upper_triangular", Q, s=1, t=1)
+    m2 = G.n_lie_derivation_space(g, 2)[0]
+    m3 = G.n_lie_derivation_space(g, 3)[0]
+    other = G.MultilinearMap.zero(Q, 2, g.dim + 1)
+    for maps in ([m2, m3], [m3, m2], [m2, other]):
+        for lie in (False, True):
+            with pytest.raises(G.DimensionMismatchError):
+                _leibniz_predicate(g, maps, lie)
+
+
+def test_verify_decomposition_runs_the_predicate_once(monkeypatch):
+    g = dense_gma("upper_triangular", Q, s=2, t=1)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[1]))
+        return _leibniz_predicate(*args, **kwargs)
+
+    # the package's `decompose` attribute is the function, not the module
+    for name in ("gmalg.multilinear", "gmalg.decompose"):
+        module = importlib.import_module(name)
+        monkeypatch.setattr(module, "_leibniz_predicate", counted)
+    report = G.verify_decomposition(g, 3)
+    assert report.space_dim == 8 and report.ok
+    assert calls == [8]

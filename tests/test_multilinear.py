@@ -8,8 +8,9 @@ import pytest
 import gmalg as G
 
 from helpers import (GF7, GF101, Q, basis_element, change_of_basis,
-                     map_from_basis_function, n_lie_derivation_space_direct,
-                     quotient_coordinates, swap_identity_check)
+                     corpus_contexts, map_from_basis_function,
+                     n_lie_derivation_space_direct, quotient_coordinates,
+                     random_central_map, swap_identity_check)
 from test_algebra_core import dual_numbers
 
 
@@ -117,6 +118,41 @@ def test_is_centrally_valued():
     res = G.is_centrally_valued(t2, kappa)
     assert not res.ok and res.witness is not None
     assert G.is_centrally_valued(t2, G.MultilinearMap.zero(Q, 3, 3)).ok
+
+
+@pytest.mark.parametrize("field", [Q, GF101], ids=["q", "gf101"])
+def test_is_centrally_valued_matches_center_membership(field):
+    """The int annihilator test against `Subspace.contains`, value by value.
+
+    The maps are the n = 2 solver maps, their decomposition remainders and
+    random centrally valued maps on the corpus and its dense rewrites, each
+    also with one coordinate of one value bumped.
+    """
+    rng = random.Random(f"central:{field.name}")
+    outcomes = set()
+    for name, ctx in corpus_contexts(field):
+        for ctx in (ctx, change_of_basis(ctx, name)):
+            g = G.assemble(ctx, validate=False)
+            z = G.center(g.algebra)
+            maps = [random_central_map(g, 2, rng)]
+            for m in G.n_lie_derivation_space(g, 2):
+                maps += [m, G.decompose(g, m).central_part]
+            for m in list(maps):
+                if m.entries:
+                    key = rng.choice(sorted(m.entries))
+                    vec = list(m.entries[key])
+                    t = rng.randrange(g.dim)
+                    vec[t] = field.add(vec[t], field.of(rng.choice((1, -2, 3))))
+                    maps.append(G.MultilinearMap.from_entries(
+                        field, 2, g.dim, {**m.entries, key: vec}))
+            for m in maps:
+                expected = next((key for key in sorted(m.entries)
+                                 if not z.contains(m.entries[key])), None)
+                res = G.is_centrally_valued(g, m)
+                assert res.witness == expected
+                assert res.ok == (expected is None)
+                outcomes.add(res.ok)
+    assert outcomes == {False, True}
 
 
 def test_swap_identity_on_bilie_space_t2():
