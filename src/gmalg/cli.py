@@ -16,7 +16,7 @@ from .algebra_core import Element
 from .decompose import decompose, extremal_exists, verify_decomposition
 from .errors import (BudgetExceededError, CenterStructureError, GmalgError,
                      LieLeibnizError, SpecFileError)
-from .exact_linear import FieldSpec, Subspace
+from .exact_linear import FieldSpec
 from .fileformat import (REPORT_FORMAT, context_fingerprint, context_to_dict,
                          dumps_canonical, load_context, load_json, load_map,
                          map_to_dict, matrix_to_dict, save_atomic,
@@ -50,8 +50,6 @@ def _witness_json(obj):
         return {"coords": encode_vector(obj.algebra.field, obj.coords)}
     if isinstance(obj, LeibnizWitness):
         return {"slot": obj.slot, "args": list(obj.args), "partner": obj.partner}
-    if isinstance(obj, Subspace):
-        return subspace_to_dict(obj)
     if isinstance(obj, (list, tuple)):
         return [_witness_json(x) for x in obj]
     if isinstance(obj, (str, int, bool)):

@@ -20,7 +20,7 @@ from .multilinear import (MultilinearMap, _leibniz_predicate,
 from .records import record
 from .structure_analysis import (VARIANTS, CheckStatus, center,
                                  center_data, check_hypotheses, pair_spaces,
-                                 pairing_rows)
+                                 two_sided_annihilator)
 
 
 def extract_seed(g: GMAlgebra, mmap: MultilinearMap) -> Element:
@@ -142,31 +142,24 @@ class ExtremalExistence:
 
 
 def extremal_exists(g: GMAlgebra) -> ExtremalExistence:
-    ctx, f = g.context, g.field
-    _, dm, dn, _ = ctx.dims
-    total = dm + dn
-    rows = []
-    # [A,A] m0 = 0 and n0 [A,A] = 0
-    for cvec in ctx.a.commutators.basis:
-        rows += stack_rows([ctx.act_am.operator_rows(f, left=cvec)])
-        rows += stack_rows([ctx.act_na.operator_rows(f, right=cvec)], dm)
-    # m0 [B,B] = 0 and [B,B] n0 = 0
-    for cvec in ctx.b.commutators.basis:
-        rows += stack_rows([ctx.act_mb.operator_rows(f, right=cvec)])
-        rows += stack_rows([ctx.act_bn.operator_rows(f, left=cvec)], dm)
-    # m0 N = 0 = N m0 and n0 M = 0 = M n0: both annihilator row sets
-    on_m, on_n = pairing_rows(ctx)
-    rows += stack_rows(blk for pair in on_m for blk in pair)
-    rows += stack_rows((blk for into_a, into_b in on_n for blk in (into_b, into_a)),
-                       dm)
+    """Solve for the off-diagonal seeds m0 + n0 of a nonzero extremal map.
 
-    solution = Subspace.span(f, total, kernel_basis(f, total, rows))
+    The conditions are [A,A] m0 = 0 = n0 [A,A], m0 [B,B] = 0 = [B,B] n0 and
+    m0 N = N m0 = M n0 = n0 M = 0: together, x = m0 + n0 lies in the
+    two-sided annihilator, inside G, of [A,A], [B,B], M and N.
+    """
+    ctx, f = g.context, g.field
+    d, off = g.dim, g.offsets
+    dm, total = ctx.m_dim, off[3] - off[1]
+    elements = [list(c) + f.vec_zero(d - off[1]) for c in ctx.a.commutators.basis]
+    elements += [f.vec_zero(off[3]) + list(c) for c in ctx.b.commutators.basis]
+    elements += [f.unit(d, i) for i in range(off[1], off[3])]
+    solution = Subspace.span(f, total,
+                             two_sided_annihilator(g, elements, off[1], off[3]))
 
     annihilator = double_bracket_annihilator(g)
-    off = g.offsets
-    proj = [list(v[off[1]:off[1] + dm]) + list(v[off[2]:off[2] + dn])
-            for v in annihilator.basis]
-    offdiag = Subspace.span(f, total, proj)
+    offdiag = Subspace.span(f, total, [list(v[off[1]:off[3]])
+                                       for v in annihilator.basis])
 
     witness = None
     if solution.dim:

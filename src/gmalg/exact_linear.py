@@ -89,6 +89,8 @@ class FieldSpec:
 
     @staticmethod
     def from_name(text: str) -> "FieldSpec":
+        if not isinstance(text, str):
+            raise ValueError(f"field descriptor {text!r} is not a string")
         t = text.strip().lower()
         if t in ("q", "qq", "rationals"):
             return FieldSpec()

@@ -8,9 +8,11 @@ Constraint rows come from one view, `BilinearTable.operator_rows`: fix one
 argument of a structure table to a coordinate vector and it returns, per
 output basis element, the sparse row {free index: coefficient} of the
 linear map in the other argument. The center is the kernel of the rows of
-x -> [x, b_j] over all j; an annihilator is the kernel of the pairing rows
-with a module basis vector fixed; and `leibniz_rows` pairs one product
-cell b_u.b_v with the rows of x -> x.b_v and x -> b_u.x.
+x -> [x, b_j] over all j. `leibniz_rows` pairs one product cell b_u.b_v
+with the rows of x -> x.b_v and x -> b_u.x; `pair_spaces` writes the same
+law on G's composable block pairs for a D that is zero on A and B. Every
+annihilator the hypotheses ask for is a two-sided one inside G: the kernel
+of the rows of x -> y x and x -> x y, cut to one block of G.
 """
 
 from __future__ import annotations
@@ -19,11 +21,10 @@ import random
 from functools import lru_cache
 from itertools import product
 
-from .algebra_core import (Element, StructureAlgebra, is_commutative, span_cells,
-                           stack_rows)
+from .algebra_core import Element, StructureAlgebra, is_commutative, stack_rows
 from .errors import CenterStructureError
 from .exact_linear import Subspace, kernel_basis
-from .gma import GMAlgebra, MoritaContext
+from .gma import GMAlgebra
 from .records import record
 
 _PROBE_SEED = 0x5EED_CA_FE
@@ -300,132 +301,91 @@ def torsion_action_check(g: GMAlgebra | StructureAlgebra) -> CheckStatus:
 
 
 # ---------------------------------------------------------------------------
-# bimodule endomorphism pairs
+# bimodule endomorphism pairs and annihilators, read off G
 # ---------------------------------------------------------------------------
 
 
 @record
 class PairSpaces:
-    """Bimodule endomorphism spaces of M and N and the compatible pairs.
+    """Special and standard pairs (F, E) in End(M) (+) End(N).
 
-    special lives in End(M) (+) End(N) flattened as (F entries, E entries);
-    standard is the image of (w0, w1) in Z(A) x Z(B) under
-    F(m) = w0 m + m w1, E(n) = -n w0 - w1 n.
+    A pair is flattened as (F entries, E entries), entry t*dim+s being the
+    coefficient of the t-th basis vector in the image of the s-th. It is
+    special when D = (0 on A, F on M, E on N, 0 on B) is a derivation of G:
+    F and E are bimodule maps and F(m) n + m E(n) = 0 = n F(m) + E(n) m.
+    standard is spanned by ad z = [z, .] on M and N for z in Z(A) + Z(B),
+    that is F(m) = w0 m - m w1 and E(n) = w1 n - n w0.
     """
 
-    hom_m: Subspace
-    hom_n: Subspace
     special: Subspace
     standard: Subspace
 
 
 def pair_spaces(g: GMAlgebra) -> PairSpaces:
     ctx, f = g.context, g.field
-    _, dm, dn, _ = ctx.dims
-    fm, en_sz = dm * dm, dn * dn
-
-    hom_m_rows = _bimodule_hom_rows(f, ctx.a, ctx.b, dm, ctx.act_am, ctx.act_mb)
-    hom_m = Subspace.span(f, fm, kernel_basis(f, fm, hom_m_rows)) if dm else \
-        Subspace.zero(f, 0)
-    hom_n_rows = _bimodule_hom_rows(f, ctx.b, ctx.a, dn, ctx.act_bn, ctx.act_na)
-    hom_n = Subspace.span(f, en_sz, kernel_basis(f, en_sz, hom_n_rows)) if dn else \
-        Subspace.zero(f, 0)
-
-    total = fm + en_sz
-    rows = hom_m_rows + stack_rows([hom_n_rows], fm)
-    # compatibility: F(m_i) n_j + m_i E(n_j) = 0 in A (pairing rows [0]),
-    # then n_j F(m_i) + E(n_j) m_i = 0 in B (pairing rows [1])
-    on_m, on_n = pairing_rows(ctx)
-    for out in (0, 1):
-        for i in range(dm):
-            for j in range(dn):
-                for f_row, e_row in zip(on_m[j][out], on_n[i][out]):
-                    row = {t_idx(w, i, dm): c for w, c in f_row.items()}
-                    row.update((fm + t_idx(w, j, dn), c) for w, c in e_row.items())
+    da, dm, dn, db = ctx.dims
+    dims = dict(zip("AMNB", ctx.dims))
+    start = {"M": 0, "N": dm * dm}  # where the F and E unknowns begin
+    total = dm * dm + dn * dn
+    # D(b_i b_j) = D(b_i) b_j + b_i D(b_j) on each composable block pair; on
+    # A A and B B both sides vanish
+    rows = []
+    for (x, y), (table, z) in ctx.products.items():
+        if x not in start and y not in start:
+            continue
+        dx, dy, dz = dims[x], dims[y], dims[z]
+        # by_right[j][t] = {s: (x_s b_j)_t}, by_left[i][t] = {s: (b_i y_s)_t}
+        by_right = [table.operator_rows(f, right=f.unit(dy, j))
+                    for j in range(dy)] if x in start else None
+        by_left = [table.operator_rows(f, left=f.unit(dx, i))
+                   for i in range(dx)] if y in start else None
+        for i in range(dx):
+            for j in range(dy):
+                cell = table.at(i, j)
+                for t in range(dz):
+                    row = ({start[z] + t * dz + w: c for w, c in cell}
+                           if z in start else {})
+                    if by_right:
+                        for s, c in by_right[j][t].items():
+                            key = start[x] + s * dx + i
+                            row[key] = row.get(key, 0) - c
+                    if by_left:
+                        for s, c in by_left[i][t].items():
+                            key = start[y] + s * dy + j
+                            row[key] = row.get(key, 0) - c
+                    row = f.sparse(row)
                     if row:
                         rows.append(row)
     special = Subspace.span(f, total, kernel_basis(f, total, rows))
 
-    vecs = [_pair_vector(f, ctx.act_am.operator_rows(f, left=w0),
-                         ctx.act_na.operator_rows(f, right=w0))
-            for w0 in center(ctx.a).basis]
-    vecs += [_pair_vector(f, ctx.act_mb.operator_rows(f, right=w1),
-                          ctx.act_bn.operator_rows(f, left=w1))
-             for w1 in center(ctx.b).basis]
-    standard = Subspace.span(f, total, vecs)
-    return PairSpaces(hom_m, hom_n, special, standard)
+    d, off = g.dim, g.offsets
+    central = [list(w) + f.vec_zero(d - da) for w in center(ctx.a).basis]
+    central += [f.vec_zero(d - db) + list(w) for w in center(ctx.b).basis]
+    vecs = []
+    for z in central:
+        ad = g.algebra.bracket_table.operator_rows(f, left=z)
+        vecs.append([ad[t].get(s, f.zero)
+                     for lo, hi in ((off[1], off[2]), (off[2], off[3]))
+                     for t in range(lo, hi) for s in range(lo, hi)])
+    return PairSpaces(special, Subspace.span(f, total, vecs))
 
 
-def t_idx(t: int, s: int, dim: int) -> int:
-    """Flat index of the (t, s) entry of an End matrix: F(m_s) has b_t coeff."""
-    return t * dim + s
+def two_sided_annihilator(g: GMAlgebra, elements, lo: int, hi: int) -> list:
+    """Kernel basis of {x in span(b_lo, ..., b_hi-1) : y x = 0 = x y}.
 
-
-def _pair_vector(f, f_rows, e_rows) -> list:
-    """Flat (F, E) with F[t, s] = f_rows[t][s] and E[t, s] = -e_rows[t][s]."""
-    dm, dn = len(f_rows), len(e_rows)
-    flat = f.vec_zero(dm * dm + dn * dn)
-    for t, row in enumerate(f_rows):
-        for s, c in row.items():
-            flat[t_idx(t, s, dm)] = c
-    for t, row in enumerate(e_rows):
-        for s, c in row.items():
-            flat[dm * dm + t_idx(t, s, dn)] = f.neg(c)
-    return flat
-
-
-def _bimodule_hom_rows(f, left_alg, right_alg, d, act_left, act_right) -> list:
-    """Rows forcing F(x . m . y) = x . F(m) . y at basis level.
-
-    Unknown F[t*d+s] is the coefficient of m_t in F(m_s).
+    y runs over the coordinate vectors `elements` of G. The rows are those
+    of x -> y x, then of x -> x y, for each y in turn, cut to the columns
+    lo..hi-1; kernel_basis's basis depends on that order.
     """
+    f, mul = g.field, g.algebra.mul
     rows = []
-    for i in range(left_alg.dim):
-        # F(a_i . m_j) = a_i . F(m_j)
-        by_left = act_left.operator_rows(f, left=f.unit(left_alg.dim, i))
-        for j in range(d):
-            rows += _intertwining_rows(f, act_left.at(i, j), by_left, j, d)
-    by_right = [act_right.operator_rows(f, right=f.unit(right_alg.dim, j))
-                for j in range(right_alg.dim)]
-    for i in range(d):
-        for j in range(right_alg.dim):
-            # F(m_i . b_j) = F(m_i) . b_j
-            rows += _intertwining_rows(f, act_right.at(i, j), by_right[j], i, d)
-    return rows
-
-
-def _intertwining_rows(f, cell, op_rows, s0: int, d: int) -> list:
-    """Rows of F(sum_s c_s m_s) = op(F(m_s0)) for cell = ((s, c_s), ...).
-
-    op_rows[t][w] is the coefficient of m_t in op(m_w); one row per t.
-    """
-    rows = []
-    for t, op in enumerate(op_rows):
-        row = {t_idx(t, s, d): c for s, c in cell}
-        for w, c in op.items():
-            key = t_idx(w, s0, d)
-            row[key] = row.get(key, 0) - c
-        row = f.sparse(row)
-        if row:
-            rows.append(row)
-    return rows
-
-
-def pairing_rows(ctx: MoritaContext) -> tuple:
-    """Pairing rows with one module argument fixed to a basis vector.
-
-    Returns (on_m, on_n). on_m[j] is the pair (rows of m -> m n_j into A,
-    rows of m -> n_j m into B); on_n[i] is (rows of n -> m_i n into A, rows
-    of n -> n m_i into B). Stacked, on_m cuts out {m : N m = 0 = m N} and
-    on_n cuts out {n : M n = 0 = n M}.
-    """
-    f = ctx.field
-    _, dm, dn, _ = ctx.dims
-    on_m = [(ctx.pair_mn.operator_rows(f, right=f.unit(dn, j)),
-             ctx.pair_nm.operator_rows(f, left=f.unit(dn, j))) for j in range(dn)]
-    on_n = [(ctx.pair_mn.operator_rows(f, left=f.unit(dm, i)),
-             ctx.pair_nm.operator_rows(f, right=f.unit(dm, i))) for i in range(dm)]
-    return on_m, on_n
+    for y in elements:
+        for side in (mul.operator_rows(f, left=y), mul.operator_rows(f, right=y)):
+            for full in side:
+                row = {k - lo: c for k, c in full.items() if lo <= k < hi}
+                if row:
+                    rows.append(row)
+    return kernel_basis(f, hi - lo, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -459,8 +419,8 @@ def check_hypotheses(g: GMAlgebra, variant: str,
     Both rulesets share (1) the center projections are onto, (2) A or B has
     no nonzero central ideal, and (5) special pairs are standard. 4.1 adds
     the central-action condition (3) and the pairing/noncommutativity
-    condition (4); 4.3 instead requires the one-sided annihilators in N (3)
-    and M (4) to vanish. `cd` and `ps` are `center_data(g)` and
+    condition (4); 4.3 instead requires the two-sided annihilators of M in
+    N (3) and of N in M (4) to vanish. `cd` and `ps` are `center_data(g)` and
     `pair_spaces(g)`, computed here unless a caller checking both rulesets
     passes them in.
     """
@@ -496,8 +456,7 @@ def check_hypotheses(g: GMAlgebra, variant: str,
 
     if variant == "4.1":
         conds.append((3, torsion_action_check(g)))
-        if (span_cells(g.field, ctx.a.dim, ctx.pair_mn.entries).dim
-                or span_cells(g.field, ctx.b.dim, ctx.pair_nm.entries).dim):
+        if any(ctx.pair_mn.entries) or any(ctx.pair_nm.entries):
             conds.append((4, CheckStatus("pass", reason="pairings not both zero")))
         elif not is_commutative(ctx.a) or not is_commutative(ctx.b):
             conds.append((4, CheckStatus("pass")))
@@ -506,8 +465,13 @@ def check_hypotheses(g: GMAlgebra, variant: str,
                 "fail",
                 reason="MN = 0 = NM while both A and B are commutative")))
     else:
-        conds.append((3, _annihilator_check_n(g)))
-        conds.append((4, _annihilator_check_m(g)))
+        f, d, off = g.field, g.dim, g.offsets
+        m_basis = [f.unit(d, i) for i in range(off[1], off[2])]
+        n_basis = [f.unit(d, i) for i in range(off[2], off[3])]
+        conds.append((3, _vanishes(two_sided_annihilator(g, m_basis, off[2], off[3]),
+                                   g.embed_n, "nonzero n with M n = 0 = n M")))
+        conds.append((4, _vanishes(two_sided_annihilator(g, n_basis, off[1], off[2]),
+                                   g.embed_m, "nonzero m with N m = 0 = m N")))
 
     if ps is None:
         ps = pair_spaces(g)
@@ -523,23 +487,8 @@ def check_hypotheses(g: GMAlgebra, variant: str,
     return HypothesisReport(variant, tuple(conds))
 
 
-def _annihilator_check_n(g: GMAlgebra) -> CheckStatus:
-    """{n : M n = 0 and n M = 0} must vanish."""
-    _, on_n = pairing_rows(g.context)
-    rows = stack_rows(blk for pair in on_n for blk in pair)
-    ker = kernel_basis(g.field, g.context.n_dim, rows)
+def _vanishes(ker: list, embed, reason: str) -> CheckStatus:
+    """Pass on an empty kernel basis, else fail on its first vector."""
     if not ker:
         return CheckStatus("pass")
-    return CheckStatus("fail", witness=g.embed_n(ker[0]),
-                       reason="nonzero n with M n = 0 = n M")
-
-
-def _annihilator_check_m(g: GMAlgebra) -> CheckStatus:
-    """{m : N m = 0 and m N = 0} must vanish."""
-    on_m, _ = pairing_rows(g.context)
-    rows = stack_rows(blk for into_a, into_b in on_m for blk in (into_b, into_a))
-    ker = kernel_basis(g.field, g.context.m_dim, rows)
-    if not ker:
-        return CheckStatus("pass")
-    return CheckStatus("fail", witness=g.embed_m(ker[0]),
-                       reason="nonzero m with N m = 0 = m N")
+    return CheckStatus("fail", witness=embed(ker[0]), reason=reason)

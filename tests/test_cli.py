@@ -269,6 +269,25 @@ def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):
     assert "nested too deeply" in err
 
 
+@pytest.mark.parametrize("field", [5, None, True, 1.5, ["q"], {}],
+                         ids=["int", "null", "bool", "float", "list", "object"])
+@pytest.mark.parametrize("target", ["spec", "map"])
+def test_non_string_field_is_an_input_error(tmp_path, capsys, target, field):
+    g, kappa, _ = t2_worked_example()
+    spec = gen(tmp_path, capsys, "t2.json",
+               "--kind", "upper-triangular", "--s", "1", "--t", "1", "--field", "q")
+    map_path = tmp_path / "k.json"
+    map_path.write_text(dumps_canonical(map_to_dict(kappa)))
+    path = Path(spec) if target == "spec" else map_path
+    data = json.loads(path.read_text())
+    data["field"] = field
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "decompose", spec, str(map_path), "--arity", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith("gmalg: ")
+    assert "Traceback" not in err
+
+
 def test_gen_requires_dimension_flags(capsys):
     code, _, err = run(capsys, "gen", "--kind", "full-matrix", "--field", "q")
     assert code == 2

@@ -45,7 +45,7 @@ FIELDS = {
                    "a_to_b"),
     CentralIdealResult: ("answer", "witness"),
     G.CheckStatus: ("status", "witness", "reason"),
-    G.PairSpaces: ("hom_m", "hom_n", "special", "standard"),
+    G.PairSpaces: ("special", "standard"),
     G.HypothesisReport: ("variant", "conditions"),
 }
 

@@ -9,7 +9,9 @@ M is not faithful and on stock `full_matrix(3)` broken so that several
 axioms fail (up to one past the cap of 32 violations), the analysis
 commands on small stock instances over q and gf:7, and `center` on a context
 whose center has dimension 2, as built and in a seeded basis where its
-linking matrix is not the identity.
+linking matrix is not the identity. `hypotheses --theorem 4.3` and
+`extremal` also run on zero_pairing(2,1) in a seeded basis, which pins the
+order of their witnesses off the stock basis.
 
     PYTHONPATH=src python tests/test_report_digests.py
 
@@ -64,6 +66,10 @@ BROKEN = {
 # `helpers.diagonal_context` and its `change_of_basis` seeds (None: as built).
 DIAGONAL = {"diag2": None, "diag2-s5": 5}
 
+# Stock contexts in a `change_of_basis` seed: (kind, block sizes, seed).
+SEEDED = {"zp21-s3": ("zero_pairing", {"s": 2, "t": 1}, 3)}
+SEEDED_COMMANDS = ("hypotheses-4.3", "extremal")
+
 
 def spec_name(instance: str, field: str) -> str:
     return f"{instance}-{field.replace(':', '')}.json"
@@ -80,6 +86,11 @@ def cases() -> dict:
             out[f"{instance}-{field}-validate"] = ("validate", spec)
         for instance in DIAGONAL:
             out[f"{instance}-{field}-center"] = ("center", spec_name(instance, field))
+        for instance in SEEDED:
+            spec = spec_name(instance, field)
+            for name in SEEDED_COMMANDS:
+                argv = COMMANDS[name]
+                out[f"{instance}-{field}-{name}"] = (argv[0], spec, *argv[1:])
         for instance in STOCK:
             spec = spec_name(instance, field)
             for name, argv in COMMANDS.items():
@@ -128,6 +139,10 @@ def write_specs(directory: Path) -> None:
                 ctx = change_of_basis(ctx, seed)
             (directory / spec_name(instance, field)).write_text(
                 dumps_canonical(context_to_dict(ctx)))
+        for instance, (kind, sizes, seed) in SEEDED.items():
+            ctx = G.generate_builtin(kind, G.FieldSpec.from_name(field), **sizes)
+            (directory / spec_name(instance, field)).write_text(
+                dumps_canonical(context_to_dict(change_of_basis(ctx, seed))))
         for instance, argv in STOCK.items():
             path = directory / spec_name(instance, field)
             code = main(["gen", "--kind", *argv, "--field", field,

@@ -3,9 +3,11 @@
 import pytest
 
 import gmalg as G
+from gmalg.structure_analysis import leibniz_rows
 
 from helpers import (GF7, Q, all_derivations_inner, basis_element, change_of_basis,
-                     corpus_algebras, diagonal_context, inner_derivation_space, mat_vec)
+                     corpus_algebras, corpus_contexts, dense_kernel_basis,
+                     diagonal_context, inner_derivation_space, mat_vec)
 from test_algebra_core import dual_numbers, quadratic_extension, t2_algebra
 
 
@@ -177,11 +179,26 @@ def test_inner_dim_formula_block_triangular():
     assert der.contains_subspace(inner)
 
 
+def module_only(a, b, dm, act_am, act_mb):
+    """The context (A, B, M, N = 0), whose special pairs are End_{A-B}(M)."""
+    return G.MoritaContext(
+        a=a, b=b, m_dim=dm, n_dim=0, act_am=act_am, act_mb=act_mb,
+        act_bn=G.BilinearTable.zero(b.dim, 0, 0),
+        act_na=G.BilinearTable.zero(0, a.dim, 0),
+        pair_mn=G.BilinearTable.zero(dm, 0, a.dim),
+        pair_nm=G.BilinearTable.zero(0, dm, b.dim),
+    )
+
+
 def test_pair_spaces_full_matrix():
     g = gma("full_matrix", Q, r=3)
     ps = G.pair_spaces(g)
-    assert ps.hom_m.dim == 1
-    assert ps.hom_n.dim == 1
+    ctx = g.context
+    # End(M) as an A-B bimodule and End(N) as a B-A bimodule are scalars
+    for alone in (module_only(ctx.a, ctx.b, ctx.m_dim, ctx.act_am, ctx.act_mb),
+                  module_only(ctx.b, ctx.a, ctx.n_dim, ctx.act_bn, ctx.act_na)):
+        assert G.validate_context(alone).ok
+        assert G.pair_spaces(G.assemble(alone, validate=False)).special.dim == 1
     assert ps.special == ps.standard
     assert ps.special.dim == 1
 
@@ -189,30 +206,24 @@ def test_pair_spaces_full_matrix():
 def test_pair_spaces_triangular_special_is_hom_m():
     g = gma("upper_triangular", Q, s=2, t=1)
     ps = G.pair_spaces(g)
-    # N = 0: special pairs carry only the F component
-    assert ps.special.ambient_dim == ps.hom_m.ambient_dim
-    assert ps.special == ps.hom_m
+    # N = 0: special pairs carry only the F component, End(M) of the
+    # M_2-k bimodule of columns, which is the scalars
+    assert ps.special.ambient_dim == g.context.m_dim ** 2
+    assert ps.special.dim == 1
     assert ps.special == ps.standard
 
 
 def test_pair_spaces_pathological_inflated_module():
     """A = B = k acting by scalars on M = k^2: every endo is a bimodule hom."""
     scal = G.matrix_algebra(Q, 1)
-    ctx = G.MoritaContext(
-        a=scal, b=scal, m_dim=2, n_dim=0,
-        act_am=G.BilinearTable.from_quadruples(
-            Q, 1, 2, 2, [(0, 0, 0, 1), (0, 1, 1, 1)]),
-        act_mb=G.BilinearTable.from_quadruples(
-            Q, 2, 1, 2, [(0, 0, 0, 1), (1, 0, 1, 1)]),
-        act_bn=G.BilinearTable.zero(1, 0, 0),
-        act_na=G.BilinearTable.zero(0, 1, 0),
-        pair_mn=G.BilinearTable.zero(2, 0, 1),
-        pair_nm=G.BilinearTable.zero(0, 2, 1),
-    )
+    ctx = module_only(
+        scal, scal, 2,
+        G.BilinearTable.from_quadruples(Q, 1, 2, 2, [(0, 0, 0, 1), (0, 1, 1, 1)]),
+        G.BilinearTable.from_quadruples(Q, 2, 1, 2, [(0, 0, 0, 1), (1, 0, 1, 1)]))
     assert G.validate_context(ctx).ok
     g = G.assemble(ctx, validate=False)
     ps = G.pair_spaces(g)
-    assert ps.hom_m.dim == 4
+    assert ps.special.dim == 4
     assert ps.standard.dim == 1
     assert ps.special != ps.standard
     rep = G.check_hypotheses(g, "4.1")
@@ -222,6 +233,38 @@ def test_pair_spaces_pathological_inflated_module():
 def test_standard_subset_special_everywhere():
     for name, g in corpus_algebras(Q):
         ps = G.pair_spaces(g)
+        assert ps.special.contains_subspace(ps.standard), name
+
+
+def restricted_derivations(g):
+    """Derivations of G that are zero on A and B and map M to M and N to N.
+
+    The kernel of `leibniz_rows(g.algebra, 1, lie=False)` on the unknowns
+    D[t*d+s] with b_s, b_t both in M or both in N, renumbered as pair_spaces
+    lays out (F, E); the other unknowns are fixed to 0.
+    """
+    f, d, off = g.field, g.dim, g.offsets
+    _, dm, dn, _ = g.context.dims
+    col = {}
+    for lo, hi, start in ((off[1], off[2], 0), (off[2], off[3], dm * dm)):
+        for t in range(lo, hi):
+            for s in range(lo, hi):
+                col[t * d + s] = start + (t - lo) * (hi - lo) + s - lo
+    total = dm * dm + dn * dn
+    rows = [{col[k]: c for k, c in row.items() if k in col}
+            for row in leibniz_rows(g.algebra, 1, lie=False)]
+    return G.Subspace.span(f, total, dense_kernel_basis(f, total, rows))
+
+
+@pytest.mark.parametrize("field", [Q, GF7], ids=["q", "gf7"])
+@pytest.mark.parametrize("seed", [None, 0, 1, 2])
+def test_special_pairs_are_the_restricted_derivations_of_g(field, seed):
+    for name, ctx in corpus_contexts(field):
+        if seed is not None:
+            ctx = change_of_basis(ctx, seed)
+        g = G.assemble(ctx, validate=False)
+        ps = G.pair_spaces(g)
+        assert ps.special == restricted_derivations(g), name
         assert ps.special.contains_subspace(ps.standard), name
 
 
