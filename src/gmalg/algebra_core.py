@@ -63,6 +63,16 @@ class BilinearTable:
         return tuple(tuple((k, next(scaled)) for k, _ in cell)
                      for cell in self.entries)
 
+    @cached_property
+    def int_view(self) -> "BilinearTable":
+        """The same table on `int_entries`.
+
+        Its `operator_rows` at an int vector are int rows, each a positive
+        int multiple of the rational one, so with the same kernel.
+        """
+        return BilinearTable(self.left_dim, self.right_dim, self.out_dim,
+                             self.int_entries)
+
     def apply(self, field: FieldSpec, x, y) -> list:
         """Bilinear extension to coordinate vectors."""
         out = field.vec_zero(self.out_dim)

@@ -391,7 +391,13 @@ def kernel_basis(field: FieldSpec, ncols: int, rows) -> list[list[int]]:
                         del v[i], index[i][s]
         if not vecs:
             break
-    return [[v.get(i, 0) for i in range(ncols)] for v in vecs.values()]
+    out = []
+    for v in vecs.values():
+        dense = [0] * ncols
+        for i, a in v.items():
+            dense[i] = a
+        out.append(dense)
+    return out
 
 
 # ---------------------------------------------------------------------------

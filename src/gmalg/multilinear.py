@@ -2,39 +2,45 @@
 
 Maps are sparse coefficient tensors on basis tuples. The full n-Lie
 derivation space is computed by slot restriction: slot one confines the map
-to (Lie derivation space) x (coefficient tensor), and the later-slot
+to (Lie derivation space L) x (coefficient tensor), and the later-slot
 Leibniz constraints all reduce to one shared constraint block because their
-coefficients never involve the spectator slots. The solver runs on ints: the
-block is built from the bracket table's int view and the Lie-basis columns,
-both cleared of denominators by `exact_linear.int_scaled`, and every later
-stage works on the int vectors `kernel_basis` returns (primitive over q,
-residues over GF(p)). Rationals come back only in the final canonical span
-and the materialized maps. Arity n = 2 needs only the block's kernel; from
-n = 3 on each further slot also needs its annihilator, the block's row space
-in reduced size. The arity has no cap of its own: the budgets bound the work.
+coefficients never involve the spectator slots. That block asks that, for
+each slot-1 basis element b, the map x -> sum_a X[a, x] D_a(b) lie in L, and
+tests it with L's annihilator rows: at most d (d^2 - dim L) rows, against
+the d^4 / 2 of the Leibniz law written out per bracket pair. The solver runs
+on ints: the Lie-basis columns are cleared of denominators once by
+`exact_linear.int_scaled`, and every later stage works on the int vectors
+`kernel_basis` returns (primitive over q, residues over GF(p)). Rationals
+come back only in the final canonical span, and each materialized value is
+one int sum made a Fraction once. Arity n = 2 needs only the block's kernel;
+from n = 3 on each further slot also needs its annihilator, the block's row
+space in reduced size. The arity has no cap of its own: the budgets bound
+the work.
 
 The Leibniz predicate checks k maps of one arity in one pass over the
 (slot, spectator tuple, pair) cases, with each case's residuals held as one
 sparse int dict over (output component, map index); each map gets the
 witness a pass over it alone would find. `is_n_lie_derivation` and
 `is_n_derivation` are that pass with k = 1, and `verify` runs it once on the
-whole space. Both the predicate and the slot block write the Leibniz law out
-by hand rather than through `structure_analysis.leibniz_rows`, so that they
-stay independent of the dense-kernel oracle the tests build from those rows.
+whole space. The solver reaches `structure_analysis.leibniz_rows` through L,
+as does the dense-kernel oracle the tests build from those rows; the
+predicate writes the law out by hand, so it is the check of the space that
+stays independent of both.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from fractions import Fraction
 from itertools import islice, product
 
-from .algebra_core import BilinearTable, Element, StructureAlgebra
+from .algebra_core import Element, StructureAlgebra
 from .budget import guard_power, guard_tuples, guard_unknowns
 from .errors import DimensionMismatchError, FieldMismatchError
 from .exact_linear import FieldSpec, Subspace, int_scaled, kernel_basis
 from .records import record
-from .structure_analysis import (CheckStatus, center, core_algebra,
-                                 lie_derivation_space)
+from .structure_analysis import (CheckStatus, center_annihilator,
+                                 core_algebra, lie_derivation_space)
 
 
 @record
@@ -306,8 +312,8 @@ def is_centrally_valued(g, mmap: MultilinearMap) -> CheckStatus:
     """Every stored basis-tuple value must lie in the center.
 
     Z(G) is the joint kernel of its annihilator rows, so a value lies in Z
-    exactly when its dot product with each row is zero. The rows are the int
-    vectors `kernel_basis` returns for Z's basis, and the values are
+    exactly when its dot product with each row is zero. The rows are
+    `center_annihilator`, computed once per algebra, and the values are
     `int_scaled` by one common factor, which keeps each product's zero
     pattern; over GF(p) a product is zero when p divides it. The witness is
     the first failing basis tuple in sorted order.
@@ -315,8 +321,7 @@ def is_centrally_valued(g, mmap: MultilinearMap) -> CheckStatus:
     alg = core_algebra(g)
     _check_algebra_map(alg, mmap)
     d, p = alg.dim, alg.field.p
-    ann = [[(i, a) for i, a in enumerate(row) if a]
-           for row in kernel_basis(alg.field, d, center(alg).basis)]
+    ann = center_annihilator(alg)
     keys = sorted(mmap.entries)
     scaled = iter(int_scaled([x for key in keys for x in mmap.entries[key]]))
     for key in keys:
@@ -333,68 +338,58 @@ def is_centrally_valued(g, mmap: MultilinearMap) -> CheckStatus:
 # ---------------------------------------------------------------------------
 
 
-def _lie_basis_columns(alg: StructureAlgebra):
-    """Lie derivation basis as per-input-column vectors: dcols[a][i] = D_a(b_i)."""
+def _lie_basis_columns(alg: StructureAlgebra) -> tuple[int, list]:
+    """The Lie derivation basis as int columns, and their common denominator.
+
+    icols[a][i][t] is den times the coefficient of b_t in D_a(b_i): the
+    canonical basis of `lie_derivation_space` `int_scaled` once, by den.
+    """
     L = lie_derivation_space(alg)
     d = alg.dim
-    dcols = []
-    for flat in L.basis:
-        cols = [[flat[t * d + s] for t in range(d)] for s in range(d)]
-        dcols.append(cols)
-    return dcols
+    scaled = int_scaled([x for row in L.basis for x in row])
+    # the first nonzero entry is the first row's pivot, 1, so it becomes den
+    den = next((x for x in scaled if x), 1)
+    dd = d * d
+    icols = [[scaled[a * dd + s:(a + 1) * dd:d] for s in range(d)]
+             for a in range(len(L.basis))]
+    return den, icols
 
 
-def _slot_block_rows(alg: StructureAlgebra, dcols) -> list:
+def _slot_block_rows(alg: StructureAlgebra, icols) -> list:
     """Shared constraint block for a bracketed argument in any later slot.
 
     Unknowns X[a*d + w] stand for the coefficient tensor entry with Lie
-    basis index a and the later slot at basis w; rows range over the slot-1
-    basis element, the bracket pair u < v and the output component.
+    basis index a and the later slot at basis w. The later-slot law asks,
+    for each slot-1 basis element b_a1, that the map
+    x -> sum_a X[a, x] D_a(b_a1) lie in L, the Lie derivation space. A map
+    lies in L exactly when every annihilator row of L kills it, and those
+    rows, `kernel_basis` of L's basis, span L's orthogonal complement. So
+    the rows range over a1 and the d*d - dim L annihilator rows r, and the
+    coefficient of X[a, x] is sum_t r[t*d + x] D_a(b_a1)_t.
 
-    Every coefficient is one bracket constant times one entry of a Lie
-    basis column. The bracket table's int view and the columns are each
-    `int_scaled` by one common factor, so each row is a positive int
-    multiple of the rational row and has the same kernel.
+    `icols` are the int Lie columns of `_lie_basis_columns`, all scaled by
+    one positive factor, so each row is a positive int multiple of the
+    rational row and the kernel is the same.
     """
     d, f = alg.dim, alg.field
-    ell = len(dcols)
-    bt = alg.bracket_table
-    bt = BilinearTable(bt.left_dim, bt.right_dim, bt.out_dim, bt.int_entries)
-    scaled = iter(int_scaled([x for cols in dcols for col in cols for x in col]))
-    icols = [[list(islice(scaled, d)) for _ in cols] for cols in dcols]
+    # per annihilator row, its nonzero entries as (t, x, value)
+    ann = [[(*divmod(k, d), r_k) for k, r_k in enumerate(r) if r_k]
+           for r in kernel_basis(f, d * d, lie_derivation_space(alg).basis)]
     rows = []
     for a1 in range(d):
-        da_vecs = [icols[al][a1] for al in range(ell)]
-        # right[al][t] = {v: coefficient of b_t in [D_al(b_a1), b_v]}
-        right = [bt.operator_rows(f, left=da) for da in da_vecs]
-        # per output t, only the Lie basis indices with a nonzero entry
-        nz = [[(al, da[t]) for al, da in enumerate(da_vecs) if da[t]]
+        # per output t, the Lie basis indices with a nonzero D_a(b_a1)_t
+        nz = [[(a * d, x) for a, cols in enumerate(icols) if (x := cols[a1][t])]
               for t in range(d)]
-        br = [[(al, op[t]) for al, op in enumerate(right) if op[t]]
-              for t in range(d)]
-        for u in range(d):
-            for v in range(u + 1, d):
-                cell = bt.at(u, v)
-                for t in range(d):
-                    row: dict[int, int] = {}
-                    for w, c in cell:
-                        for al, x in nz[t]:
-                            key = al * d + w
-                            row[key] = row.get(key, 0) + c * x
-                    for al, coeffs in br[t]:
-                        x = coeffs.get(v)
-                        if x:
-                            key = al * d + u
-                            row[key] = row.get(key, 0) - x
-                        # [b_u, D(b_a1)] = -[D(b_a1), b_u]
-                        y = coeffs.get(u)
-                        if y:
-                            key = al * d + v
-                            row[key] = row.get(key, 0) + y
-                    if row:
-                        row = f.sparse(row)
-                        if row:
-                            rows.append(row)
+        for r in ann:
+            row: dict[int, int] = {}
+            for t, x, r_k in r:
+                for ad, c in nz[t]:
+                    key = ad + x
+                    row[key] = row.get(key, 0) + r_k * c
+            if row:
+                row = f.sparse(row)
+                if row:
+                    rows.append(row)
     return rows
 
 
@@ -406,21 +401,24 @@ def n_lie_derivation_space(g, n: int) -> list:
     block whose coefficients ignore the spectator slots, so each stage only
     solves a system in (current dimension) * d unknowns. Every stage runs on
     the int vectors `kernel_basis` returns; the final span gives the
-    canonical basis (Fractions over q), and the maps are materialized from it.
+    canonical basis (Fractions over q). The maps are materialized from it in
+    ints: each canonical row is `int_scaled` by a factor of its own, each
+    value is one int sum over the int Lie columns, and over q it becomes one
+    Fraction, divided by both factors.
     """
     alg = core_algebra(g)
     if n < 2:
         raise DimensionMismatchError("full-space computation needs arity >= 2")
     d, f, p = alg.dim, alg.field, alg.field.p
     guard_power("space materialization", d, n)
-    dcols = _lie_basis_columns(alg)
-    ell = len(dcols)
+    den, icols = _lie_basis_columns(alg)
+    ell = len(icols)
     guard_unknowns("slot-restricted space", ell * d ** (n - 1))
     guard_tuples("space materialization", d ** n)
     if ell == 0:
         return []
 
-    K = kernel_basis(f, ell * d, _slot_block_rows(alg, dcols))
+    K = kernel_basis(f, ell * d, _slot_block_rows(alg, icols))
     if not K:
         return []
 
@@ -466,18 +464,33 @@ def n_lie_derivation_space(g, n: int) -> list:
     # canonical coefficient basis, then materialize value tensors
     coeff_space = Subspace.span(f, ell * d ** (n - 1), R)
     spect = d ** (n - 1)
+    # per Lie basis index and input, the nonzero (t, int) of its column
+    scols = [[[(t, x) for t, x in enumerate(col) if x] for col in cols]
+             for cols in icols]
+    zero = f.zero
     maps = []
     for coeffs in coeff_space.basis:
+        ics = int_scaled(coeffs)
+        # the row's pivot, 1, becomes the row's own factor
+        scale = den * next(x for x in ics if x)
         entries = {}
         for J in range(spect):
-            cs = [coeffs[al * spect + J] for al in range(ell)]
-            if not any(cs):
+            cs = [(c, scols[al]) for al in range(ell)
+                  if (c := ics[al * spect + J])]
+            if not cs:
                 continue
             key_rest = _rank_digits(J, d, n - 1)
             for i1 in range(d):
-                vec = f.combine(cs, [col[i1] for col in dcols], d)
+                vec = [0] * d
+                for c, cols in cs:
+                    for t, x in cols[i1]:
+                        vec[t] += c * x
+                if p is not None:
+                    vec = [x % p for x in vec]
                 if any(vec):
-                    entries[(i1,) + key_rest] = tuple(vec)
+                    entries[(i1,) + key_rest] = tuple(
+                        vec if p is not None else
+                        (Fraction(x, scale) if x else zero for x in vec))
         maps.append(MultilinearMap(f, n, d, entries))
     return maps
 

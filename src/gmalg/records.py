@@ -5,7 +5,8 @@ value type. The fields are the annotated names in declaration order, and a
 class-level value is the field's default. A record is built positionally or
 by keyword, then `__post_init__` runs if the class defines one. Records
 compare and hash by their field values, within one class only, and their
-repr is `Name(field=value, ...)`. Assigning or deleting an attribute raises
+repr is `Name(field=value, ...)`. The fields cannot change, so the hash is
+computed on first use and kept. Assigning or deleting an attribute raises
 `AttributeError`. Instances keep a `__dict__`, so `cached_property` works
 on them.
 
@@ -19,6 +20,8 @@ from operator import attrgetter
 # instance __dict__, it keeps the attribute values in CPython's compact
 # per-instance layout.
 _set = object.__setattr__
+# The instance attribute that keeps the hash once computed.
+_HASH = "_record_hash"
 
 
 def record(cls):
@@ -49,7 +52,11 @@ def record(cls):
         return NotImplemented
 
     def __hash__(self):
-        return hash(values(self))
+        h = self.__dict__.get(_HASH)
+        if h is None:
+            h = hash(values(self))
+            _set(self, _HASH, h)
+        return h
 
     def __repr__(self):
         inner = ", ".join(f"{name}={value!r}"

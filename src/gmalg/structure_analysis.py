@@ -9,10 +9,12 @@ argument of a structure table to a coordinate vector and it returns, per
 output basis element, the sparse row {free index: coefficient} of the
 linear map in the other argument. The center is the kernel of the rows of
 x -> [x, b_j] over all j. `leibniz_rows` pairs one product cell b_u.b_v
-with the rows of x -> x.b_v and x -> b_u.x; `pair_spaces` writes the same
-law on G's composable block pairs for a D that is zero on A and B. Every
-annihilator the hypotheses ask for is a two-sided one inside G: the kernel
-of the rows of x -> y x and x -> x y, cut to one block of G.
+with the rows of x -> x.b_v and x -> b_u.x, all read off the table's int
+view, so no Fraction reaches the kernels of the derivation spaces;
+`pair_spaces` writes the same law on G's composable block pairs for a D that
+is zero on A and B. Every annihilator the hypotheses ask for is a two-sided
+one inside G: the kernel of the rows of x -> y x and x -> x y on one block
+of G, built from the int cells of the multiplication.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from itertools import product
 
 from .algebra_core import Element, StructureAlgebra, is_commutative, stack_rows
 from .errors import CenterStructureError
-from .exact_linear import Subspace, kernel_basis
+from .exact_linear import Subspace, int_scaled, kernel_basis
 from .gma import GMAlgebra
 from .records import record
 
@@ -36,13 +38,29 @@ def core_algebra(g: GMAlgebra | StructureAlgebra) -> StructureAlgebra:
     return g.algebra if isinstance(g, GMAlgebra) else g
 
 
+def _int_units(d: int) -> list:
+    """The coordinate vectors of a d-space, with int entries."""
+    return [[int(i == j) for i in range(d)] for j in range(d)]
+
+
 @lru_cache(maxsize=None)
 def center(alg: StructureAlgebra) -> Subspace:
     """Kernel of x -> ([x, b_j])_j stacked over all basis elements."""
     d, f = alg.dim, alg.field
-    rows = stack_rows(alg.bracket_table.operator_rows(f, right=f.unit(d, j))
-                      for j in range(d))
+    bt = alg.bracket_table.int_view
+    rows = stack_rows(bt.operator_rows(f, right=e) for e in _int_units(d))
     return Subspace.span(f, d, kernel_basis(f, d, rows))
+
+
+@lru_cache(maxsize=None)
+def center_annihilator(alg: StructureAlgebra) -> tuple:
+    """Int rows whose joint kernel is Z(alg), as sparse (index, int) pairs.
+
+    The `kernel_basis` vectors of Z's basis: primitive ints over q,
+    residues over GF(p).
+    """
+    return tuple(tuple((i, a) for i, a in enumerate(row) if a)
+                 for row in kernel_basis(alg.field, alg.dim, center(alg).basis))
 
 
 @lru_cache(maxsize=None)
@@ -69,14 +87,17 @@ def leibniz_rows(alg: StructureAlgebra, n: int, lie: bool) -> list:
     multiplication otherwise (all pairs). Unknowns are component-major:
     t*d**n + rank is the coefficient of b_t in T at the basis tuple of that
     rank (first slot most significant), so for n = 1 it is D[t*d+s]. Rows run
-    over slot, spectator tuple, u, v and the output component t.
+    over slot, spectator tuple, u, v and the output component t. They are
+    int rows, read off the table's int view at int unit vectors: the rational
+    rows times one common factor, with the same kernel.
     """
     d, f = alg.dim, alg.field
-    table = alg.bracket_table if lie else alg.mul
+    table = (alg.bracket_table if lie else alg.mul).int_view
     size = d ** n
     # by_right[v][t] = {s: (b_s.b_v)_t}, by_left[u][t] = {s: (b_u.b_s)_t}
-    by_right = [table.operator_rows(f, right=f.unit(d, v)) for v in range(d)]
-    by_left = [table.operator_rows(f, left=f.unit(d, u)) for u in range(d)]
+    units = _int_units(d)
+    by_right = [table.operator_rows(f, right=e) for e in units]
+    by_left = [table.operator_rows(f, left=e) for e in units]
     rows = []
     for slot in range(n):
         st = d ** (n - 1 - slot)
@@ -374,17 +395,33 @@ def two_sided_annihilator(g: GMAlgebra, elements, lo: int, hi: int) -> list:
     """Kernel basis of {x in span(b_lo, ..., b_hi-1) : y x = 0 = x y}.
 
     y runs over the coordinate vectors `elements` of G. The rows are those
-    of x -> y x, then of x -> x y, for each y in turn, cut to the columns
-    lo..hi-1; kernel_basis's basis depends on that order.
+    of x -> y x, then of x -> x y, per output component, for each y in
+    turn; kernel_basis's basis depends on that order. They are built on
+    the columns lo..hi-1 only, from the int view of the multiplication and
+    y `int_scaled`, so each is a positive int multiple of the rational row.
     """
-    f, mul = g.field, g.algebra.mul
+    f, d = g.field, g.dim
+    cells = g.algebra.mul.int_entries
     rows = []
     for y in elements:
-        for side in (mul.operator_rows(f, left=y), mul.operator_rows(f, right=y)):
-            for full in side:
-                row = {k - lo: c for k, c in full.items() if lo <= k < hi}
+        left = [{} for _ in range(d)]
+        right = [{} for _ in range(d)]
+        for i, c in enumerate(int_scaled(y)):
+            if not c:
+                continue
+            for j in range(lo, hi):
+                for k, e in cells[i * d + j]:
+                    row = left[k]
+                    row[j - lo] = row.get(j - lo, 0) + c * e
+                for k, e in cells[j * d + i]:
+                    row = right[k]
+                    row[j - lo] = row.get(j - lo, 0) + e * c
+        for side in (left, right):
+            for row in side:
                 if row:
-                    rows.append(row)
+                    row = f.sparse(row)
+                    if row:
+                        rows.append(row)
     return kernel_basis(f, hi - lo, rows)
 
 

@@ -279,9 +279,9 @@ def test_kernel_basis_equals_dense_core_on_leibniz_systems(field, name):
     ctx = change_of_basis(dict(corpus_contexts(field))[name], f"kernel:{name}")
     alg = G.assemble(ctx, validate=False).algebra
     d = alg.dim
-    dcols = _lie_basis_columns(alg)
+    _, icols = _lie_basis_columns(alg)
     for ncols, rows in ((d * d, leibniz_rows(alg, 1, lie=True)),
-                        (len(dcols) * d, _slot_block_rows(alg, dcols))):
+                        (len(icols) * d, _slot_block_rows(alg, icols))):
         assert check_equals_dense_core(field, ncols, rows)
 
 

@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 
 import gmalg as G
+from gmalg.multilinear import (_leibniz_predicate, _lie_basis_columns,
+                               _slot_block_rows)
 
 from helpers import (GF7, GF101, Q, basis_element, change_of_basis,
                      corpus_contexts, map_from_basis_function,
@@ -311,3 +313,55 @@ def test_evaluate_guards():
     other = gma("full_matrix", Q, r=2)
     with pytest.raises(G.FieldMismatchError):
         mm.evaluate([g.e, other.e])
+
+
+# ---------------------------------------------------------------------------
+# the later-slot block as membership in the Lie derivation space L
+# ---------------------------------------------------------------------------
+
+
+def seeded_zero_pairing(field, s, t):
+    ctx = change_of_basis(G.generate_builtin("zero_pairing", field, s=s, t=t),
+                          f"membership:{s}{t}:{field.name}")
+    return G.assemble(ctx, validate=True)
+
+
+@pytest.mark.parametrize("field", [Q, GF101], ids=lambda f: f.name)
+@pytest.mark.parametrize("s, t, dim", [(2, 2, 5), (2, 1, 5)],
+                         ids=["zp22", "zp21"])
+def test_slot_solver_matches_direct_at_arity_2_on_seeded_zero_pairing(
+        field, s, t, dim):
+    """The solver against the dense oracle, and every map of the space
+    against the hand-written batched predicate, which does not go through
+    `leibniz_rows`."""
+    g = seeded_zero_pairing(field, s, t)
+    slot = G.n_lie_derivation_space(g, 2)
+    assert len(slot) == dim
+    direct = n_lie_derivation_space_direct(g, 2)
+    assert (G.maps_span(field, 2, g.dim, slot)
+            == G.maps_span(field, 2, g.dim, direct))
+    assert all(st.ok for st in _leibniz_predicate(g, slot, lie=True))
+
+
+def test_slot_block_has_at_most_d_rows_per_annihilator_row_of_l():
+    """d (d^2 - dim L) rows on seeded q zp(2,2), where the Leibniz law
+    written per slot-1 element, bracket pair and output has d^4 / 2."""
+    alg = seeded_zero_pairing(Q, 2, 2).algebra
+    d, ell = alg.dim, G.lie_derivation_space(alg).dim
+    den, icols = _lie_basis_columns(alg)
+    assert (d, ell, len(icols)) == (16, 18, 18)
+    assert den > 1
+    rows = _slot_block_rows(alg, icols)
+    assert 0 < len(rows) <= d * (d * d - ell) == 3808
+    assert all(type(x) is int for row in rows for x in row.values())
+
+
+def test_lie_basis_columns_are_the_lie_basis_times_one_factor():
+    for field in (Q, GF101):
+        alg = seeded_zero_pairing(field, 2, 1).algebra
+        d, L = alg.dim, G.lie_derivation_space(alg)
+        den, icols = _lie_basis_columns(alg)
+        assert field.p is None or den == 1
+        for flat, cols in zip(L.basis, icols, strict=True):
+            assert [[Fraction(x, den) for x in col] for col in cols] == [
+                [flat[t * d + i] for t in range(d)] for i in range(d)]

@@ -210,3 +210,38 @@ def test_cached_properties_are_computed_once_and_stay_out_of_equality():
     assert alg == fresh and hash(alg) == hash(fresh)
     assert repr(alg) == repr(fresh)
     assert s == G.Subspace(*values(s))
+
+
+@pytest.mark.parametrize("r", RECORDS, ids=ids)
+def test_kept_hash_is_the_hash_of_the_field_values(r):
+    first = hash_or_error(r)
+    assert hash_or_error(r) == first
+    assert first == hash_or_error(values(r))
+    twin = type(r)(*values(r))
+    assert hash_or_error(twin) == first
+
+
+def test_hash_is_computed_once_per_record_and_equal_across_equal_records():
+    calls = []
+
+    class Witness:
+        def __hash__(self):
+            calls.append(self)
+            return 7
+
+        def __eq__(self, other):
+            return type(other) is Witness
+
+    a = G.CheckStatus("fail", Witness())
+    b = G.CheckStatus("fail", Witness())
+    assert a == b and a is not b
+    assert hash(a) == hash(a) == hash(b) == hash(b)
+    assert len(calls) == 2
+    # equal algebras built apart hash alike, and a lookup keyed by one
+    # finds the other
+    alg = G.generate_builtin("full_matrix", Q, r=2).a
+    twin = G.generate_builtin("full_matrix", Q, r=2).a
+    assert alg == twin and alg is not twin
+    assert hash(alg) == hash(twin)
+    assert {alg: "found"}[twin] == "found"
+    assert hash(alg) == hash(values(alg))

@@ -3,7 +3,8 @@
 import pytest
 
 import gmalg as G
-from gmalg.structure_analysis import leibniz_rows
+from gmalg.structure_analysis import (center_annihilator, leibniz_rows,
+                                     two_sided_annihilator)
 
 from helpers import (GF7, Q, all_derivations_inner, basis_element, change_of_basis,
                      corpus_algebras, corpus_contexts, dense_kernel_basis,
@@ -313,3 +314,69 @@ def test_pi_a_injective_on_center_everywhere():
     for name, g in corpus_algebras(Q):
         cd = G.center_data(g)
         assert cd.a_part.dim == cd.center_g.dim, name
+
+
+def test_leibniz_rows_are_int_rows_on_seeded_q():
+    """Seeded constants carry denominators; the rows do not."""
+    fractional = 0
+    for name, ctx in corpus_contexts(Q):
+        alg = G.assemble(change_of_basis(ctx, f"int-rows:{name}"),
+                         validate=False).algebra
+        fractional += any(c.denominator > 1 for cell in alg.mul.entries
+                          for _, c in cell)
+        for lie in (True, False):
+            rows = leibniz_rows(alg, 1, lie)
+            assert rows, name
+            assert all(type(c) is int for row in rows for c in row.values()), name
+    assert fractional >= 3
+
+
+def cut_annihilator(g, elements, lo, hi):
+    """The rows of `two_sided_annihilator` from Fraction `operator_rows`
+    over all of G, each cut to the columns lo..hi-1, in the same order."""
+    f, mul = g.field, g.algebra.mul
+    rows = []
+    for y in elements:
+        for side in (mul.operator_rows(f, left=y), mul.operator_rows(f, right=y)):
+            for full in side:
+                row = {k - lo: c for k, c in full.items() if lo <= k < hi}
+                if row:
+                    rows.append(row)
+    return dense_kernel_basis(f, hi - lo, rows)
+
+
+@pytest.mark.parametrize("field", [Q, GF7], ids=["q", "gf7"])
+@pytest.mark.parametrize("seed", [None, 0, 1])
+def test_two_sided_annihilator_equals_the_cut_rows(field, seed):
+    """The same kernel vectors, in the same order, on the 4.3 blocks and on
+    the extremal block M + N with the extremal conditions' elements."""
+    for name, ctx in corpus_contexts(field) + [("diag", diagonal_context(field))]:
+        if seed is not None:
+            ctx = change_of_basis(ctx, seed)
+        g = G.assemble(ctx, validate=False)
+        f, d, off = g.field, g.dim, g.offsets
+        m_basis = [f.unit(d, i) for i in range(off[1], off[2])]
+        n_basis = [f.unit(d, i) for i in range(off[2], off[3])]
+        extremal = [list(c) + f.vec_zero(d - off[1])
+                    for c in ctx.a.commutators.basis]
+        extremal += [f.vec_zero(off[3]) + list(c) for c in ctx.b.commutators.basis]
+        extremal += m_basis + n_basis
+        for elements, lo, hi in ((m_basis, off[2], off[3]),
+                                 (n_basis, off[1], off[2]),
+                                 (extremal, off[1], off[3])):
+            assert (two_sided_annihilator(g, elements, lo, hi)
+                    == cut_annihilator(g, elements, lo, hi)), name
+
+
+@pytest.mark.parametrize("field", [Q, GF7], ids=["q", "gf7"])
+def test_center_annihilator_cuts_out_the_center(field):
+    for name, g in corpus_algebras(field):
+        alg = g.algebra
+        z = G.center(alg)
+        ann = center_annihilator(alg)
+        assert center_annihilator(alg) is ann
+        assert len(ann) == alg.dim - z.dim, name
+        assert all(type(a) is int for row in ann for _, a in row)
+        dense = [[dict(row).get(i, 0) for i in range(alg.dim)] for row in ann]
+        assert G.Subspace.span(field, alg.dim,
+                               dense_kernel_basis(field, alg.dim, dense)) == z, name
