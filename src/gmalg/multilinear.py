@@ -363,18 +363,20 @@ def _slot_block_rows(alg: StructureAlgebra, icols) -> list:
     for each slot-1 basis element b_a1, that the map
     x -> sum_a X[a, x] D_a(b_a1) lie in L, the Lie derivation space. A map
     lies in L exactly when every annihilator row of L kills it, and those
-    rows, `kernel_basis` of L's basis, span L's orthogonal complement. So
-    the rows range over a1 and the d*d - dim L annihilator rows r, and the
-    coefficient of X[a, x] is sum_t r[t*d + x] D_a(b_a1)_t.
+    rows, the `kernel_basis` of L's basis flattened as D[t*d + s], span L's
+    orthogonal complement. So the rows range over a1 and the d*d - dim L
+    annihilator rows r, and the coefficient of X[a, x] is
+    sum_t r[t*d + x] D_a(b_a1)_t.
 
     `icols` are the int Lie columns of `_lie_basis_columns`, all scaled by
-    one positive factor, so each row is a positive int multiple of the
-    rational row and the kernel is the same.
+    one positive factor, so L's basis, the annihilator rows and each block
+    row are int multiples of their rational forms, with the same kernels.
     """
     d, f = alg.dim, alg.field
+    basis = [[cols[s][t] for t in range(d) for s in range(d)] for cols in icols]
     # per annihilator row, its nonzero entries as (t, x, value)
     ann = [[(*divmod(k, d), r_k) for k, r_k in enumerate(r) if r_k]
-           for r in kernel_basis(f, d * d, lie_derivation_space(alg).basis)]
+           for r in kernel_basis(f, d * d, basis)]
     rows = []
     for a1 in range(d):
         # per output t, the Lie basis indices with a nonzero D_a(b_a1)_t
