@@ -418,10 +418,9 @@ def two_sided_annihilator(g: GMAlgebra, elements, lo: int, hi: int) -> list:
                     row[j - lo] = row.get(j - lo, 0) + e * c
         for side in (left, right):
             for row in side:
+                row = f.sparse(row)
                 if row:
-                    row = f.sparse(row)
-                    if row:
-                        rows.append(row)
+                    rows.append(row)
     return kernel_basis(f, hi - lo, rows)
 
 
