@@ -1,25 +1,24 @@
 """Exact linear algebra over the rationals and odd prime fields.
 
-Three parts: the fields (`FieldSpec`), one elimination core (`rref` and
-`kernel_basis`), and `Subspace`, a subspace held by its canonical basis.
-Scalars are `fractions.Fraction` over the rationals and canonical int
-residues over GF(p). Both fields share one elimination core on int rows:
-`rref` and `kernel_basis` each run one loop for both. A scalar enters the
-core only through `_int_row`, and a rational becomes an int only through
-`int_scaled` (multiply by the LCM of the denominators), which the integer
-paths of the multilinear code share. The field decides only how a row is
-updated and how results leave the core. Over the rationals elimination is
-fraction-free (a Bareiss forward pass, content division in back-substitution
-and in the kernel), which keeps entry growth polynomial; over GF(p) a row
-update is row - f * pivot row mod p.
+Three parts: the fields (`FieldSpec`), one elimination loop (`_kernel`),
+and `Subspace`, a subspace held by its canonical basis. Scalars are
+`fractions.Fraction` over the rationals and canonical int residues over
+GF(p). A scalar enters the loop only through `_int_row`, and a rational
+becomes an int only through `int_scaled` (multiply by the LCM of the
+denominators), which the integer paths of the multilinear code share.
 
-`kernel_basis` touches only nonzero entries: each surviving vector is a
-sparse {column: int} map, and a coordinate-major index of the same entries
-gives a row's products with every survivor at the cost of the entries it
-meets. It returns dense vectors as the core builds them: primitive int
-vectors over q, residues over GF(p). `rref` returns Fractions over q, built
-once from its int rows at the exit. A `Subspace` stores the `rref` of a
-spanning set, so equality is plain entrywise comparison.
+`_kernel` shrinks a running basis of the solution space one row at a time
+and touches only nonzero entries: each surviving vector is a sparse
+{column: int} map, and a coordinate-major index of the same entries gives a
+row's products with every survivor at the cost of the entries it meets.
+The field decides only how a vector is updated: fraction-free with content
+division over q, which keeps entries primitive, and v - f * pivot mod p
+over GF(p). Both outputs are read off that basis. `kernel_basis` returns
+its vectors dense, primitive int vectors over q and residues over GF(p).
+`rref` reads the canonical reduced row echelon form off it, one entry per
+kernel vector and eliminated column, as Fractions over q. A `Subspace`
+stores the `rref` of a spanning set, so equality is plain entrywise
+comparison.
 """
 
 from __future__ import annotations
@@ -246,77 +245,8 @@ def _int_row(field: FieldSpec, row) -> list[tuple[int, int]]:
     return list(zip(cols, int_scaled(vals)))
 
 
-def rref(field: FieldSpec, rows, ncols: int):
-    """Canonical RREF rows (zero rows dropped) and their pivot columns.
-
-    Both passes run on int rows. Over q the forward pass is fraction-free
-    (Bareiss): each row below the pivot row becomes (piv * row - f * top) /
-    prev, an exact division, which keeps entry growth polynomial. Back-
-    substitution then clears the entries above each pivot with t * row -
-    f * top (t the pivot of top) and divides the row by its content, and
-    each row becomes Fractions once, divided by its pivot, with one shared
-    zero. Over GF(p) the pivot row is scaled to 1 and every update is
-    row - f * top mod p.
-    """
-    p = field.p
-    m = []
-    for row in rows:
-        items = _int_row(field, row)
-        if items:
-            dense = [0] * ncols
-            for i, c in items:
-                dense[i] = c
-            m.append(dense)
-    pivots: list[int] = []
-    prev = 1
-    for pc in range(ncols):
-        pr = len(pivots)
-        piv_row = next((r for r in range(pr, len(m)) if m[r][pc]), None)
-        if piv_row is None:
-            continue
-        m[pr], m[piv_row] = m[piv_row], m[pr]
-        top = m[pr]
-        piv = top[pc]
-        if p is None:
-            # Every row below is rescaled even when its factor is zero; the
-            # exact divisibility of the Bareiss step depends on it.
-            for r in range(pr + 1, len(m)):
-                f = m[r][pc]
-                m[r] = [(piv * a - f * b) // prev for a, b in zip(m[r], top)]
-            prev = piv
-        else:
-            inv = pow(piv, p - 2, p)
-            top = m[pr] = [x * inv % p for x in top]
-            for r in range(pr + 1, len(m)):
-                f = m[r][pc]
-                if f:
-                    m[r] = [(a - f * b) % p for a, b in zip(m[r], top)]
-        pivots.append(pc)
-        if len(pivots) == len(m):
-            break
-    del m[len(pivots):]
-    for r in range(len(pivots) - 1, 0, -1):
-        pc, top = pivots[r], m[r]
-        t = top[pc]
-        for r2 in range(r):
-            f = m[r2][pc]
-            if not f:
-                continue
-            if p is None:
-                row = [t * a - f * b for a, b in zip(m[r2], top)]
-                g = gcd(*row)
-                m[r2] = [a // g for a in row] if g > 1 else row
-            else:
-                m[r2] = [(a - f * b) % p for a, b in zip(m[r2], top)]
-    if p is None:
-        zero = Fraction(0)
-        m = [[Fraction(x, row[pc]) if x else zero for x in row]
-             for row, pc in zip(m, pivots)]
-    return m, pivots
-
-
-def kernel_basis(field: FieldSpec, ncols: int, rows) -> list[list[int]]:
-    """Exact basis of the joint kernel of `rows` (dicts or dense sequences).
+def _kernel(field: FieldSpec, ncols: int, rows) -> dict[int, dict[int, int]]:
+    """The running basis of the joint kernel of `rows`: {free column: vector}.
 
     Maintains a basis of the running solution space and shrinks it one
     constraint at a time, touching only nonzero entries, so cost scales with
@@ -333,10 +263,9 @@ def kernel_basis(field: FieldSpec, ncols: int, rows) -> list[list[int]]:
     cost of its support and the pivot's.
 
     Over q the vectors are combined fraction-free (yt * v - ys * pivot) and
-    divided by their content, so each is returned as a primitive int
-    vector; over GF(p) an update is v - (ys / yt) * pivot mod p, so each
-    vector is returned as residues with a 1 at its free column. Vectors come
-    back dense, in order of their free columns.
+    divided by their content, so each is a primitive int vector; over GF(p)
+    an update is v - (ys / yt) * pivot mod p, so each vector holds residues
+    with a 1 at its free column. The map iterates in order of free columns.
     """
     p = field.p
     vecs = {s: {s: 1} for s in range(ncols)}
@@ -391,13 +320,57 @@ def kernel_basis(field: FieldSpec, ncols: int, rows) -> list[list[int]]:
                         del v[i], index[i][s]
         if not vecs:
             break
+    return vecs
+
+
+def kernel_basis(field: FieldSpec, ncols: int, rows) -> list[list[int]]:
+    """Exact basis of the joint kernel of `rows` (dicts or dense sequences).
+
+    The vectors of `_kernel`, dense, in order of their free columns:
+    primitive int vectors over q, residues with a 1 at the free column over
+    GF(p).
+    """
     out = []
-    for v in vecs.values():
+    for v in _kernel(field, ncols, rows).values():
         dense = [0] * ncols
         for i, a in v.items():
             dense[i] = a
         out.append(dense)
     return out
+
+
+def rref(field: FieldSpec, rows, ncols: int):
+    """Canonical RREF rows (zero rows dropped) and their pivot columns.
+
+    Read off the running basis of `_kernel`. Its pivots are the columns the
+    loop eliminated, and the row of pivot pc is 1 at pc and -v_s[pc] / v_s[s]
+    at each free column s, for the kernel vector v_s of s: Fractions over q,
+    with one shared zero, and -v_s[pc] mod p over GF(p), where v_s[s] = 1.
+
+    This is the RREF. Reduce an independent row against the RREF of the
+    rows before it: the result vanishes on the eliminated columns, and its
+    entry at a free column s is the row's product with v_s divided by
+    v_s[s]. So its leading column is the lowest free column with a nonzero
+    product, the one the loop eliminates, and the eliminated set is exactly
+    the set of leading columns of the row space. The rows read off are
+    orthogonal to every kernel vector (v_s is 0 on the other free columns),
+    so they lie in the row space; they are the identity on the eliminated
+    set, and the only such basis of the row space is its RREF.
+    """
+    p = field.p
+    vecs = _kernel(field, ncols, rows)
+    pivots = [c for c in range(ncols) if c not in vecs]
+    zero, one = field.zero, field.one
+    m = [[zero] * ncols for _ in pivots]
+    at = dict(zip(pivots, m))
+    for pc, row in at.items():
+        row[pc] = one
+    for s, v in vecs.items():
+        t = v[s]
+        for i, a in v.items():
+            if i != s:
+                at[i][s] = Fraction(-a, t) if p is None else -a % p
+    return m, pivots
 
 
 # ---------------------------------------------------------------------------
@@ -461,15 +434,11 @@ class Subspace:
         return all(self.contains(row) for row in other.basis)
 
     def coordinates_of(self, vec):
-        """Coefficients of `vec` on the basis rows, or None if outside."""
-        f = self.field
-        v = [f.of(x) for x in vec]
-        coeffs = []
-        for row, pc in zip(self.basis, self.pivot_columns):
-            c = v[pc]
-            coeffs.append(c)
-            if c:
-                v = [f.sub(a, f.mul(c, b)) for a, b in zip(v, row)]
-        if not f.vec_is_zero(v):
+        """Coefficients of `vec` on the basis rows, or None if outside.
+
+        The basis is the identity on its pivot columns, so the coefficients
+        of a member are its entries there.
+        """
+        if not self.contains(vec):
             return None
-        return coeffs
+        return [self.field.of(vec[pc]) for pc in self.pivot_columns]

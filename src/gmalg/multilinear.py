@@ -389,9 +389,7 @@ def _slot_block_rows(alg: StructureAlgebra, icols) -> list:
                     key = ad + x
                     row[key] = row.get(key, 0) + r_k * c
             if row:
-                row = f.sparse(row)
-                if row:
-                    rows.append(row)
+                rows.append(row)
     return rows
 
 
@@ -445,7 +443,6 @@ def n_lie_derivation_space(g, n: int) -> list:
                             acc = sum(rc * Pm[al] for al, rc in r_w)
                             if acc:
                                 row[m_i * d + w] = acc
-                row = f.sparse(row)
                 if row:
                     rows.append(row)
         new_r = []

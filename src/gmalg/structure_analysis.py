@@ -115,7 +115,6 @@ def leibniz_rows(alg: StructureAlgebra, n: int, lie: bool) -> list:
                         for s, c in by_left[u][t].items():
                             key = s * size + at_v
                             row[key] = row.get(key, 0) - c
-                        row = f.sparse(row)
                         if row:
                             rows.append(row)
     return rows
@@ -374,7 +373,6 @@ def pair_spaces(g: GMAlgebra) -> PairSpaces:
                         for s, c in by_left[i][t].items():
                             key = start[y] + s * dy + j
                             row[key] = row.get(key, 0) - c
-                    row = f.sparse(row)
                     if row:
                         rows.append(row)
     special = Subspace.span(f, total, kernel_basis(f, total, rows))
@@ -418,7 +416,6 @@ def two_sided_annihilator(g: GMAlgebra, elements, lo: int, hi: int) -> list:
                     row[j - lo] = row.get(j - lo, 0) + e * c
         for side in (left, right):
             for row in side:
-                row = f.sparse(row)
                 if row:
                     rows.append(row)
     return kernel_basis(f, hi - lo, rows)

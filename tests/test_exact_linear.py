@@ -152,8 +152,7 @@ def test_fraction_free_rref_matches_naive_oracle():
                 data.append([field.add(a, field.mul(3, b))
                              for a, b in zip(data[0], data[-1])])
             cases.append((data, cols))
-        # sparse and wide, with one dependent row: back-substitution divides
-        # rows by their content and the exit shares one zero
+        # sparse and wide, with one dependent row
         for _ in range(40):
             rows = rng.randrange(1, 11)
             cols = rng.randrange(1, 31)
@@ -169,12 +168,88 @@ def test_fraction_free_rref_matches_naive_oracle():
                         [field.add(x, field.mul(entry(), y)) for x, y in zip(a, b)])
             cases.append((data, cols))
         for data, cols in cases:
-            got_rows, got_piv = rref(field, data, cols)
-            want_rows, want_piv = naive_rref(field, data, cols)
-            assert got_piv == want_piv
-            assert [list(r) for r in got_rows] == [list(r) for r in want_rows]
-            scalar = Fraction if field.p is None else int
-            assert all(type(x) is scalar for r in got_rows for x in r)
+            check_rref_matches_naive(field, data, cols)
+
+
+def check_rref_matches_naive(field, rows, ncols):
+    """The same rows and pivots as the naive oracle, as field scalars."""
+    got_rows, got_piv = rref(field, rows, ncols)
+    want_rows, want_piv = naive_rref(field, dense_rows(field, rows, ncols), ncols)
+    assert got_piv == want_piv
+    assert [list(r) for r in got_rows] == [list(r) for r in want_rows]
+    scalar = Fraction if field.p is None else int
+    assert all(type(x) is scalar for r in got_rows for x in r)
+
+
+def wide_low_rank_system(rng, field, nrows, ncols, rank):
+    """`nrows` rows over `ncols` columns spanning a space of dim <= `rank`.
+
+    Sparse base rows, every row a random combination of them, as dense
+    lists or as dicts: the shape of the final canonical span of the n-Lie
+    solver (few rows over many columns, mostly zero).
+    """
+    if field.p is None:
+        entry = lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+    else:
+        entry = lambda: rng.randrange(field.p)
+    base = [[entry() if rng.random() < 0.05 else field.zero
+             for _ in range(ncols)] for _ in range(rank)]
+    rows = []
+    for _ in range(nrows):
+        row = field.vec_zero(ncols)
+        for b in rng.sample(base, rng.randint(1, rank)):
+            row = field.vec_add(row, field.vec_scale(field.of(rng.randint(-3, 3)), b))
+        rows.append(row)
+    if rng.random() < 0.5:
+        rows = [{k: x for k, x in enumerate(row) if x} for row in rows]
+    return rows
+
+
+def dense_rows(field, rows, ncols):
+    return [[row.get(k, field.zero) for k in range(ncols)]
+            if isinstance(row, dict) else row for row in rows]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+def test_rref_matches_naive_oracle_on_wide_low_rank_systems(field):
+    """At most 10 rows over 100-900 columns, and full-rank square systems,
+    where the kernel empties and elimination stops early."""
+    rng = random.Random(f"wide:{field.name}")
+    cases = []
+    for _ in range(12):
+        ncols = rng.randint(100, 900)
+        rows = wide_low_rank_system(rng, field, rng.randint(1, 10), ncols,
+                                    rng.randint(1, 4))
+        cases.append((rows, ncols))
+    for size in (1, 2, 5, 9):
+        while True:
+            rows = [[field.of(rng.randint(-5, 5)) for _ in range(size)]
+                    for _ in range(size)]
+            if len(naive_rref(field, rows, size)[1]) == size:
+                break
+        # a trailing row after the kernel has emptied is never read
+        cases.append((rows + [rows[0]], size))
+    for rows, ncols in cases:
+        check_rref_matches_naive(field, rows, ncols)
+
+
+def test_rref_pivots_are_the_columns_kernel_basis_eliminates():
+    """`rref` rests on this: its pivots are the non-free columns of the
+    kernel basis. A kernel vector's free column is its last nonzero entry,
+    where every other kernel vector is 0."""
+    rng = random.Random(31)
+    for field in FIELDS:
+        for _ in range(40):
+            ncols = rng.randint(1, 40)
+            rows = wide_low_rank_system(rng, field, rng.randint(1, 12), ncols,
+                                        rng.randint(1, 8))
+            ker = G.kernel_basis(field, ncols, rows)
+            free = [max(j for j, x in enumerate(v) if x) for v in ker]
+            assert free == sorted(set(free))
+            for v, s in zip(ker, free):
+                assert all(not w[s] for w in ker if w is not v)
+            _, pivots = rref(field, rows, ncols)
+            assert pivots == [c for c in range(ncols) if c not in free]
 
 
 def test_rows_take_scalars_as_field_of_does():
@@ -295,8 +370,7 @@ def check_equals_dense_core(field, ncols, rows):
 
 def check_kernel_form(field, ncols, rows):
     """Kernel size, membership, one free column per vector, exact form."""
-    dense = [[row.get(k, field.zero) for k in range(ncols)]
-             if isinstance(row, dict) else row for row in rows]
+    dense = dense_rows(field, rows, ncols)
     ker = G.kernel_basis(field, ncols, rows)
     assert len(ker) == ncols - len(naive_rref(field, dense, ncols)[1])
     for v in ker:
@@ -323,8 +397,7 @@ def check_kernel_form(field, ncols, rows):
 @given(linear_systems(), st.lists(st.integers(-3, 3), max_size=8))
 def test_combine_is_the_scaled_sum(system, coeffs):
     field, ncols, rows = system
-    vecs = [[row.get(k, field.zero) for k in range(ncols)]
-            if isinstance(row, dict) else row for row in rows]
+    vecs = dense_rows(field, rows, ncols)
     coeffs = [field.of(c) for c in coeffs]
     want = field.vec_zero(ncols)
     for c, v in zip(coeffs, vecs):
@@ -378,6 +451,15 @@ def test_contains_and_coordinates():
     assert not s.contains([0, 0, 1])
     coords = s.coordinates_of([2, 3, 7])
     assert coords == [Fraction(2), Fraction(3)]
+
+
+@pytest.mark.parametrize("vec", [[1, 2], [1, 2, 0, 0]], ids=["short", "long"])
+def test_coordinates_of_refuses_a_vector_of_another_length(vec):
+    s = G.Subspace.span(Q, 3, [[1, 0, 0], [0, 1, 0]])
+    with pytest.raises(G.DimensionMismatchError):
+        s.reduce(vec)
+    with pytest.raises(G.DimensionMismatchError):
+        s.coordinates_of(vec)
 
 
 @settings(max_examples=40)

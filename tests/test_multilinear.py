@@ -305,6 +305,20 @@ def test_arity_4_space_t2():
         assert G.is_n_lie_derivation(g, mmap).ok
 
 
+
+@pytest.mark.parametrize("field", [Q, GF101], ids=lambda f: f.name)
+def test_arity_5_space_of_ut21_has_dimension_two_to_the_five(field, monkeypatch):
+    """The triangular corollary at the frontier: dim nLie_5(ut(2,1)) = 2^5.
+
+    The default budget refuses it (19208 unknowns); the final canonical span
+    is 32 rows over those 19208 columns.
+    """
+    monkeypatch.setenv("GMALG_BUDGET", "1000000")
+    g = gma("upper_triangular", field, s=2, t=1)
+    space = G.n_lie_derivation_space(g, 5)
+    assert len(space) == 2 ** 5
+    assert all(st.ok for st in _leibniz_predicate(g, space, lie=True))
+
 def test_evaluate_guards():
     g = gma("upper_triangular", Q, s=1, t=1)
     mm = G.MultilinearMap.zero(Q, 2, 3)
