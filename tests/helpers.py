@@ -52,6 +52,33 @@ def diagonal_context(field):
     )
 
 
+def direct_sum(ctx1, ctx2):
+    """The context whose blocks are the direct sums of those of ctx1 and
+    ctx2, every table acting componentwise: A = A1 x A2, M = M1 + M2,
+    N = N1 + N2, B = B1 x B2, and each product of a ctx1 part with a ctx2
+    part is 0."""
+    f = ctx1.field
+
+    def table(t1, t2):
+        quads = t1.quadruples() + [
+            (t1.left_dim + i, t1.right_dim + j, t1.out_dim + k, c)
+            for i, j, k, c in t2.quadruples()]
+        return G.BilinearTable.from_quadruples(
+            f, t1.left_dim + t2.left_dim, t1.right_dim + t2.right_dim,
+            t1.out_dim + t2.out_dim, quads)
+
+    def algebra(a1, a2):
+        return G.StructureAlgebra(f, a1.dim + a2.dim, table(a1.mul, a2.mul),
+                                  a1.unit + a2.unit)
+
+    return G.MoritaContext(
+        a=algebra(ctx1.a, ctx2.a), b=algebra(ctx1.b, ctx2.b),
+        m_dim=ctx1.m_dim + ctx2.m_dim, n_dim=ctx1.n_dim + ctx2.n_dim,
+        **{name: table(getattr(ctx1, name), getattr(ctx2, name))
+           for name in ("act_am", "act_mb", "act_bn", "act_na",
+                        "pair_mn", "pair_nm")})
+
+
 def mat_vec(field, rows, vec):
     """The product of the matrix with these rows and the column vec."""
     return field.combine(vec, list(zip(*rows)), len(rows))

@@ -11,7 +11,11 @@ commands on small stock instances over q and gf:7, and `center` on a context
 whose center has dimension 2, as built and in a seeded basis where its
 linking matrix is not the identity. `hypotheses --theorem 4.3` and
 `extremal` also run on zero_pairing(2,1) in a seeded basis, which pins the
-order of their witnesses off the stock basis.
+order of their witnesses off the stock basis. `hypotheses --theorem 4.3`
+runs on the direct sum of full_matrix(2) and zero_pairing(1,1) in two
+seeded bases: there the annihilator of M in N has dimension 1 of 2, so over
+q the sign of its witness pins the order of the annihilator rows (over GF(p)
+a kernel vector carries a 1 at its free column, whatever the order).
 
     PYTHONPATH=src python tests/test_report_digests.py
 
@@ -34,7 +38,7 @@ from gmalg.cli import main
 from gmalg.fileformat import (context_from_dict, context_to_dict, decode_scalar,
                               dumps_canonical, encode_scalar)
 
-from helpers import change_of_basis, diagonal_context
+from helpers import change_of_basis, diagonal_context, direct_sum
 
 DIGESTS = Path(__file__).with_name("report_digests.json")
 FIELDS = ("q", "gf:7")
@@ -70,6 +74,10 @@ DIAGONAL = {"diag2": None, "diag2-s5": 5}
 SEEDED = {"zp21-s3": ("zero_pairing", {"s": 2, "t": 1}, 3)}
 SEEDED_COMMANDS = ("hypotheses-4.3", "extremal")
 
+# `helpers.direct_sum` of full_matrix(2) and zero_pairing(1,1) in a
+# `change_of_basis` seed, under `hypotheses --theorem 4.3`.
+DIRECT_SUM = {"m2+zp11-s0": 0, "m2+zp11-s1": 1}
+
 
 def spec_name(instance: str, field: str) -> str:
     return f"{instance}-{field.replace(':', '')}.json"
@@ -91,6 +99,10 @@ def cases() -> dict:
             for name in SEEDED_COMMANDS:
                 argv = COMMANDS[name]
                 out[f"{instance}-{field}-{name}"] = (argv[0], spec, *argv[1:])
+        for instance in DIRECT_SUM:
+            argv = COMMANDS["hypotheses-4.3"]
+            out[f"{instance}-{field}-hypotheses-4.3"] = (
+                argv[0], spec_name(instance, field), *argv[1:])
         for instance in STOCK:
             spec = spec_name(instance, field)
             for name, argv in COMMANDS.items():
@@ -141,6 +153,12 @@ def write_specs(directory: Path) -> None:
                 dumps_canonical(context_to_dict(ctx)))
         for instance, (kind, sizes, seed) in SEEDED.items():
             ctx = G.generate_builtin(kind, G.FieldSpec.from_name(field), **sizes)
+            (directory / spec_name(instance, field)).write_text(
+                dumps_canonical(context_to_dict(change_of_basis(ctx, seed))))
+        for instance, seed in DIRECT_SUM.items():
+            f = G.FieldSpec.from_name(field)
+            ctx = direct_sum(G.generate_builtin("full_matrix", f, r=2),
+                             G.generate_builtin("zero_pairing", f, s=1, t=1))
             (directory / spec_name(instance, field)).write_text(
                 dumps_canonical(context_to_dict(change_of_basis(ctx, seed))))
         for instance, argv in STOCK.items():
