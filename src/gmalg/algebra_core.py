@@ -358,10 +358,9 @@ def validate_algebra(alg: StructureAlgebra) -> ValidationReport:
         _ALGEBRA_LAWS, _MAX_VIOLATIONS)))
 
 
-def stack_rows(blocks, offset: int = 0) -> list:
-    """The nonempty rows of a sequence of row lists, keys shifted by offset."""
-    return [{k + offset: c for k, c in row.items()}
-            for rows in blocks for row in rows if row]
+def stack_rows(blocks) -> list:
+    """The nonempty rows of a sequence of row lists."""
+    return [row for rows in blocks for row in rows if row]
 
 
 def span_cells(field: FieldSpec, dim: int, cells) -> Subspace:

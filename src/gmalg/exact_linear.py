@@ -101,10 +101,6 @@ class FieldSpec:
     def rationals() -> "FieldSpec":
         return FieldSpec()
 
-    @staticmethod
-    def gf(p: int) -> "FieldSpec":
-        return FieldSpec(p)
-
     # -- scalar construction ----------------------------------------------
 
     def of(self, value) -> Scalar:
@@ -245,8 +241,9 @@ def _int_row(field: FieldSpec, row) -> list[tuple[int, int]]:
     return list(zip(cols, int_scaled(vals)))
 
 
-def _kernel(field: FieldSpec, ncols: int, rows) -> dict[int, dict[int, int]]:
-    """The running basis of the joint kernel of `rows`: {free column: vector}.
+def _kernel(field: FieldSpec, ncols: int, rows) -> tuple[dict, list]:
+    """The running basis of the joint kernel of `rows` and the eliminated
+    columns: ({free column: vector}, [pivot columns in elimination order]).
 
     Maintains a basis of the running solution space and shrinks it one
     constraint at a time, touching only nonzero entries, so cost scales with
@@ -255,28 +252,35 @@ def _kernel(field: FieldSpec, ncols: int, rows) -> dict[int, dict[int, int]]:
     entry at its own (free) column, where all the others are 0. It is stored
     as a sparse {column: int} map keyed by its free column, and a
     coordinate-major index, index[column] = {free column: int}, holds the
-    same entries. A row's products with all surviving vectors then cost the
-    index entries at the row's nonzero columns; most rows of a tall system
-    are dependent and cost only that. An independent row takes the vector
-    with the lowest free column among those with a nonzero product as pivot,
-    drops it, and updates the others with a nonzero product, each at the
-    cost of its support and the pivot's.
+    same entries. Both are created for a column when a row first touches
+    it: a column no row touches stays free with its unit vector, which the
+    map leaves out. A row's products with all surviving vectors then cost
+    the index entries at the row's nonzero columns; most rows of a tall
+    system are dependent and cost only that. An independent row takes the
+    vector with the lowest free column among those with a nonzero product
+    as pivot, drops it, and updates the others with a nonzero product, each
+    at the cost of its support and the pivot's.
 
     Over q the vectors are combined fraction-free (yt * v - ys * pivot) and
     divided by their content, so each is a primitive int vector; over GF(p)
     an update is v - (ys / yt) * pivot mod p, so each vector holds residues
-    with a 1 at its free column. The map iterates in order of free columns.
+    with a 1 at its free column.
     """
     p = field.p
-    vecs = {s: {s: 1} for s in range(ncols)}
-    index = [{i: 1} for i in range(ncols)]
+    vecs = {}
+    index = [None] * ncols
+    pivots = []
     for row in rows:
         items = _int_row(field, row)
         if not items:
             continue
         y = {}
         for i, c in items:
-            for s, a in index[i].items():
+            col = index[i]
+            if col is None:
+                col = index[i] = {i: 1}
+                vecs[i] = {i: 1}
+            for s, a in col.items():
                 y[s] = y.get(s, 0) + c * a
         if p is not None:
             y = {s: ys % p for s, ys in y.items() if ys % p}
@@ -285,6 +289,7 @@ def _kernel(field: FieldSpec, ncols: int, rows) -> dict[int, dict[int, int]]:
         if not y:
             continue
         pivot = min(y)
+        pivots.append(pivot)
         yt = y.pop(pivot)
         base = vecs.pop(pivot)
         for i in base:
@@ -318,24 +323,27 @@ def _kernel(field: FieldSpec, ncols: int, rows) -> dict[int, dict[int, int]]:
                         v[i] = index[i][s] = a
                     else:
                         del v[i], index[i][s]
-        if not vecs:
+        if len(pivots) == ncols:
             break
-    return vecs
+    return vecs, pivots
 
 
 def kernel_basis(field: FieldSpec, ncols: int, rows) -> list[list[int]]:
     """Exact basis of the joint kernel of `rows` (dicts or dense sequences).
 
-    The vectors of `_kernel`, dense, in order of their free columns:
-    primitive int vectors over q, residues with a 1 at the free column over
-    GF(p).
+    The vectors of `_kernel`, dense, in order of their free columns, with
+    the unit vector of each column no row touched: primitive int vectors
+    over q, residues with a 1 at the free column over GF(p).
     """
+    vecs, pivots = _kernel(field, ncols, rows)
+    eliminated = set(pivots)
     out = []
-    for v in _kernel(field, ncols, rows).values():
-        dense = [0] * ncols
-        for i, a in v.items():
-            dense[i] = a
-        out.append(dense)
+    for s in range(ncols):
+        if s not in eliminated:
+            dense = [0] * ncols
+            for i, a in vecs.get(s, {s: 1}).items():
+                dense[i] = a
+            out.append(dense)
     return out
 
 
@@ -346,6 +354,7 @@ def rref(field: FieldSpec, rows, ncols: int):
     loop eliminated, and the row of pivot pc is 1 at pc and -v_s[pc] / v_s[s]
     at each free column s, for the kernel vector v_s of s: Fractions over q,
     with one shared zero, and -v_s[pc] mod p over GF(p), where v_s[s] = 1.
+    A column no row touched is free, and its unit vector adds nothing.
 
     This is the RREF. Reduce an independent row against the RREF of the
     rows before it: the result vanishes on the eliminated columns, and its
@@ -358,8 +367,8 @@ def rref(field: FieldSpec, rows, ncols: int):
     set, and the only such basis of the row space is its RREF.
     """
     p = field.p
-    vecs = _kernel(field, ncols, rows)
-    pivots = [c for c in range(ncols) if c not in vecs]
+    vecs, pivots = _kernel(field, ncols, rows)
+    pivots.sort()
     zero, one = field.zero, field.one
     m = [[zero] * ncols for _ in pivots]
     at = dict(zip(pivots, m))

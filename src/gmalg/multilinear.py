@@ -22,10 +22,10 @@ The Leibniz predicate checks k maps of one arity in one pass over the
 sparse int dict over (output component, map index); each map gets the
 witness a pass over it alone would find. `is_n_lie_derivation` and
 `is_n_derivation` are that pass with k = 1, and `verify` runs it once on the
-whole space. The solver reaches `structure_analysis.leibniz_rows` through L,
-as does the dense-kernel oracle the tests build from those rows; the
-predicate writes the law out by hand, so it is the check of the space that
-stays independent of both.
+whole space. The solver reaches `structure_analysis.leibniz_rows`, the one
+writer of the n = 1 law, through L. The dense-kernel oracle of the tests
+writes its own rows of the n-slot law, and the predicate writes the law out
+by hand, so both check the space independently of the solver.
 """
 
 from __future__ import annotations

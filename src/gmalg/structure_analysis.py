@@ -7,14 +7,16 @@ records carrying witnesses.
 Constraint rows come from one view, `BilinearTable.operator_rows`: fix one
 argument of a structure table to a coordinate vector and it returns, per
 output basis element, the sparse row {free index: coefficient} of the
-linear map in the other argument. The center is the kernel of the rows of
-x -> [x, b_j] over all j. `leibniz_rows` pairs one product cell b_u.b_v
+linear map in the other argument. Each linear law has one writer. The
+center is the kernel of the rows of x -> [x, b_j] over all j.
+`leibniz_rows` writes the derivation law: it pairs one product cell b_u.b_v
 with the rows of x -> x.b_v and x -> b_u.x, all read off the table's int
-view, so no Fraction reaches the kernels of the derivation spaces;
-`pair_spaces` writes the same law on G's composable block pairs for a D that
-is zero on A and B. Every annihilator the hypotheses ask for is a two-sided
-one inside G: the kernel of the rows of x -> y x and x -> x y on one block
-of G, built from the int cells of the multiplication.
+view, so no Fraction reaches the kernels of the derivation spaces.
+`pair_spaces` keeps its rows on the unknowns of a D of G that is zero on A
+and B and keeps M and N, the special pairs. Every annihilator the
+hypotheses ask for is a two-sided one inside G: `two_sided_annihilator`
+cuts the `operator_rows` of x -> y x and x -> x y, read off the int view of
+the multiplication, to one block of G.
 """
 
 from __future__ import annotations
@@ -70,53 +72,46 @@ def derivation_space(alg: StructureAlgebra) -> Subspace:
     Unknown D[t*d+s] is the coefficient of b_t in D(b_s).
     """
     f, dd = alg.field, alg.dim ** 2
-    return Subspace.span(f, dd, kernel_basis(f, dd, leibniz_rows(alg, 1, lie=False)))
+    return Subspace.span(f, dd, kernel_basis(f, dd, leibniz_rows(alg, lie=False)))
 
 
 @lru_cache(maxsize=None)
 def lie_derivation_space(alg: StructureAlgebra) -> Subspace:
     """Solutions of D([b_i, b_j]) = [D(b_i), b_j] + [b_i, D(b_j)]."""
     f, dd = alg.field, alg.dim ** 2
-    return Subspace.span(f, dd, kernel_basis(f, dd, leibniz_rows(alg, 1, lie=True)))
+    return Subspace.span(f, dd, kernel_basis(f, dd, leibniz_rows(alg, lie=True)))
 
 
-def leibniz_rows(alg: StructureAlgebra, n: int, lie: bool) -> list:
-    """Rows of the law T(..u.v..) = T(..u..).b_v + b_u.T(..v..), slot by slot.
+def leibniz_rows(alg: StructureAlgebra, lie: bool) -> list:
+    """Rows of the law D(b_u.b_v) = D(b_u).b_v + b_u.D(b_v).
 
     The product is the bracket for the Lie law (pairs u < v) and the
-    multiplication otherwise (all pairs). Unknowns are component-major:
-    t*d**n + rank is the coefficient of b_t in T at the basis tuple of that
-    rank (first slot most significant), so for n = 1 it is D[t*d+s]. Rows run
-    over slot, spectator tuple, u, v and the output component t. They are
-    int rows, read off the table's int view at int unit vectors: the rational
-    rows times one common factor, with the same kernel.
+    multiplication otherwise (all pairs). Unknown D[t*d+s] is the
+    coefficient of b_t in D(b_s). Rows run over u, v and the output
+    component t. They are int rows, read off the table's int view at int
+    unit vectors: the rational rows times one common factor, with the same
+    kernel.
     """
     d, f = alg.dim, alg.field
     table = (alg.bracket_table if lie else alg.mul).int_view
-    size = d ** n
     # by_right[v][t] = {s: (b_s.b_v)_t}, by_left[u][t] = {s: (b_u.b_s)_t}
     units = _int_units(d)
     by_right = [table.operator_rows(f, right=e) for e in units]
     by_left = [table.operator_rows(f, left=e) for e in units]
     rows = []
-    for slot in range(n):
-        st = d ** (n - 1 - slot)
-        for spect in range(d ** (n - 1)):
-            base = (spect // st) * (st * d) + spect % st
-            for u in range(d):
-                for v in range(u + 1, d) if lie else range(d):
-                    cell = table.at(u, v)
-                    at_u, at_v = base + u * st, base + v * st
-                    for t in range(d):
-                        row = {t * size + base + w * st: c for w, c in cell}
-                        for s, c in by_right[v][t].items():
-                            key = s * size + at_u
-                            row[key] = row.get(key, 0) - c
-                        for s, c in by_left[u][t].items():
-                            key = s * size + at_v
-                            row[key] = row.get(key, 0) - c
-                        if row:
-                            rows.append(row)
+    for u in range(d):
+        for v in range(u + 1, d) if lie else range(d):
+            cell = table.at(u, v)
+            for t in range(d):
+                row = {t * d + w: c for w, c in cell}
+                for s, c in by_right[v][t].items():
+                    key = s * d + u
+                    row[key] = row.get(key, 0) - c
+                for s, c in by_left[u][t].items():
+                    key = s * d + v
+                    row[key] = row.get(key, 0) - c
+                if row:
+                    rows.append(row)
     return rows
 
 
@@ -343,79 +338,47 @@ class PairSpaces:
 
 def pair_spaces(g: GMAlgebra) -> PairSpaces:
     ctx, f = g.context, g.field
-    da, dm, dn, db = ctx.dims
-    dims = dict(zip("AMNB", ctx.dims))
-    start = {"M": 0, "N": dm * dm}  # where the F and E unknowns begin
-    total = dm * dm + dn * dn
-    # D(b_i b_j) = D(b_i) b_j + b_i D(b_j) on each composable block pair; on
-    # A A and B B both sides vanish
+    da, _, _, db = ctx.dims
+    d, off = g.dim, g.offsets
+    # the unknowns D[t*d+s] of a map D on G with b_s and b_t both in M or
+    # both in N, in the (F, E) layout; special pairs are the derivations of
+    # G whose other unknowns are 0
+    keys = [t * d + s for lo, hi in ((off[1], off[2]), (off[2], off[3]))
+            for t in range(lo, hi) for s in range(lo, hi)]
+    col = {k: i for i, k in enumerate(keys)}
     rows = []
-    for (x, y), (table, z) in ctx.products.items():
-        if x not in start and y not in start:
-            continue
-        dx, dy, dz = dims[x], dims[y], dims[z]
-        # by_right[j][t] = {s: (x_s b_j)_t}, by_left[i][t] = {s: (b_i y_s)_t}
-        by_right = [table.operator_rows(f, right=f.unit(dy, j))
-                    for j in range(dy)] if x in start else None
-        by_left = [table.operator_rows(f, left=f.unit(dx, i))
-                   for i in range(dx)] if y in start else None
-        for i in range(dx):
-            for j in range(dy):
-                cell = table.at(i, j)
-                for t in range(dz):
-                    row = ({start[z] + t * dz + w: c for w, c in cell}
-                           if z in start else {})
-                    if by_right:
-                        for s, c in by_right[j][t].items():
-                            key = start[x] + s * dx + i
-                            row[key] = row.get(key, 0) - c
-                    if by_left:
-                        for s, c in by_left[i][t].items():
-                            key = start[y] + s * dy + j
-                            row[key] = row.get(key, 0) - c
-                    if row:
-                        rows.append(row)
+    for row in leibniz_rows(g.algebra, lie=False):
+        kept = {col[k]: c for k, c in row.items() if k in col}
+        if kept:
+            rows.append(kept)
+    total = len(keys)
     special = Subspace.span(f, total, kernel_basis(f, total, rows))
 
-    d, off = g.dim, g.offsets
     central = [list(w) + f.vec_zero(d - da) for w in center(ctx.a).basis]
     central += [f.vec_zero(d - db) + list(w) for w in center(ctx.b).basis]
     vecs = []
     for z in central:
         ad = g.algebra.bracket_table.operator_rows(f, left=z)
-        vecs.append([ad[t].get(s, f.zero)
-                     for lo, hi in ((off[1], off[2]), (off[2], off[3]))
-                     for t in range(lo, hi) for s in range(lo, hi)])
+        vecs.append([ad[k // d].get(k % d, f.zero) for k in keys])
     return PairSpaces(special, Subspace.span(f, total, vecs))
 
 
 def two_sided_annihilator(g: GMAlgebra, elements, lo: int, hi: int) -> list:
     """Kernel basis of {x in span(b_lo, ..., b_hi-1) : y x = 0 = x y}.
 
-    y runs over the coordinate vectors `elements` of G. The rows are those
-    of x -> y x, then of x -> x y, per output component, for each y in
-    turn; kernel_basis's basis depends on that order. They are built on
-    the columns lo..hi-1 only, from the int view of the multiplication and
-    y `int_scaled`, so each is a positive int multiple of the rational row.
+    y runs over the coordinate vectors `elements` of G. The rows are the
+    `operator_rows` of x -> y x, then of x -> x y, for each y in turn, cut
+    to the columns lo..hi-1; kernel_basis's basis depends on that order.
+    They are read off the int view of the multiplication at y `int_scaled`,
+    so each is a positive int multiple of the rational row.
     """
-    f, d = g.field, g.dim
-    cells = g.algebra.mul.int_entries
+    f, mul = g.field, g.algebra.mul.int_view
     rows = []
     for y in elements:
-        left = [{} for _ in range(d)]
-        right = [{} for _ in range(d)]
-        for i, c in enumerate(int_scaled(y)):
-            if not c:
-                continue
-            for j in range(lo, hi):
-                for k, e in cells[i * d + j]:
-                    row = left[k]
-                    row[j - lo] = row.get(j - lo, 0) + c * e
-                for k, e in cells[j * d + i]:
-                    row = right[k]
-                    row[j - lo] = row.get(j - lo, 0) + e * c
-        for side in (left, right):
-            for row in side:
+        y = int_scaled(y)
+        for side in (mul.operator_rows(f, left=y), mul.operator_rows(f, right=y)):
+            for full in side:
+                row = {k - lo: c for k, c in full.items() if lo <= k < hi}
                 if row:
                     rows.append(row)
     return kernel_basis(f, hi - lo, rows)

@@ -10,11 +10,11 @@ import gmalg as G
 from gmalg.budget import guard_tuples, guard_unknowns
 from gmalg.exact_linear import _int_row
 from gmalg.fileformat import context_from_dict, context_to_dict, decode_scalar, encode_scalar
-from gmalg.structure_analysis import core_algebra, leibniz_rows
+from gmalg.structure_analysis import core_algebra
 
-Q = G.FieldSpec.rationals()
-GF7 = G.FieldSpec.gf(7)
-GF101 = G.FieldSpec.gf(101)
+Q = G.FieldSpec()
+GF7 = G.FieldSpec(7)
+GF101 = G.FieldSpec(101)
 
 
 def corpus_contexts(field):
@@ -238,6 +238,44 @@ def all_derivations_inner(alg):
     return inner_derivation_space(alg) == G.derivation_space(alg)
 
 
+def lie_leibniz_rows(alg, n):
+    """Rows of the law T(..[u,v]..) = [T(..u..), b_v] + [b_u, T(..v..)],
+    slot by slot, for the oracle below.
+
+    Unknowns are component-major: t*d**n + rank is the coefficient of b_t
+    in T at the basis tuple of that rank (first slot most significant).
+    Rows run over slot, spectator tuple, pairs u < v and the output
+    component t, read off the bracket table's int view.
+    """
+    d, f = alg.dim, alg.field
+    table = alg.bracket_table.int_view
+    size = d ** n
+    units = [[int(i == j) for i in range(d)] for j in range(d)]
+    # by_right[v][t] = {s: [b_s, b_v]_t}, by_left[u][t] = {s: [b_u, b_s]_t}
+    by_right = [table.operator_rows(f, right=e) for e in units]
+    by_left = [table.operator_rows(f, left=e) for e in units]
+    rows = []
+    for slot in range(n):
+        st = d ** (n - 1 - slot)
+        for spect in range(d ** (n - 1)):
+            base = (spect // st) * (st * d) + spect % st
+            for u in range(d):
+                for v in range(u + 1, d):
+                    at_u, at_v = base + u * st, base + v * st
+                    for t in range(d):
+                        row = {t * size + base + w * st: c
+                               for w, c in table.at(u, v)}
+                        for s, c in by_right[v][t].items():
+                            key = s * size + at_u
+                            row[key] = row.get(key, 0) - c
+                        for s, c in by_left[u][t].items():
+                            key = s * size + at_v
+                            row[key] = row.get(key, 0) - c
+                        if row:
+                            rows.append(row)
+    return rows
+
+
 def n_lie_derivation_space_direct(g, n):
     """Dense-kernel oracle for `n_lie_derivation_space`: one unknown per
     tensor entry, the Leibniz law of every slot at once."""
@@ -248,7 +286,7 @@ def n_lie_derivation_space_direct(g, n):
     nunk = d ** (n + 1)
     guard_unknowns("direct space", nunk)
     size = d ** n
-    sols = G.kernel_basis(f, nunk, leibniz_rows(alg, n, lie=True))
+    sols = G.kernel_basis(f, nunk, lie_leibniz_rows(alg, n))
     # component-major kernel vectors, reordered tuple-major like flatten()
     flat_space = G.Subspace.span(f, nunk, [
         [sol[t * size + rank] for rank in range(size) for t in range(d)]

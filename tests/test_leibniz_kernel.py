@@ -126,7 +126,7 @@ def test_lie_predicate_matches_direct_space(field, name, kind, kw, n):
                          ids=[i[0] for i in INSTANCES])
 @pytest.mark.parametrize("lie", [False, True], ids=["assoc", "lie"])
 def test_arity_one_predicate_matches_derivation_space(field, name, kind, kw, lie):
-    """n = 1: the predicate against the kernel of `leibniz_rows(alg, 1, lie)`."""
+    """n = 1: the predicate against the kernel of `leibniz_rows(alg, lie)`."""
     g = dense_gma(kind, field, **kw)
     d = g.dim
     space = (G.lie_derivation_space if lie else G.derivation_space)(g.algebra)

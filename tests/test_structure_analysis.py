@@ -8,7 +8,8 @@ from gmalg.structure_analysis import (center_annihilator, leibniz_rows,
 
 from helpers import (GF7, Q, all_derivations_inner, basis_element, change_of_basis,
                      corpus_algebras, corpus_contexts, dense_kernel_basis,
-                     diagonal_context, inner_derivation_space, mat_vec)
+                     diagonal_context, direct_sum, inner_derivation_space, mat_vec,
+                     pierce_project)
 from test_algebra_core import dual_numbers, quadratic_extension, t2_algebra
 
 
@@ -191,6 +192,13 @@ def module_only(a, b, dm, act_am, act_mb):
     )
 
 
+def m2_plus_zp11(field):
+    """The direct sum of full_matrix(2) and zero_pairing(1,1): the
+    annihilator of M in N has dimension 1 of 2."""
+    return direct_sum(G.generate_builtin("full_matrix", field, r=2),
+                      G.generate_builtin("zero_pairing", field, s=1, t=1))
+
+
 def test_pair_spaces_full_matrix():
     g = gma("full_matrix", Q, r=3)
     ps = G.pair_spaces(g)
@@ -240,7 +248,7 @@ def test_standard_subset_special_everywhere():
 def restricted_derivations(g):
     """Derivations of G that are zero on A and B and map M to M and N to N.
 
-    The kernel of `leibniz_rows(g.algebra, 1, lie=False)` on the unknowns
+    The kernel of `leibniz_rows(g.algebra, lie=False)` on the unknowns
     D[t*d+s] with b_s, b_t both in M or both in N, renumbered as pair_spaces
     lays out (F, E); the other unknowns are fixed to 0.
     """
@@ -253,7 +261,7 @@ def restricted_derivations(g):
                 col[t * d + s] = start + (t - lo) * (hi - lo) + s - lo
     total = dm * dm + dn * dn
     rows = [{col[k]: c for k, c in row.items() if k in col}
-            for row in leibniz_rows(g.algebra, 1, lie=False)]
+            for row in leibniz_rows(g.algebra, lie=False)]
     return G.Subspace.span(f, total, dense_kernel_basis(f, total, rows))
 
 
@@ -267,6 +275,47 @@ def test_special_pairs_are_the_restricted_derivations_of_g(field, seed):
         ps = G.pair_spaces(g)
         assert ps.special == restricted_derivations(g), name
         assert ps.special.contains_subspace(ps.standard), name
+
+
+def pair_as_map(g, vec):
+    """The arity-1 map D on G of a flattened pair (F, E): 0 on A and B, and
+    on the j-th basis vector of M (of N) the element of M (of N) whose
+    coordinates are column j of F (of E)."""
+    _, dm, dn, _ = g.context.dims
+    off = g.offsets
+    entries = {}
+    for lo, dim, flat, embed in ((off[1], dm, vec[:dm * dm], g.embed_m),
+                                 (off[2], dn, vec[dm * dm:], g.embed_n)):
+        for j in range(dim):
+            entries[(lo + j,)] = embed([flat[t * dim + j] for t in range(dim)]).coords
+    return G.MultilinearMap.from_entries(g.field, 1, g.dim, entries)
+
+
+@pytest.mark.parametrize("field", [Q, GF7], ids=["q", "gf7"])
+@pytest.mark.parametrize("seed", [None, 0, 1])
+def test_special_pairs_are_derivations_zero_on_a_and_b(field, seed):
+    """Each special pair, made into D on G, passes the hand-written
+    derivation predicate, and its Peirce parts show that D kills A and B and
+    keeps M in M and N in N. This does not read `leibniz_rows`, which
+    `pair_spaces` solves."""
+    for name, ctx in corpus_contexts(field) + [("sum", m2_plus_zp11(field))]:
+        if seed is not None:
+            ctx = change_of_basis(ctx, seed)
+        g = G.assemble(ctx, validate=False)
+        off = g.offsets
+        special = G.pair_spaces(g).special
+        assert special.dim, name
+        for vec in special.basis:
+            dmap = pair_as_map(g, vec)
+            assert not dmap.is_zero, name
+            assert G.is_n_derivation(g, dmap).ok, name
+            for i in range(g.dim):
+                parts = pierce_project(g, dmap.evaluate([basis_element(g.algebra, i)]))
+                keep = ("m" if off[1] <= i < off[2]
+                        else "n" if off[2] <= i < off[3] else "")
+                for block in "amnb":
+                    if block != keep:
+                        assert not any(getattr(parts, block)), (name, i, block)
 
 
 def test_hypotheses_m3_both_variants_pass():
@@ -325,7 +374,7 @@ def test_leibniz_rows_are_int_rows_on_seeded_q():
         fractional += any(c.denominator > 1 for cell in alg.mul.entries
                           for _, c in cell)
         for lie in (True, False):
-            rows = leibniz_rows(alg, 1, lie)
+            rows = leibniz_rows(alg, lie)
             assert rows, name
             assert all(type(c) is int for row in rows for c in row.values()), name
     assert fractional >= 3
@@ -349,8 +398,11 @@ def cut_annihilator(g, elements, lo, hi):
 @pytest.mark.parametrize("seed", [None, 0, 1])
 def test_two_sided_annihilator_equals_the_cut_rows(field, seed):
     """The same kernel vectors, in the same order, on the 4.3 blocks and on
-    the extremal block M + N with the extremal conditions' elements."""
-    for name, ctx in corpus_contexts(field) + [("diag", diagonal_context(field))]:
+    the extremal block M + N with the extremal conditions' elements. Over q
+    in a seeded basis of the direct sum, the sign of the one vector of the
+    annihilator of M in N depends on the order of the rows."""
+    for name, ctx in corpus_contexts(field) + [("diag", diagonal_context(field)),
+                                              ("sum", m2_plus_zp11(field))]:
         if seed is not None:
             ctx = change_of_basis(ctx, seed)
         g = G.assemble(ctx, validate=False)
