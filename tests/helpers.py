@@ -79,6 +79,13 @@ def direct_sum(ctx1, ctx2):
                         "pair_mn", "pair_nm")})
 
 
+def m2_plus_zp11(field):
+    """The direct sum of full_matrix(2) and zero_pairing(1,1): the
+    annihilator of M in N has dimension 1 of 2."""
+    return direct_sum(G.generate_builtin("full_matrix", field, r=2),
+                      G.generate_builtin("zero_pairing", field, s=1, t=1))
+
+
 def mat_vec(field, rows, vec):
     """The product of the matrix with these rows and the column vec."""
     return field.combine(vec, list(zip(*rows)), len(rows))

@@ -38,7 +38,7 @@ from gmalg.cli import main
 from gmalg.fileformat import (context_from_dict, context_to_dict, decode_scalar,
                               dumps_canonical, encode_scalar)
 
-from helpers import change_of_basis, diagonal_context, direct_sum
+from helpers import change_of_basis, diagonal_context, m2_plus_zp11
 
 DIGESTS = Path(__file__).with_name("report_digests.json")
 FIELDS = ("q", "gf:7")
@@ -74,8 +74,8 @@ DIAGONAL = {"diag2": None, "diag2-s5": 5}
 SEEDED = {"zp21-s3": ("zero_pairing", {"s": 2, "t": 1}, 3)}
 SEEDED_COMMANDS = ("hypotheses-4.3", "extremal")
 
-# `helpers.direct_sum` of full_matrix(2) and zero_pairing(1,1) in a
-# `change_of_basis` seed, under `hypotheses --theorem 4.3`.
+# `helpers.m2_plus_zp11` in a `change_of_basis` seed, under
+# `hypotheses --theorem 4.3`.
 DIRECT_SUM = {"m2+zp11-s0": 0, "m2+zp11-s1": 1}
 
 
@@ -156,9 +156,7 @@ def write_specs(directory: Path) -> None:
             (directory / spec_name(instance, field)).write_text(
                 dumps_canonical(context_to_dict(change_of_basis(ctx, seed))))
         for instance, seed in DIRECT_SUM.items():
-            f = G.FieldSpec.from_name(field)
-            ctx = direct_sum(G.generate_builtin("full_matrix", f, r=2),
-                             G.generate_builtin("zero_pairing", f, s=1, t=1))
+            ctx = m2_plus_zp11(G.FieldSpec.from_name(field))
             (directory / spec_name(instance, field)).write_text(
                 dumps_canonical(context_to_dict(change_of_basis(ctx, seed))))
         for instance, argv in STOCK.items():

@@ -8,8 +8,8 @@ from gmalg.structure_analysis import (center_annihilator, leibniz_rows,
 
 from helpers import (GF7, Q, all_derivations_inner, basis_element, change_of_basis,
                      corpus_algebras, corpus_contexts, dense_kernel_basis,
-                     diagonal_context, direct_sum, inner_derivation_space, mat_vec,
-                     pierce_project)
+                     diagonal_context, inner_derivation_space, m2_plus_zp11,
+                     mat_vec, pierce_project)
 from test_algebra_core import dual_numbers, quadratic_extension, t2_algebra
 
 
@@ -190,13 +190,6 @@ def module_only(a, b, dm, act_am, act_mb):
         pair_mn=G.BilinearTable.zero(dm, 0, a.dim),
         pair_nm=G.BilinearTable.zero(0, dm, b.dim),
     )
-
-
-def m2_plus_zp11(field):
-    """The direct sum of full_matrix(2) and zero_pairing(1,1): the
-    annihilator of M in N has dimension 1 of 2."""
-    return direct_sum(G.generate_builtin("full_matrix", field, r=2),
-                      G.generate_builtin("zero_pairing", field, s=1, t=1))
 
 
 def test_pair_spaces_full_matrix():
