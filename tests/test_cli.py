@@ -177,7 +177,8 @@ def test_verify_exit_codes(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [["hypotheses", "--theorem", "4.1"],
                                   ["hypotheses", "--theorem", "4.3"],
-                                  ["verify", "--arity", "2"]])
+                                  ["verify", "--arity", "2"],
+                                  ["center"]])
 def test_center_structure_error_is_a_failing_check(tmp_path, capsys,
                                                    monkeypatch, argv):
     spec = gen(tmp_path, capsys, "m2.json",
@@ -186,7 +187,7 @@ def test_center_structure_error_is_a_failing_check(tmp_path, capsys,
     def broken(g):
         raise G.CenterStructureError("linking map is singular")
 
-    for module in ("structure_analysis", "decompose"):
+    for module in ("structure_analysis", "decompose", "cli"):
         monkeypatch.setattr(sys.modules[f"gmalg.{module}"], "center_data", broken)
     code, out, err = run(capsys, argv[0], spec, *argv[1:])
     assert code == 1

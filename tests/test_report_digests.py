@@ -16,6 +16,10 @@ runs on the direct sum of full_matrix(2) and zero_pairing(1,1) in two
 seeded bases: there the annihilator of M in N has dimension 1 of 2, so over
 q the sign of its witness pins the order of the annihilator rows (over GF(p)
 a kernel vector carries a 1 at its free column, whatever the order).
+`decompose` runs on stock `ut(1,1)` and `full_matrix(2)` with a map file
+written next to the spec: the first basis map of `n_lie_derivation_space(g,
+3)`, with and without `--arity 3`, and the same map without its last entry,
+which fails the law.
 
     PYTHONPATH=src python tests/test_report_digests.py
 
@@ -36,7 +40,8 @@ import pytest
 import gmalg as G
 from gmalg.cli import main
 from gmalg.fileformat import (context_from_dict, context_to_dict, decode_scalar,
-                              dumps_canonical, encode_scalar)
+                              dumps_canonical, encode_scalar, load_context,
+                              map_to_dict)
 
 from helpers import change_of_basis, diagonal_context, m2_plus_zp11
 
@@ -78,6 +83,15 @@ SEEDED_COMMANDS = ("hypotheses-4.3", "extremal")
 # `hypotheses --theorem 4.3`.
 DIRECT_SUM = {"m2+zp11-s0": 0, "m2+zp11-s1": 1}
 
+# Stock instances whose first n = 3 basis map is written as map files "lie3"
+# and "lie3-cut" (without its last entry); decompose case -> (map, options).
+MAPPED = ("ut11", "m2")
+DECOMPOSE = {
+    "decompose": ("lie3", ()),
+    "decompose-3": ("lie3", ("--arity", "3")),
+    "decompose-cut": ("lie3-cut", ()),
+}
+
 
 def spec_name(instance: str, field: str) -> str:
     return f"{instance}-{field.replace(':', '')}.json"
@@ -107,6 +121,12 @@ def cases() -> dict:
             spec = spec_name(instance, field)
             for name, argv in COMMANDS.items():
                 out[f"{instance}-{field}-{name}"] = (argv[0], spec, *argv[1:])
+        for instance in MAPPED:
+            spec = spec_name(instance, field)
+            for name, (mapped, options) in DECOMPOSE.items():
+                out[f"{instance}-{field}-{name}"] = (
+                    "decompose", spec, spec_name(f"{instance}-{mapped}", field),
+                    *options)
     return out
 
 
@@ -164,6 +184,14 @@ def write_specs(directory: Path) -> None:
             code = main(["gen", "--kind", *argv, "--field", field,
                          "-o", str(path)])
             assert code == 0
+        for instance in MAPPED:
+            g = G.assemble(load_context(str(directory / spec_name(instance, field))))
+            data = map_to_dict(G.n_lie_derivation_space(g, 3)[0])
+            (directory / spec_name(f"{instance}-lie3", field)).write_text(
+                dumps_canonical(data))
+            data["entries"] = data["entries"][:-1]
+            (directory / spec_name(f"{instance}-lie3-cut", field)).write_text(
+                dumps_canonical(data))
 
 
 def report_digest(argv) -> dict:
