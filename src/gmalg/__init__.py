@@ -23,7 +23,7 @@ from .exact_linear import FieldSpec, Subspace, kernel_basis, rref
 from .gma import (GMAlgebra, MoritaContext, assemble, generate_builtin,
                   validate_context)
 from .multilinear import (LeibnizWitness, MultilinearMap, is_centrally_valued,
-                          is_n_derivation, is_n_lie_derivation, maps_span,
+                          is_n_derivation, is_n_lie_derivation,
                           n_lie_derivation_space)
 from .structure_analysis import (CenterData, CheckStatus, HypothesisReport,
                                  PairSpaces, center, center_data,

@@ -1,8 +1,18 @@
 """Command-line surface: generate, validate, analyze, decompose, verify.
 
-Every command emits one canonical JSON report on stdout (or to -o,
-atomically). Exit codes: 0 all checks pass, 1 at least one check failed,
-2 input or parse errors, 3 resource budget exceeded.
+`gen` writes a spec, and `validate` reports on a spec without refusing it.
+Every other command runs through one driver, `_run`: it checks the arity
+floor before the spec is read, loads the spec (refusing an invalid
+context), builds the report header, and hands the assembled algebra and the
+report to the command's body, which fills `checks` and `details`. A
+center-structure failure becomes a report with one failing check. A
+report's `options` are the command's own arguments (for `decompose`, the
+arity is the map's).
+
+Every command writes one canonical JSON document on stdout, or atomically
+to -o. Exit codes: 0 all checks pass, 1 at least one check failed, 2 input
+or parse errors (an -o that cannot be written included), 3 resource budget
+exceeded.
 """
 
 from __future__ import annotations
@@ -31,6 +41,9 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_BUDGET = 3
+
+# The lowest --arity of each command that takes one.
+_LOWEST_ARITY = {"derivations": 1, "verify": 2}
 
 _EPILOG = f"""\
 fields are written 'q' (rationals) or 'gf:P' (odd prime P). All files are
@@ -70,34 +83,47 @@ def _status_check(name: str, st: CheckStatus) -> dict:
     return _check(name, st.status, st.witness, st.reason)
 
 
-def _emit(report: dict, out: str | None, started: float) -> int:
-    report["timings"] = {"elapsed_s": round(time.perf_counter() - started, 6)}
-    text = dumps_canonical(report)
+def _write(text: str, out: str | None) -> None:
     if out:
         save_atomic(out, text)
     else:
         sys.stdout.write(text)
-    failed = any(c.get("status") == "fail" for c in report.get("checks", []))
+
+
+def _emit(report: dict, out: str | None, started: float) -> int:
+    report["timings"] = {"elapsed_s": round(time.perf_counter() - started, 6)}
+    _write(dumps_canonical(report), out)
+    failed = any(c["status"] == "fail" for c in report["checks"])
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
-def _emit_center_failure(report: dict, exc: CenterStructureError,
-                         out: str | None, started: float) -> int:
-    """The report of a command stopped by a center-structure failure."""
-    report["checks"] = [_check("center-structure", "fail", reason=str(exc))]
-    return _emit(report, out, started)
+def _header(args, ctx) -> dict:
+    """A report on `ctx` whose options are the command's own arguments."""
+    options = {key: value for key, value in vars(args).items()
+               if key not in ("command", "func", "output")}
+    return {"format": REPORT_FORMAT, "command": args.command,
+            "instance": context_fingerprint(ctx), "options": options}
 
 
-def _check_arity(command: str, arity: int, lowest: int) -> None:
-    if arity < lowest:
-        raise SpecFileError(f"{command}: --arity {arity} is below {lowest}")
+def _run(args) -> int:
+    """Report on a spec through the body `args.func(args, g, rep)`.
 
-
-def _report_skeleton(command: str, options: dict, ctx=None) -> dict:
-    rep = {"format": REPORT_FORMAT, "command": command, "options": options}
-    if ctx is not None:
-        rep["instance"] = context_fingerprint(ctx)
-    return rep
+    The arity floor is checked before the spec is read, and an invalid
+    context is refused on load. The body fills `rep["checks"]` and
+    `rep["details"]`; a center-structure failure leaves one failing check.
+    """
+    started = time.perf_counter()
+    lowest = _LOWEST_ARITY.get(args.command)
+    if lowest is not None and args.arity < lowest:
+        raise SpecFileError(f"{args.command}: --arity {args.arity} is below {lowest}")
+    ctx = load_context(args.spec)
+    rep = _header(args, ctx)
+    rep["checks"] = []
+    try:
+        args.func(args, assemble(ctx, validate=False), rep)
+    except CenterStructureError as exc:
+        rep["checks"] = [_check("center-structure", "fail", reason=str(exc))]
+    return _emit(rep, args.output, started)
 
 
 # ---------------------------------------------------------------------------
@@ -123,11 +149,7 @@ def _cmd_gen(args) -> int:
     if not report.ok:
         raise SpecFileError(f"generated context failed validation: "
                             f"{report.summary()}")
-    text = dumps_canonical(context_to_dict(ctx))
-    if args.output:
-        save_atomic(args.output, text)
-    else:
-        sys.stdout.write(text)
+    _write(dumps_canonical(context_to_dict(ctx)), args.output)
     return EXIT_OK
 
 
@@ -135,25 +157,16 @@ def _cmd_validate(args) -> int:
     started = time.perf_counter()
     ctx = context_from_dict(load_json(args.spec))
     report = validate_context(ctx)
-    rep = _report_skeleton("validate", {"spec": args.spec}, ctx)
-    checks = [_check("context-valid", "pass" if report.ok else "fail",
-                     reason=report.summary() if not report.ok else "")]
-    for v in report.violations:
-        checks.append(_check(f"axiom-{v.law}", "fail",
-                             witness=list(v.indices), reason=v.detail))
-    rep["checks"] = checks
+    rep = _header(args, ctx)
+    rep["checks"] = [_check("context-valid", "pass" if report.ok else "fail",
+                            reason=report.summary() if not report.ok else "")]
+    rep["checks"] += [_check(f"axiom-{v.law}", "fail", witness=list(v.indices),
+                             reason=v.detail) for v in report.violations]
     return _emit(rep, args.output, started)
 
 
-def _cmd_center(args) -> int:
-    started = time.perf_counter()
-    ctx = load_context(args.spec)
-    g = assemble(ctx, validate=False)
-    rep = _report_skeleton("center", {"spec": args.spec}, ctx)
-    try:
-        cd = center_data(g)
-    except CenterStructureError as exc:
-        return _emit_center_failure(rep, exc, args.output, started)
+def _cmd_center(args, g, rep) -> None:
+    cd = center_data(g)
     rep["checks"] = [_check("center-structure", "pass")]
     rep["details"] = {
         "center_g": subspace_to_dict(cd.center_g),
@@ -163,48 +176,25 @@ def _cmd_center(args) -> int:
         "b_part": subspace_to_dict(cd.b_part),
         "a_to_b": matrix_to_dict(g.field, cd.a_to_b),
     }
-    return _emit(rep, args.output, started)
 
 
-def _cmd_hypotheses(args) -> int:
-    started = time.perf_counter()
-    ctx = load_context(args.spec)
-    g = assemble(ctx, validate=False)
-    rep = _report_skeleton("hypotheses",
-                           {"spec": args.spec, "theorem": args.theorem}, ctx)
-    try:
-        report = check_hypotheses(g, args.theorem)
-    except CenterStructureError as exc:
-        return _emit_center_failure(rep, exc, args.output, started)
-    rep["checks"] = [
-        _status_check(f"hypothesis-{args.theorem}-({num})", st)
-        for num, st in report.conditions
-    ]
+def _cmd_hypotheses(args, g, rep) -> None:
+    report = check_hypotheses(g, args.theorem)
+    rep["checks"] = [_status_check(f"hypothesis-{args.theorem}-({num})", st)
+                     for num, st in report.conditions]
     rep["details"] = {"all_pass": report.all_pass}
-    return _emit(rep, args.output, started)
 
 
-def _cmd_derivations(args) -> int:
-    started = time.perf_counter()
-    _check_arity("derivations", args.arity, 1)
-    ctx = load_context(args.spec)
-    g = assemble(ctx, validate=False)
-    rep = _report_skeleton(
-        "derivations",
-        {"spec": args.spec, "lie": args.lie, "arity": args.arity}, ctx)
+def _cmd_derivations(args, g, rep) -> None:
     if args.arity == 1:
         space = (lie_derivation_space if args.lie else derivation_space)(g.algebra)
         maps = [_matrix_map_dict(g.field, g.dim, flat) for flat in space.basis]
-        rep["details"] = {"dim": space.dim, "basis_maps": maps}
+    elif args.lie:
+        maps = [map_to_dict(m) for m in n_lie_derivation_space(g, args.arity)]
     else:
-        if not args.lie:
-            raise SpecFileError(
-                "only Lie-type spaces are computed for arity >= 2; pass --lie")
-        space = n_lie_derivation_space(g, args.arity)
-        rep["details"] = {"dim": len(space),
-                          "basis_maps": [map_to_dict(m) for m in space]}
-    rep["checks"] = []
-    return _emit(rep, args.output, started)
+        raise SpecFileError(
+            "only Lie-type spaces are computed for arity >= 2; pass --lie")
+    rep["details"] = {"dim": len(maps), "basis_maps": maps}
 
 
 def _matrix_map_dict(field, dim, flat) -> dict:
@@ -216,12 +206,8 @@ def _matrix_map_dict(field, dim, flat) -> dict:
     return map_to_dict(MultilinearMap.from_entries(field, 1, dim, entries))
 
 
-def _cmd_extremal(args) -> int:
-    started = time.perf_counter()
-    ctx = load_context(args.spec)
-    g = assemble(ctx, validate=False)
+def _cmd_extremal(args, g, rep) -> None:
     ex = extremal_exists(g)
-    rep = _report_skeleton("extremal", {"spec": args.spec}, ctx)
     agree = ex.solution == ex.offdiag_annihilator
     rep["checks"] = [
         _check("offdiagonal-annihilator-matches-linear-conditions",
@@ -237,26 +223,20 @@ def _cmd_extremal(args) -> int:
         "annihilator": subspace_to_dict(ex.annihilator),
         "offdiag_annihilator": subspace_to_dict(ex.offdiag_annihilator),
     }
-    return _emit(rep, args.output, started)
 
 
-def _cmd_decompose(args) -> int:
-    started = time.perf_counter()
-    ctx = load_context(args.spec)
-    g = assemble(ctx, validate=False)
+def _cmd_decompose(args, g, rep) -> None:
     mmap = load_map(args.map, g.field, g.dim)
     if args.arity is not None and args.arity != mmap.arity:
         raise SpecFileError(
             f"--arity {args.arity} does not match map arity {mmap.arity}")
-    rep = _report_skeleton(
-        "decompose", {"spec": args.spec, "map": args.map,
-                      "arity": mmap.arity}, ctx)
+    rep["options"]["arity"] = mmap.arity
     try:
         dec = decompose(g, mmap)
     except LieLeibnizError as exc:
         rep["checks"] = [_check("input-is-n-lie-derivation", "fail",
                                 witness=exc.witness)]
-        return _emit(rep, args.output, started)
+        return
     ch = dec.checks
     rep["checks"] = [
         _check("input-is-n-lie-derivation", "pass"),
@@ -273,25 +253,13 @@ def _cmd_decompose(args) -> int:
         "extremal_part": map_to_dict(dec.extremal_part),
         "central_part": map_to_dict(dec.central_part),
     }
-    return _emit(rep, args.output, started)
 
 
-def _cmd_verify(args) -> int:
-    started = time.perf_counter()
-    _check_arity("verify", args.arity, 2)
-    ctx = load_context(args.spec)
-    g = assemble(ctx, validate=False)
-    rep = _report_skeleton("verify", {"spec": args.spec, "arity": args.arity},
-                           ctx)
-    try:
-        vr = verify_decomposition(g, args.arity)
-    except CenterStructureError as exc:
-        return _emit_center_failure(rep, exc, args.output, started)
-    checks = []
-    for hrep in vr.hypothesis_reports:
-        for num, st in hrep.conditions:
-            checks.append(_status_check(
-                f"hypothesis-{hrep.variant}-({num})", st))
+def _cmd_verify(args, g, rep) -> None:
+    vr = verify_decomposition(g, args.arity)
+    checks = [_status_check(f"hypothesis-{hrep.variant}-({num})", st)
+              for hrep in vr.hypothesis_reports for num, st in hrep.conditions]
+    verdicts = []
     for idx, (dec, tri) in enumerate(vr.verdicts):
         ch = dec.checks
         checks.append(_check(f"element-{idx}-exact-sum",
@@ -305,6 +273,15 @@ def _cmd_verify(args) -> int:
         if tri is not None:
             checks.append(_check(f"element-{idx}-triangular-seed-form",
                                  "pass" if tri else "fail"))
+        verdicts.append({
+            "index": idx,
+            "exact_sum": ch.exact_sum,
+            "seed_coords": encode_vector(g.field, dec.seed.coords),
+            "seed_annihilates": ch.seed_annihilates_commutators,
+            "central_part_central": ch.central_part_is_central.ok,
+            "seed_degenerate": ch.seed_is_central,
+            "triangular_seed_form": tri,
+        })
     rep["checks"] = checks
     rep["details"] = {
         "space_dim": vr.space_dim,
@@ -314,21 +291,9 @@ def _cmd_verify(args) -> int:
             "kernel_dim": vr.uniqueness.kernel_dim,
             "unique_on_probe": vr.uniqueness.unique_on_probe,
         },
-        "verdicts": [
-            {
-                "index": idx,
-                "exact_sum": dec.checks.exact_sum,
-                "seed_coords": encode_vector(g.field, dec.seed.coords),
-                "seed_annihilates": dec.checks.seed_annihilates_commutators,
-                "central_part_central": dec.checks.central_part_is_central.ok,
-                "seed_degenerate": dec.checks.seed_is_central,
-                "triangular_seed_form": tri,
-            }
-            for idx, (dec, tri) in enumerate(vr.verdicts)
-        ],
+        "verdicts": verdicts,
         "failures": list(vr.failures),
     }
-    return _emit(rep, args.output, started)
 
 
 # ---------------------------------------------------------------------------
@@ -405,10 +370,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if args.command in ("gen", "validate"):
+            return args.func(args)
+        return _run(args)
     except BudgetExceededError as exc:
         print(f"gmalg: budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

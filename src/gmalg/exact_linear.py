@@ -439,9 +439,6 @@ class Subspace:
     def contains(self, vec) -> bool:
         return self.field.vec_is_zero(self.reduce(vec))
 
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(row) for row in other.basis)
-
     def coordinates_of(self, vec):
         """Coefficients of `vec` on the basis rows, or None if outside.
 

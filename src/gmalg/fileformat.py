@@ -148,19 +148,26 @@ def dumps_canonical(data) -> str:
 
 
 def save_atomic(path: str, text: str) -> None:
+    """Write `text` to `path` through a temporary file beside it.
+
+    A path that cannot be written raises `SpecFileError`, and no temporary
+    file is left behind.
+    """
     # imported here, so that only a command writing to -o loads it
     import tempfile
 
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".gmalg-", suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".gmalg-", suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise SpecFileError(f"{path}: {exc}")
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def load_json(path: str) -> dict:

@@ -492,9 +492,3 @@ def n_lie_derivation_space(g, n: int) -> list:
                         (Fraction(x, scale) if x else zero for x in vec))
         maps.append(MultilinearMap(f, n, d, entries))
     return maps
-
-
-def maps_span(field: FieldSpec, arity: int, dim: int, maps) -> Subspace:
-    """Span of flattened maps, for comparing spaces as subspaces."""
-    return Subspace.span(field, dim ** (arity + 1),
-                         [m.flatten() for m in maps])

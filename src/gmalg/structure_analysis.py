@@ -209,21 +209,15 @@ def _verify_link(g: GMAlgebra, a_part: Subspace, b_vecs) -> None:
 # ---------------------------------------------------------------------------
 
 
-@record
-class CentralIdealResult:
-    answer: bool
-    witness: Element | None = None
-
-
-def has_nonzero_central_ideal(alg: StructureAlgebra) -> CentralIdealResult:
-    """Look for z != 0 central with alg . z still inside the center.
+def has_nonzero_central_ideal(alg: StructureAlgebra) -> Element | None:
+    """A central z != 0 with alg . z still inside the center, or None.
 
     Such a z exists iff the algebra has a nonzero central ideal (the
     two-sided ideal generated by a central z is alg . z).
     """
     z = center(alg)
     if z.dim == 0:
-        return CentralIdealResult(False)
+        return None
     d, f = alg.dim, alg.field
     rows = []
     for i in range(d):
@@ -239,8 +233,8 @@ def has_nonzero_central_ideal(alg: StructureAlgebra) -> CentralIdealResult:
                 rows.append(row)
     sols = kernel_basis(f, z.dim, rows)
     if not sols:
-        return CentralIdealResult(False)
-    return CentralIdealResult(True, alg.element(f.combine(sols[0], z.basis, d)))
+        return None
+    return alg.element(f.combine(sols[0], z.basis, d))
 
 
 @record
@@ -400,12 +394,6 @@ class HypothesisReport:
     def all_pass(self) -> bool:
         return all(st.ok for _, st in self.conditions)
 
-    def condition(self, number: int) -> CheckStatus:
-        for n, st in self.conditions:
-            if n == number:
-                return st
-        raise KeyError(number)
-
 
 def check_hypotheses(g: GMAlgebra, variant: str,
                      cd: CenterData | None = None,
@@ -443,11 +431,11 @@ def check_hypotheses(g: GMAlgebra, variant: str,
 
     ia = has_nonzero_central_ideal(ctx.a)
     ib = has_nonzero_central_ideal(ctx.b)
-    if not ia.answer or not ib.answer:
+    if ia is None or ib is None:
         conds.append((2, CheckStatus("pass")))
     else:
         conds.append((2, CheckStatus(
-            "fail", witness=(ia.witness, ib.witness),
+            "fail", witness=(ia, ib),
             reason="both A and B contain nonzero central ideals")))
 
     if variant == "4.1":

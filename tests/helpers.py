@@ -114,6 +114,23 @@ def map_from_basis_function(alg, arity, fn):
     return G.MultilinearMap(alg.field, arity, alg.dim, entries)
 
 
+def maps_span(field, arity, dim, maps):
+    """Span of flattened maps, for comparing spaces as subspaces."""
+    return G.Subspace.span(field, dim ** (arity + 1), [m.flatten() for m in maps])
+
+
+def contains_subspace(space, other) -> bool:
+    return all(space.contains(row) for row in other.basis)
+
+
+def condition(report, number):
+    """The `CheckStatus` of condition `number` in a `HypothesisReport`."""
+    for n, st in report.conditions:
+        if n == number:
+            return st
+    raise KeyError(number)
+
+
 # ---------------------------------------------------------------------------
 # independent naive elimination oracle (plain FieldSpec arithmetic)
 # ---------------------------------------------------------------------------

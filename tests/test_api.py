@@ -8,8 +8,8 @@ import gmalg as G
 PACKAGE = Path(G.__file__).parent
 
 # Exported for the check of the decomposition theorem on the whole space
-# (ROADMAP item 1), which will call them; nothing calls them yet.
-AWAITING_A_CALLER = {"maps_span", "is_n_derivation"}
+# (ROADMAP item 1), which will call it; nothing calls it yet.
+AWAITING_A_CALLER = {"is_n_derivation"}
 
 
 def references(tree) -> set:

@@ -198,6 +198,24 @@ def test_center_structure_error_is_a_failing_check(tmp_path, capsys,
                               "reason": "linking map is singular"}]
 
 
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+@pytest.mark.parametrize("command", ["gen", "center"])
+def test_unwritable_output_is_an_input_error(tmp_path, capsys, command, target):
+    spec = gen(tmp_path, capsys, "m2.json",
+               "--kind", "full-matrix", "--r", "2", "--field", "q")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out = out_dir / "missing" / "x.json" if target == "missing-directory" else out_dir
+    argv = (("gen", "--kind", "full-matrix", "--r", "2", "--field", "q")
+            if command == "gen" else ("center", spec))
+    code, stdout, err = run(capsys, *argv, "-o", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("gmalg: ")
+    assert "Traceback" not in err
+    assert list(tmp_path.rglob(".gmalg-*.tmp")) == []
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

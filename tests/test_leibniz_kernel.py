@@ -19,7 +19,7 @@ import pytest
 import gmalg as G
 from gmalg.multilinear import _leibniz_predicate
 
-from helpers import (GF101, Q, basis_element, change_of_basis,
+from helpers import (GF101, Q, basis_element, change_of_basis, maps_span,
                      n_lie_derivation_space_direct)
 
 INSTANCES = [
@@ -106,7 +106,7 @@ def test_change_of_basis_gives_dense_valid_contexts():
 def test_lie_predicate_matches_direct_space(field, name, kind, kw, n):
     g = dense_gma(kind, field, **kw)
     basis = G.n_lie_derivation_space(g, n)
-    span = G.maps_span(field, n, g.dim, n_lie_derivation_space_direct(g, n))
+    span = maps_span(field, n, g.dim, n_lie_derivation_space_direct(g, n))
     rng = random.Random(f"{name}:{field.name}:{n}")
     maps = list(basis)
     for m in basis:

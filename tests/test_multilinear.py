@@ -10,7 +10,7 @@ from gmalg.multilinear import (_leibniz_predicate, _lie_basis_columns,
                                _slot_block_rows)
 
 from helpers import (GF7, GF101, Q, basis_element, change_of_basis,
-                     corpus_contexts, map_from_basis_function,
+                     corpus_contexts, map_from_basis_function, maps_span,
                      n_lie_derivation_space_direct, quotient_coordinates,
                      random_central_map, swap_identity_check)
 from test_algebra_core import dual_numbers
@@ -203,8 +203,8 @@ def test_slot_restriction_matches_direct_t2():
     for n in (2, 3):
         slot = G.n_lie_derivation_space(g, n)
         direct = n_lie_derivation_space_direct(g, n)
-        assert (G.maps_span(Q, n, 3, slot)
-                == G.maps_span(Q, n, 3, direct))
+        assert (maps_span(Q, n, 3, slot)
+                == maps_span(Q, n, 3, direct))
 
 
 def test_slot_restriction_matches_direct_m2_gf7():
@@ -212,8 +212,8 @@ def test_slot_restriction_matches_direct_m2_gf7():
     for n in (2, 3):
         slot = G.n_lie_derivation_space(g, n)
         direct = n_lie_derivation_space_direct(g, n)
-        assert (G.maps_span(GF7, n, 4, slot)
-                == G.maps_span(GF7, n, 4, direct))
+        assert (maps_span(GF7, n, 4, slot)
+                == maps_span(GF7, n, 4, direct))
 
 
 @pytest.mark.parametrize("field", [Q, GF101], ids=lambda f: f.name)
@@ -235,8 +235,8 @@ def test_slot_restriction_matches_direct_on_dense_constants(field, kind, kw):
         assert all(type(x) is scalar
                    for m in slot for vec in m.entries.values() for x in vec)
         direct = n_lie_derivation_space_direct(g, n)
-        assert (G.maps_span(field, n, g.dim, slot)
-                == G.maps_span(field, n, g.dim, direct))
+        assert (maps_span(field, n, g.dim, slot)
+                == maps_span(field, n, g.dim, direct))
 
 
 @pytest.mark.parametrize("kind, kw, field, dim", [
@@ -252,8 +252,8 @@ def test_slot_restriction_matches_direct_at_arity_5(kind, kw, field, dim):
     slot = G.n_lie_derivation_space(g, 5)
     assert len(slot) == dim
     direct = n_lie_derivation_space_direct(g, 5)
-    assert (G.maps_span(field, 5, g.dim, slot)
-            == G.maps_span(field, 5, g.dim, direct))
+    assert (maps_span(field, 5, g.dim, slot)
+            == maps_span(field, 5, g.dim, direct))
 
 
 def test_space_elements_pass_predicate_dim7():
@@ -352,8 +352,8 @@ def test_slot_solver_matches_direct_at_arity_2_on_seeded_zero_pairing(
     slot = G.n_lie_derivation_space(g, 2)
     assert len(slot) == dim
     direct = n_lie_derivation_space_direct(g, 2)
-    assert (G.maps_span(field, 2, g.dim, slot)
-            == G.maps_span(field, 2, g.dim, direct))
+    assert (maps_span(field, 2, g.dim, slot)
+            == maps_span(field, 2, g.dim, direct))
     assert all(st.ok for st in _leibniz_predicate(g, slot, lie=True))
 
 

@@ -12,7 +12,6 @@ import pytest
 import gmalg as G
 from gmalg.algebra_core import ValidationReport, Violation
 from gmalg.decompose import DecompositionChecks
-from gmalg.structure_analysis import CentralIdealResult
 from helpers import GF7, Q
 
 from test_decompose import t2_worked_example
@@ -43,7 +42,6 @@ FIELDS = {
     G.LeibnizWitness: ("slot", "args", "partner"),
     G.CenterData: ("center_g", "center_a", "center_b", "a_part", "b_part",
                    "a_to_b"),
-    CentralIdealResult: ("answer", "witness"),
     G.CheckStatus: ("status", "witness", "reason"),
     G.PairSpaces: ("special", "standard"),
     G.HypothesisReport: ("variant", "conditions"),
@@ -62,7 +60,7 @@ def records():
         dec.checks, dec, G.extremal_exists(g), report.uniqueness,
         report, Q, G.center(g.algebra), g.context, g,
         kappa, G.LeibnizWitness(1, (0, 2, 1), 2), G.center_data(g),
-        G.has_nonzero_central_ideal(g.context.a), G.CheckStatus("pass"),
+        G.CheckStatus("pass"),
         G.pair_spaces(g), report.hypothesis_reports[0],
     ]
     assert {type(r) for r in out} == set(FIELDS)
@@ -156,7 +154,6 @@ def test_keywords_and_defaults():
     assert hash(G.FieldSpec(p=7)) == hash(GF7)
     assert G.FieldSpec() == Q
     assert Violation("unit", (1,)).detail == ""
-    assert CentralIdealResult(False) == CentralIdealResult(False, None)
     assert G.CheckStatus("pass") == G.CheckStatus("pass", None, "")
     assert G.CheckStatus(status="unknown", reason="r").witness is None
     assert G.UniquenessProbe(kernel_dim=0, admissible_dim=3) == \
