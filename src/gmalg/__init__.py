@@ -14,7 +14,7 @@ from .decompose import (Decomposition, ExtremalExistence, UniquenessProbe,
                         VerificationReport, build_extremal, decompose,
                         double_bracket_annihilator, extract_seed,
                         extremal_exists, probe_seed_uniqueness,
-                        seed_annihilates_commutators, verify_decomposition)
+                        verify_decomposition)
 from .errors import (BudgetExceededError, CenterStructureError,
                      DimensionMismatchError, ExtremalPreconditionError,
                      FieldMismatchError, GmalgError, InvalidContextError,

@@ -2,9 +2,10 @@
 
 `gen` writes a spec, and `validate` reports on a spec without refusing it.
 Every other command runs through one driver, `_run`: it checks the arity
-floor before the spec is read, loads the spec (refusing an invalid
-context), builds the report header, and hands the assembled algebra and the
-report to the command's body, which fills `checks` and `details`. A
+floor, and the --lie that `derivations` needs from arity 2 on, before the
+spec is read, loads the spec (refusing an invalid context), builds the
+report header, and hands the assembled algebra and the report to the
+command's body, which fills `checks` and `details`. A
 center-structure failure becomes a report with one failing check. A
 report's `options` are the command's own arguments (for `decompose`, the
 arity is the map's).
@@ -108,14 +109,18 @@ def _header(args, ctx) -> dict:
 def _run(args) -> int:
     """Report on a spec through the body `args.func(args, g, rep)`.
 
-    The arity floor is checked before the spec is read, and an invalid
-    context is refused on load. The body fills `rep["checks"]` and
-    `rep["details"]`; a center-structure failure leaves one failing check.
+    The arity floor and the --lie that `derivations` needs from arity 2 on
+    are checked before the spec is read, and an invalid context is refused
+    on load. The body fills `rep["checks"]` and `rep["details"]`; a
+    center-structure failure leaves one failing check.
     """
     started = time.perf_counter()
     lowest = _LOWEST_ARITY.get(args.command)
     if lowest is not None and args.arity < lowest:
         raise SpecFileError(f"{args.command}: --arity {args.arity} is below {lowest}")
+    if args.command == "derivations" and args.arity >= 2 and not args.lie:
+        raise SpecFileError(
+            "only Lie-type spaces are computed for arity >= 2; pass --lie")
     ctx = load_context(args.spec)
     rep = _header(args, ctx)
     rep["checks"] = []
@@ -189,11 +194,8 @@ def _cmd_derivations(args, g, rep) -> None:
     if args.arity == 1:
         space = (lie_derivation_space if args.lie else derivation_space)(g.algebra)
         maps = [_matrix_map_dict(g.field, g.dim, flat) for flat in space.basis]
-    elif args.lie:
-        maps = [map_to_dict(m) for m in n_lie_derivation_space(g, args.arity)]
     else:
-        raise SpecFileError(
-            "only Lie-type spaces are computed for arity >= 2; pass --lie")
+        maps = [map_to_dict(m) for m in n_lie_derivation_space(g, args.arity)]
     rep["details"] = {"dim": len(maps), "basis_maps": maps}
 
 

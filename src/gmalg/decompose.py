@@ -1,13 +1,18 @@
 """Splitting an n-Lie derivation into a nested-bracket part plus a central part.
 
 The seed element is read off the diagonal idempotents: eval the map on
-(e, ..., e), keep e..f and (-1)^n f..e corners. When the seed commutes with
-the commutator span, its iterated ad-brackets give an extremal n-derivation
-and the remainder is checked for central values. An independent brute-force
-annihilator ties the existence question to a small linear system on M (+) N.
+(e, ..., e), keep e..f and (-1)^n f..e corners. When the seed lies in
+W = {s : [[G, G], s] = 0}, its iterated ad-brackets give an extremal
+n-derivation and the remainder is checked for central values; the seed check
+is `W.contains`. An independent brute-force annihilator ties the existence
+question to a small linear system on M (+) N. The uniqueness probe reads
+Z_n, the n-th term of G's upper central series: the extremal map of a seed
+vanishes exactly when the seed lies in Z_n, so no extremal map is built.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .algebra_core import Element, stack_rows
 from .budget import guard_tuples
@@ -20,7 +25,7 @@ from .multilinear import (MultilinearMap, _leibniz_predicate,
 from .records import record
 from .structure_analysis import (VARIANTS, CheckStatus, center,
                                  center_data, check_hypotheses, pair_spaces,
-                                 two_sided_annihilator)
+                                 two_sided_annihilator, upper_central)
 
 
 def extract_seed(g: GMAlgebra, mmap: MultilinearMap) -> Element:
@@ -35,27 +40,17 @@ def extract_seed(g: GMAlgebra, mmap: MultilinearMap) -> Element:
     return ef_part + fe_part
 
 
-def seed_annihilates_commutators(g: GMAlgebra, seed: Element) -> CheckStatus:
-    """Check [c, seed] = 0 for every basis vector c of the commutator span."""
-    alg = g.algebra
-    span = alg.commutators
-    for idx, c in enumerate(span.basis):
-        if any(alg.bracket_coords(list(c), list(seed.coords))):
-            return CheckStatus("fail", witness=idx)
-    return CheckStatus("pass")
-
-
 def build_extremal(g: GMAlgebra, seed: Element, n: int) -> MultilinearMap:
     """Materialize (x_1, ..., x_n) -> [x_1, [x_2, ..., [x_n, seed]...]].
 
-    Requires the seed to commute with the commutator span; a central seed is
-    accepted and simply produces the zero map.
+    Requires the seed to lie in W = `double_bracket_annihilator(g)`, that
+    is to commute with the commutator span; a central seed is accepted and
+    simply produces the zero map.
     """
     alg = g.algebra
     d, f = alg.dim, alg.field
-    ok = seed_annihilates_commutators(g, seed)
-    if not ok:
-        raise ExtremalPreconditionError(ok.witness)
+    if not double_bracket_annihilator(g).contains(seed.coords):
+        raise ExtremalPreconditionError(seed.coords)
     guard_tuples("extremal materialization", d ** n)
     layer = {(): list(seed.coords)}
     for _ in range(n):
@@ -169,6 +164,7 @@ def extremal_exists(g: GMAlgebra) -> ExtremalExistence:
                              annihilator, offdiag)
 
 
+@lru_cache(maxsize=None)
 def double_bracket_annihilator(g: GMAlgebra) -> Subspace:
     """Brute force {x : [c, x] = 0 for all c in the commutator span}."""
     alg = g.algebra
@@ -201,21 +197,22 @@ class UniquenessProbe:
 
 
 def probe_seed_uniqueness(g: GMAlgebra, n: int) -> UniquenessProbe:
-    ex = extremal_exists(g)
-    adm = ex.offdiag_annihilator
+    """The admissible seeds s with kappa_s = 0, which are those in Z_n(G).
+
+    kappa_s = [x_1, [x_2, ..., [x_n, s]...]] vanishes for all x exactly when
+    s lies in the n-th term of the upper central series, so the kernel is
+    the admissible seeds that every annihilator row of Z_n kills. An
+    admissible seed lives on the M (+) N columns of G.
+    """
+    adm = extremal_exists(g).offdiag_annihilator
     if adm.dim == 0:
         return UniquenessProbe(0, 0)
-    ctx, f = g.context, g.field
-    dm, dn = ctx.m_dim, ctx.n_dim
-    flats = []
-    for vec in adm.basis:
-        seed = g.embed_m(vec[:dm]) + g.embed_n(vec[dm:])
-        kappa = build_extremal(g, seed, n)
-        flats.append(kappa.flatten())
-    rows = [[flats[r][c] for r in range(len(flats))]
-            for c in range(len(flats[0]))]
-    ker = kernel_basis(f, len(flats), rows)
-    return UniquenessProbe(adm.dim, len(ker))
+    lo, hi = g.offsets[1], g.offsets[3]
+    rows = [{r: x for r, vec in enumerate(adm.basis)
+             if (x := sum(a * vec[i - lo] for i, a in ann if lo <= i < hi))}
+            for ann in upper_central(g.algebra, n).annihilator]
+    return UniquenessProbe(adm.dim,
+                           len(kernel_basis(g.field, adm.dim, stack_rows([rows]))))
 
 
 @record

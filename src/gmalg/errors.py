@@ -39,14 +39,13 @@ class InvalidContextError(GmalgError):
 
 
 class ExtremalPreconditionError(GmalgError):
-    """Seed element does not annihilate the commutator span."""
+    """Seed element does not annihilate the commutator span; carries the
+    seed's coordinates."""
 
-    def __init__(self, witness):
-        super().__init__(
-            "seed does not commute with the commutator span; "
-            f"witness bracket index {witness}"
-        )
-        self.witness = witness
+    def __init__(self, seed):
+        self.seed = tuple(seed)
+        super().__init__(f"seed ({', '.join(map(str, self.seed))}) does not "
+                         "commute with the commutator span")
 
 
 class LieLeibnizError(GmalgError):

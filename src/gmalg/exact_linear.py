@@ -18,7 +18,10 @@ its vectors dense, primitive int vectors over q and residues over GF(p).
 `rref` reads the canonical reduced row echelon form off it, one entry per
 kernel vector and eliminated column, as Fractions over q. A `Subspace`
 stores the `rref` of a spanning set, so equality is plain entrywise
-comparison.
+comparison. Membership has one test, `Subspace.contains`: a vector lies in
+the subspace exactly when every row of its `annihilator`, the
+`kernel_basis` of the basis, has a zero dot product with the vector
+`int_scaled`.
 """
 
 from __future__ import annotations
@@ -178,9 +181,6 @@ class FieldSpec:
                     if a:
                         out[i] += c * a
         return out if self.p is None else [x % self.p for x in out]
-
-    def vec_is_zero(self, u) -> bool:
-        return all(not a for a in u)
 
     def unit(self, n: int, i: int) -> list:
         """Coordinate vector of the i-th basis element of an n-space."""
@@ -424,20 +424,30 @@ class Subspace:
             cols.append(next(j for j, x in enumerate(row) if x))
         return tuple(cols)
 
-    def reduce(self, vec) -> list:
-        """Residual of `vec` after elimination against the basis rows."""
-        f = self.field
-        v = [f.of(x) for x in vec]
-        if len(v) != self.ambient_dim:
-            raise DimensionMismatchError("ambient dimension mismatch")
-        for row, pc in zip(self.basis, self.pivot_columns):
-            c = v[pc]
-            if c:
-                v = [f.sub(a, f.mul(c, b)) for a, b in zip(v, row)]
-        return v
+    @cached_property
+    def annihilator(self) -> tuple:
+        """Int rows whose joint kernel is this subspace, as sparse (index,
+        int) pairs: the `kernel_basis` vectors of the basis, primitive ints
+        over q and residues over GF(p)."""
+        return tuple(tuple((i, a) for i, a in enumerate(row) if a)
+                     for row in kernel_basis(self.field, self.ambient_dim, self.basis))
 
     def contains(self, vec) -> bool:
-        return self.field.vec_is_zero(self.reduce(vec))
+        """True when every annihilator row kills `vec`.
+
+        The vector is `int_scaled` once, which keeps each dot product's zero
+        pattern; over GF(p) a product is zero when p divides it.
+        """
+        if len(vec) != self.ambient_dim:
+            raise DimensionMismatchError(
+                f"vector length {len(vec)} != ambient {self.ambient_dim}")
+        f, p = self.field, self.field.p
+        v = int_scaled([f.of(x) for x in vec])
+        for row in self.annihilator:
+            x = sum(a * v[i] for i, a in row)
+            if x and (p is None or x % p):
+                return False
+        return True
 
     def coordinates_of(self, vec):
         """Coefficients of `vec` on the basis rows, or None if outside.

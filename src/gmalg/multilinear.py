@@ -39,8 +39,8 @@ from .budget import guard_power, guard_tuples, guard_unknowns
 from .errors import DimensionMismatchError, FieldMismatchError
 from .exact_linear import FieldSpec, Subspace, int_scaled, kernel_basis
 from .records import record
-from .structure_analysis import (CheckStatus, center_annihilator,
-                                 core_algebra, lie_derivation_space)
+from .structure_analysis import (CheckStatus, center, core_algebra,
+                                 lie_derivation_space)
 
 
 @record
@@ -150,19 +150,6 @@ class MultilinearMap:
     @property
     def is_zero(self) -> bool:
         return not self.entries
-
-    def flatten(self) -> list:
-        """Dense vector of length dim**(arity+1), tuple-major then component."""
-        f, d, n = self.field, self.dim, self.arity
-        out = f.vec_zero(d ** (n + 1))
-        for key, vec in self.entries.items():
-            rank = 0
-            for i in key:
-                rank = rank * d + i
-            base = rank * d
-            for j, c in enumerate(vec):
-                out[base + j] = c
-        return out
 
 
 @record
@@ -311,25 +298,15 @@ def _nonzero_residuals(alg: StructureAlgebra, maps: list, lie: bool):
 def is_centrally_valued(g, mmap: MultilinearMap) -> CheckStatus:
     """Every stored basis-tuple value must lie in the center.
 
-    Z(G) is the joint kernel of its annihilator rows, so a value lies in Z
-    exactly when its dot product with each row is zero. The rows are
-    `center_annihilator`, computed once per algebra, and the values are
-    `int_scaled` by one common factor, which keeps each product's zero
-    pattern; over GF(p) a product is zero when p divides it. The witness is
-    the first failing basis tuple in sorted order.
+    Each value is tested by `Subspace.contains` on Z(G); the witness is the
+    first failing basis tuple in sorted order.
     """
     alg = core_algebra(g)
     _check_algebra_map(alg, mmap)
-    d, p = alg.dim, alg.field.p
-    ann = center_annihilator(alg)
-    keys = sorted(mmap.entries)
-    scaled = iter(int_scaled([x for key in keys for x in mmap.entries[key]]))
-    for key in keys:
-        vec = list(islice(scaled, d))
-        for row in ann:
-            x = sum(a * vec[i] for i, a in row)
-            if x and (p is None or x % p):
-                return CheckStatus("fail", witness=key)
+    z = center(alg)
+    for key in sorted(mmap.entries):
+        if not z.contains(mmap.entries[key]):
+            return CheckStatus("fail", witness=key)
     return CheckStatus("pass")
 
 

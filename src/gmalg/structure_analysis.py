@@ -8,7 +8,10 @@ Constraint rows come from one view, `BilinearTable.operator_rows`: fix one
 argument of a structure table to a coordinate vector and it returns, per
 output basis element, the sparse row {free index: coefficient} of the
 linear map in the other argument. Each linear law has one writer. The
-center is the kernel of the rows of x -> [x, b_j] over all j.
+upper central series has one: Z_0 = 0, and Z_j is cut out by the
+annihilator rows of Z_(j-1) composed with the rows of s -> [b_i, s] over all
+i. The center is its first term Z_1, and a membership question about any of
+them is `Subspace.contains`, read off the same annihilator rows.
 `leibniz_rows` writes the derivation law: it pairs one product cell b_u.b_v
 with the rows of x -> x.b_v and x -> b_u.x, all read off the table's int
 view, so no Fraction reaches the kernels of the derivation spaces.
@@ -45,24 +48,35 @@ def _int_units(d: int) -> list:
     return [[int(i == j) for i in range(d)] for j in range(d)]
 
 
-@lru_cache(maxsize=None)
 def center(alg: StructureAlgebra) -> Subspace:
-    """Kernel of x -> ([x, b_j])_j stacked over all basis elements."""
-    d, f = alg.dim, alg.field
-    bt = alg.bracket_table.int_view
-    rows = stack_rows(bt.operator_rows(f, right=e) for e in _int_units(d))
-    return Subspace.span(f, d, kernel_basis(f, d, rows))
+    """Z(alg), the first term of the upper central series."""
+    return upper_central(alg, 1)
 
 
 @lru_cache(maxsize=None)
-def center_annihilator(alg: StructureAlgebra) -> tuple:
-    """Int rows whose joint kernel is Z(alg), as sparse (index, int) pairs.
+def upper_central(alg: StructureAlgebra, n: int) -> Subspace:
+    """Z_n, the n-th term of the upper central series of alg as a Lie algebra.
 
-    The `kernel_basis` vectors of Z's basis: primitive ints over q,
-    residues over GF(p).
+    Z_0 = 0 and Z_j = {s : [b_i, s] lies in Z_(j-1) for every i}: the kernel
+    of the annihilator rows of Z_(j-1) composed with the rows of s -> [b_i, s],
+    read off the bracket's int view at int unit vectors.
     """
-    return tuple(tuple((i, a) for i, a in enumerate(row) if a)
-                 for row in kernel_basis(alg.field, alg.dim, center(alg).basis))
+    d, f = alg.dim, alg.field
+    if n == 0:
+        return Subspace.zero(f, d)
+    ann = upper_central(alg, n - 1).annihilator
+    bt = alg.bracket_table.int_view
+    rows = []
+    for e in _int_units(d):
+        ad = bt.operator_rows(f, left=e)
+        for r in ann:
+            row = {}
+            for k, a in r:
+                for j, c in ad[k].items():
+                    row[j] = row.get(j, 0) + a * c
+            if row:
+                rows.append(row)
+    return Subspace.span(f, d, kernel_basis(f, d, rows))
 
 
 @lru_cache(maxsize=None)
@@ -213,7 +227,9 @@ def has_nonzero_central_ideal(alg: StructureAlgebra) -> Element | None:
     """A central z != 0 with alg . z still inside the center, or None.
 
     Such a z exists iff the algebra has a nonzero central ideal (the
-    two-sided ideal generated by a central z is alg . z).
+    two-sided ideal generated by a central z is alg . z). The unknowns are
+    the coordinates c of z on Z's basis, and the rows apply Z's annihilator
+    rows to each b_i z_r, so that b_i z lies in Z for every i.
     """
     z = center(alg)
     if z.dim == 0:
@@ -222,13 +238,10 @@ def has_nonzero_central_ideal(alg: StructureAlgebra) -> Element | None:
     rows = []
     for i in range(d):
         e_i = f.unit(d, i)
-        residuals = []
-        for zr in z.basis:
-            prod = alg.mul_coords(e_i, list(zr))
-            residuals.append(z.reduce(prod))
-        for comp in range(d):
-            row = {r: residuals[r][comp] for r in range(z.dim)
-                   if residuals[r][comp]}
+        prods = [alg.mul_coords(e_i, list(zr)) for zr in z.basis]
+        for a in z.annihilator:
+            row = {r: x for r, prod in enumerate(prods)
+                   if (x := sum(c * prod[k] for k, c in a))}
             if row:
                 rows.append(row)
     sols = kernel_basis(f, z.dim, rows)

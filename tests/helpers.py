@@ -114,9 +114,50 @@ def map_from_basis_function(alg, arity, fn):
     return G.MultilinearMap(alg.field, arity, alg.dim, entries)
 
 
+def flatten(mmap):
+    """Dense vector of length dim**(arity+1), tuple-major then component."""
+    f, d, n = mmap.field, mmap.dim, mmap.arity
+    out = f.vec_zero(d ** (n + 1))
+    for key, vec in mmap.entries.items():
+        rank = 0
+        for i in key:
+            rank = rank * d + i
+        base = rank * d
+        for j, c in enumerate(vec):
+            out[base + j] = c
+    return out
+
+
 def maps_span(field, arity, dim, maps):
     """Span of flattened maps, for comparing spaces as subspaces."""
-    return G.Subspace.span(field, dim ** (arity + 1), [m.flatten() for m in maps])
+    return G.Subspace.span(field, dim ** (arity + 1), [flatten(m) for m in maps])
+
+
+def reduce(space, vec):
+    """Dense residual of `vec` after elimination against the RREF basis rows
+    of `space`, with the field's scalar operations: the membership oracle."""
+    f = space.field
+    v = [f.of(x) for x in vec]
+    if len(v) != space.ambient_dim:
+        raise G.DimensionMismatchError("ambient dimension mismatch")
+    for row, pc in zip(space.basis, space.pivot_columns):
+        c = v[pc]
+        if c:
+            v = [f.sub(a, f.mul(c, b)) for a, b in zip(v, row)]
+    return v
+
+
+def probe_kernel_dim_by_flats(g, n):
+    """The uniqueness probe's kernel dimension from the extremal maps
+    themselves: the kernel of the matrix whose columns are the flattened
+    kappa maps of the admissible seeds."""
+    adm = G.extremal_exists(g).offdiag_annihilator
+    if adm.dim == 0:
+        return 0
+    dm = g.context.m_dim
+    flats = [flatten(G.build_extremal(g, g.embed_m(v[:dm]) + g.embed_n(v[dm:]), n))
+             for v in adm.basis]
+    return len(G.kernel_basis(g.field, len(flats), [list(r) for r in zip(*flats)]))
 
 
 def contains_subspace(space, other) -> bool:
@@ -443,7 +484,7 @@ def quotient_coordinates(g):
     for i in range(alg.dim):
         v = alg.field.vec_zero(alg.dim)
         v[i] = alg.field.one
-        res = span.reduce(v)
+        res = reduce(span, v)
         lam.append([res[c] for c in free])
     return lam, len(free)
 

@@ -122,6 +122,17 @@ def test_derivations_arities(tmp_path, capsys):
     assert "--lie" in err
 
 
+@pytest.mark.parametrize("arity", ["2", "3", str(10 ** 30)])
+def test_derivations_without_lie_is_refused_before_the_spec_is_read(
+        tmp_path, capsys, arity):
+    message = "gmalg: only Lie-type spaces are computed for arity >= 2; pass --lie\n"
+    spec = gen(tmp_path, capsys, "m2.json",
+               "--kind", "full-matrix", "--r", "2", "--field", "q")
+    for path in (spec, str(tmp_path / "missing.json")):
+        code, out, err = run(capsys, "derivations", "--arity", arity, path)
+        assert (code, out, err) == (2, "", message), path
+
+
 def test_extremal_report(tmp_path, capsys):
     spec = gen(tmp_path, capsys, "t2.json",
                "--kind", "upper-triangular", "--s", "1", "--t", "1", "--field", "q")

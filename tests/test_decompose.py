@@ -8,7 +8,7 @@ import gmalg as G
 
 from helpers import (GF101, GF7, Q, basis_element, contains_subspace,
                      corpus_algebras, map_from_basis_function,
-                     random_central_map)
+                     probe_kernel_dim_by_flats, random_central_map)
 from test_multilinear import trace_power_map
 
 
@@ -70,8 +70,12 @@ def test_build_extremal_t2():
 
 def test_build_extremal_refused_on_m2():
     g = gma("full_matrix", Q, r=2)
-    with pytest.raises(G.ExtremalPreconditionError):
-        G.build_extremal(g, g.embed_m([1]), 3)
+    seed = g.embed_m([1])
+    with pytest.raises(G.ExtremalPreconditionError) as info:
+        G.build_extremal(g, seed, 3)
+    assert info.value.seed == seed.coords
+    assert str(info.value) == ("seed (0, 1, 0, 0) does not commute with the "
+                               "commutator span")
 
 
 def test_build_extremal_central_seed_gives_zero():
@@ -178,6 +182,42 @@ def test_uniqueness_probe():
     m3 = gma("full_matrix", Q, r=3)
     probe3 = G.probe_seed_uniqueness(m3, 3)
     assert probe3.admissible_dim == 0
+
+
+def half_unital_context(field):
+    """A = B = k and M = k^2 with 1_A m_1 = m_1 = m_1 1_B and m_2 killed on
+    both sides, N = 0. M is not unital, so validation refuses the context;
+    m_2 is central, and the admissible seeds m_1, m_2 meet Z_n in k m_2."""
+    k = G.StructureAlgebra.build(field, 1, [(0, 0, 0, 1)], [1])
+    return G.MoritaContext(
+        a=k, b=k, m_dim=2, n_dim=0,
+        act_am=G.BilinearTable.from_quadruples(field, 1, 2, 2, [(0, 0, 0, 1)]),
+        act_mb=G.BilinearTable.from_quadruples(field, 2, 1, 2, [(0, 0, 0, 1)]),
+        act_bn=G.BilinearTable.zero(1, 0, 0),
+        act_na=G.BilinearTable.zero(0, 1, 0),
+        pair_mn=G.BilinearTable.zero(2, 0, 1),
+        pair_nm=G.BilinearTable.zero(0, 2, 1),
+    )
+
+
+@pytest.mark.parametrize("field", [Q, GF7], ids=["q", "gf7"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_probe_kernel_matches_the_extremal_maps(field, n):
+    """The kernel read off Z_n against the kernel of the flattened extremal
+    maps of the admissible seeds. On a valid context ad e is 1 on M and -1
+    on N, so no admissible seed lies in Z_n and the kernel is 0; the
+    half-unital context has a kernel of dimension 1."""
+    admissible = 0
+    for name, g in corpus_algebras(field):
+        probe = G.probe_seed_uniqueness(g, n)
+        assert probe.kernel_dim == probe_kernel_dim_by_flats(g, n) == 0, name
+        admissible += probe.admissible_dim
+    assert admissible
+    g = G.assemble(half_unital_context(field), validate=False)
+    assert not G.validate_context(g.context).ok
+    probe = G.probe_seed_uniqueness(g, n)
+    assert (probe.admissible_dim, probe.kernel_dim) == (2, 1)
+    assert probe_kernel_dim_by_flats(g, n) == 1
 
 
 def test_verify_decomposition_dim7():

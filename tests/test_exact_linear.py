@@ -15,7 +15,7 @@ from gmalg.multilinear import _lie_basis_columns, _slot_block_rows
 from gmalg.structure_analysis import leibniz_rows
 
 from helpers import (GF7, GF101, Q, change_of_basis, corpus_contexts,
-                     dense_kernel_basis, inverse, mat_vec, naive_rref)
+                     dense_kernel_basis, inverse, mat_vec, naive_rref, reduce)
 
 FIELDS = (Q, GF7, GF101)
 
@@ -453,11 +453,47 @@ def test_contains_and_coordinates():
     assert coords == [Fraction(2), Fraction(3)]
 
 
+@pytest.mark.parametrize("field", [Q, GF7], ids=lambda f: f.name)
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_contains_and_coordinates_of_agree_with_dense_reduction(field, data):
+    """Membership read off the annihilator rows against the dense residual,
+    on a member of a random span, on that member moved off the span along a
+    column no basis row leads, and on a random vector."""
+    if field.p is None:
+        scalar = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    else:
+        scalar = st.integers(0, field.p - 1)
+    scalar = st.one_of(st.just(field.zero), scalar)
+    n = data.draw(st.integers(1, 7))
+    vectors = data.draw(st.lists(st.lists(scalar, min_size=n, max_size=n),
+                                 max_size=n + 1))
+    s = G.Subspace.span(field, n, vectors)
+    coeffs = data.draw(st.lists(scalar, min_size=len(vectors),
+                                max_size=len(vectors)))
+    member = field.combine(coeffs, vectors, n)
+    samples = [(member, True), (data.draw(st.lists(scalar, min_size=n,
+                                                   max_size=n)), None)]
+    free = [j for j in range(n) if j not in s.pivot_columns]
+    if free:
+        shift = field.unit(n, data.draw(st.sampled_from(free)))
+        samples.append((field.vec_add(member, shift), False))
+    for vec, expected in samples:
+        inside = not any(reduce(s, vec))
+        assert expected in (None, inside)
+        assert s.contains(vec) == inside
+        coords = s.coordinates_of(vec)
+        if inside:
+            assert field.combine(coords, s.basis, n) == [field.of(x) for x in vec]
+        else:
+            assert coords is None
+
+
 @pytest.mark.parametrize("vec", [[1, 2], [1, 2, 0, 0]], ids=["short", "long"])
 def test_coordinates_of_refuses_a_vector_of_another_length(vec):
     s = G.Subspace.span(Q, 3, [[1, 0, 0], [0, 1, 0]])
     with pytest.raises(G.DimensionMismatchError):
-        s.reduce(vec)
+        s.contains(vec)
     with pytest.raises(G.DimensionMismatchError):
         s.coordinates_of(vec)
 

@@ -19,8 +19,8 @@ import pytest
 import gmalg as G
 from gmalg.multilinear import _leibniz_predicate
 
-from helpers import (GF101, Q, basis_element, change_of_basis, maps_span,
-                     n_lie_derivation_space_direct)
+from helpers import (GF101, Q, basis_element, change_of_basis, flatten,
+                     maps_span, n_lie_derivation_space_direct)
 
 INSTANCES = [
     ("t2", "upper_triangular", dict(s=1, t=1)),
@@ -114,7 +114,7 @@ def test_lie_predicate_matches_direct_space(field, name, kind, kw, n):
     failures = 0
     for m in maps:
         res = G.is_n_lie_derivation(g, m)
-        assert res.ok == span.contains(m.flatten())
+        assert res.ok == span.contains(flatten(m))
         if not res.ok:
             failures += 1
             assert violates(g, m, res.witness, lie=True)

@@ -3,14 +3,14 @@
 import pytest
 
 import gmalg as G
-from gmalg.structure_analysis import (center_annihilator, leibniz_rows,
-                                     two_sided_annihilator)
+from gmalg.structure_analysis import (leibniz_rows, two_sided_annihilator,
+                                     upper_central)
 
 from helpers import (GF7, Q, all_derivations_inner, basis_element, change_of_basis,
                      condition, contains_subspace, corpus_algebras,
                      corpus_contexts, dense_kernel_basis,
                      diagonal_context, inner_derivation_space, m2_plus_zp11,
-                     mat_vec, pierce_project)
+                     mat_vec, pierce_project, reduce)
 from test_algebra_core import dual_numbers, quadratic_extension, t2_algebra
 
 
@@ -413,13 +413,66 @@ def test_two_sided_annihilator_equals_the_cut_rows(field, seed):
                     == cut_annihilator(g, elements, lo, hi)), name
 
 
+def unit_plus_strictly_upper_4(field):
+    """k.1 plus the strictly upper triangular 4 x 4 matrices (d = 7): the
+    basis is 1, then e_ij for i < j in row-major order."""
+    units = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    at = {u: k for k, u in enumerate(units, start=1)}
+    quads = [(0, 0, 0, 1)]
+    quads += [q for k in at.values() for q in ((0, k, k, 1), (k, 0, k, 1))]
+    quads += [(at[i, j], at[j, l], at[i, l], 1)
+              for i, j in units for jj, l in units if jj == j]
+    return G.StructureAlgebra.build(field, 7, quads, [1] + [0] * 6)
+
+
+def upper_central_oracle(alg, n):
+    """Z_n by dense residuals: Z_j is the kernel of s -> ([b_i, s] reduced
+    against Z_(j-1))_i, its matrix read off at the unit vectors s."""
+    d, f = alg.dim, alg.field
+    z = G.Subspace.zero(f, d)
+    for _ in range(n):
+        cols = [[x for i in range(d)
+                 for x in reduce(z, alg.bracket_coords(f.unit(d, i), f.unit(d, k)))]
+                for k in range(d)]
+        z = G.Subspace.span(f, d, dense_kernel_basis(f, d, list(zip(*cols))))
+    return z
+
+
+@pytest.mark.parametrize("field", [Q, GF7], ids=["q", "gf7"])
+def test_upper_central_series_of_unit_plus_strictly_upper_4(field):
+    alg = unit_plus_strictly_upper_4(field)
+    assert G.validate_algebra(alg).ok
+    series = [upper_central(alg, n) for n in range(6)]
+    assert [z.dim for z in series] == [0, 2, 4, 7, 7, 7]
+    assert G.center(alg) is series[1]
+    assert series == [upper_central_oracle(alg, n) for n in range(6)]
+    # 1 and e_14 are central; e_13 and e_24 enter at Z_2
+    assert series[1] == G.Subspace.span(field, 7, [field.unit(7, 0), field.unit(7, 3)])
+    assert all(series[2].contains(field.unit(7, k)) for k in (2, 5))
+
+
+@pytest.mark.parametrize("field", [Q, GF7], ids=["q", "gf7"])
+def test_upper_central_series_is_the_center_on_the_corpus(field):
+    """ad e is the identity on M and minus the identity on N, and a term of
+    the series is a Lie ideal, so ad e^n sends Z_n into Z_0 = 0 and no
+    element of Z_n has an M or N part. On these instances the diagonal part
+    adds nothing either: Z_n = Z for n = 1..4."""
+    for name, g in corpus_algebras(field):
+        off = g.offsets
+        for n in range(1, 5):
+            zn = upper_central(g.algebra, n)
+            assert zn == upper_central_oracle(g.algebra, n), (name, n)
+            assert not any(x for row in zn.basis for x in row[off[1]:off[3]]), (name, n)
+            assert zn == G.center(g.algebra), (name, n)
+
+
 @pytest.mark.parametrize("field", [Q, GF7], ids=["q", "gf7"])
 def test_center_annihilator_cuts_out_the_center(field):
     for name, g in corpus_algebras(field):
         alg = g.algebra
         z = G.center(alg)
-        ann = center_annihilator(alg)
-        assert center_annihilator(alg) is ann
+        ann = G.center(alg).annihilator
+        assert G.center(alg).annihilator is ann
         assert len(ann) == alg.dim - z.dim, name
         assert all(type(a) is int for row in ann for _, a in row)
         dense = [[dict(row).get(i, 0) for i in range(alg.dim)] for row in ann]
