@@ -453,10 +453,10 @@ def test_upper_central_series_of_unit_plus_strictly_upper_4(field):
 
 @pytest.mark.parametrize("field", [Q, GF7], ids=["q", "gf7"])
 def test_upper_central_series_is_the_center_on_the_corpus(field):
-    """ad e is the identity on M and minus the identity on N, and a term of
-    the series is a Lie ideal, so ad e^n sends Z_n into Z_0 = 0 and no
-    element of Z_n has an M or N part. On these instances the diagonal part
-    adds nothing either: Z_n = Z for n = 1..4."""
+    """ad e is the identity on M and minus the identity on N, and it maps
+    Z_j into Z_(j-1), so (ad e)^n kills Z_n and no element of Z_n has an M
+    or N part. On these instances the diagonal part adds nothing either:
+    Z_n = Z for n = 1..4."""
     for name, g in corpus_algebras(field):
         off = g.offsets
         for n in range(1, 5):
