@@ -4,7 +4,9 @@ Predicates walk on the order of d**(n+1) basis tuples and full-space
 computations solve systems with ell*d**(n-1) unknowns; both are capped so a
 careless arity never silently degrades into sampling. ``GMALG_BUDGET``
 overrides the tuple cap; the unknown cap scales with it (one tenth). These
-caps are the only bound on the arity.
+caps are the only bound on the arity. A value that is not a positive integer
+is refused with a ValueError, an input error; unset or empty keeps the
+defaults.
 """
 
 import os
@@ -14,17 +16,23 @@ from .errors import BudgetExceededError
 ENV_VAR = "GMALG_BUDGET"
 
 DEFAULT_TUPLE_BUDGET = 100_000
-DEFAULT_UNKNOWN_BUDGET = 10_000
 
 
 def tuple_budget() -> int:
     raw = os.environ.get(ENV_VAR)
-    return int(raw) if raw else DEFAULT_TUPLE_BUDGET
+    if not raw:
+        return DEFAULT_TUPLE_BUDGET
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ValueError(f"{ENV_VAR} must be a positive integer, got {raw!r}")
+    return value
 
 
 def unknown_budget() -> int:
-    raw = os.environ.get(ENV_VAR)
-    return max(1, int(raw) // 10) if raw else DEFAULT_UNKNOWN_BUDGET
+    return max(1, tuple_budget() // 10)
 
 
 def guard_tuples(what: str, required: int) -> None:

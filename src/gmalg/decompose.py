@@ -201,18 +201,17 @@ def probe_seed_uniqueness(g: GMAlgebra, n: int) -> UniquenessProbe:
 
     kappa_s = [x_1, [x_2, ..., [x_n, s]...]] vanishes for all x exactly when
     s lies in the n-th term of the upper central series, so the kernel is
-    the admissible seeds that every annihilator row of Z_n kills. An
-    admissible seed lives on the M (+) N columns of G.
+    Z_n's `preimage_rows` of the admissible seed basis, a map from its
+    coordinates into G. An admissible seed lives on the M (+) N columns.
     """
     adm = extremal_exists(g).offdiag_annihilator
     if adm.dim == 0:
         return UniquenessProbe(0, 0)
     lo, hi = g.offsets[1], g.offsets[3]
-    rows = [{r: x for r, vec in enumerate(adm.basis)
-             if (x := sum(a * vec[i - lo] for i, a in ann if lo <= i < hi))}
-            for ann in upper_central(g.algebra, n).annihilator]
-    return UniquenessProbe(adm.dim,
-                           len(kernel_basis(g.field, adm.dim, stack_rows([rows]))))
+    seeds = [{r: x for r, vec in enumerate(adm.basis)
+              if lo <= k < hi and (x := vec[k - lo])} for k in range(g.dim)]
+    rows = upper_central(g.algebra, n).preimage_rows(seeds)
+    return UniquenessProbe(adm.dim, len(kernel_basis(g.field, adm.dim, rows)))
 
 
 @record

@@ -21,7 +21,9 @@ stores the `rref` of a spanning set, so equality is plain entrywise
 comparison. Membership has one test, `Subspace.contains`: a vector lies in
 the subspace exactly when every row of its `annihilator`, the
 `kernel_basis` of the basis, has a zero dot product with the vector
-`int_scaled`.
+`int_scaled`. A condition "A x lies in S" has one writer,
+`Subspace.preimage_rows`: S's annihilator rows composed with the rows of
+A, whose joint kernel is the preimage of S under A.
 """
 
 from __future__ import annotations
@@ -448,6 +450,25 @@ class Subspace:
             if x and (p is None or x % p):
                 return False
         return True
+
+    def preimage_rows(self, op_rows) -> list:
+        """Rows whose joint kernel is {x : A x lies in this subspace}.
+
+        A is given by its output-indexed rows, op_rows[k] = {u: coefficient},
+        the shape `operator_rows` returns. For each annihilator row a, in
+        order, the row is sum_k a_k op_rows[k]; a row with no entry is
+        dropped. Any nonzero multiple of A, such as the int rows of a rational
+        map cleared of denominators, gives rows with the same joint kernel.
+        """
+        rows = []
+        for a in self.annihilator:
+            row = {}
+            for k, a_k in a:
+                for u, c in op_rows[k].items():
+                    row[u] = row.get(u, 0) + a_k * c
+            if row:
+                rows.append(row)
+        return rows
 
     def coordinates_of(self, vec):
         """Coefficients of `vec` on the basis rows, or None if outside.

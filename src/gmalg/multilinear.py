@@ -6,16 +6,18 @@ to (Lie derivation space L) x (coefficient tensor), and the later-slot
 Leibniz constraints all reduce to one shared constraint block because their
 coefficients never involve the spectator slots. That block asks that, for
 each slot-1 basis element b, the map x -> sum_a X[a, x] D_a(b) lie in L, and
-tests it with L's annihilator rows: at most d (d^2 - dim L) rows, against
-the d^4 / 2 of the Leibniz law written out per bracket pair. The solver runs
-on ints: the Lie-basis columns are cleared of denominators once by
-`exact_linear.int_scaled`, and every later stage works on the int vectors
-`kernel_basis` returns (primitive over q, residues over GF(p)). Rationals
-come back only in the final canonical span, and each materialized value is
-one int sum made a Fraction once. Arity n = 2 needs only the block's kernel;
-from n = 3 on each further slot also needs its annihilator, the block's row
-space in reduced size. The arity has no cap of its own: the budgets bound
-the work.
+its rows are L's `Subspace.preimage_rows` of that map: at most
+d (d^2 - dim L) rows, against the d^4 / 2 of the Leibniz law written out per
+bracket pair. Arity n = 2 needs only the block's kernel K. From n = 3 on,
+each further slot asks that every spectator slice of the coefficients lie
+in span(K), and its rows are span(K)'s `preimage_rows` of each slice. The
+solver runs on ints: the Lie-basis columns are cleared of denominators once
+by `exact_linear.int_scaled`, and every stage keeps its coefficient vectors
+as sparse {index: int} maps built from the int vectors `kernel_basis`
+returns (primitive over q, residues over GF(p)). Rationals come back only in
+the final canonical `rref`, and each materialized value is one int sum made
+a Fraction once. The arity has no cap of its own: the budgets bound the
+work.
 
 The Leibniz predicate checks k maps of one arity in one pass over the
 (slot, spectator tuple, pair) cases, with each case's residuals held as one
@@ -30,6 +32,7 @@ by hand, so both check the space independently of the solver.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from collections.abc import Sequence
 from fractions import Fraction
 from itertools import islice, product
@@ -37,7 +40,7 @@ from itertools import islice, product
 from .algebra_core import Element, StructureAlgebra
 from .budget import guard_power, guard_tuples, guard_unknowns
 from .errors import DimensionMismatchError, FieldMismatchError
-from .exact_linear import FieldSpec, Subspace, int_scaled, kernel_basis
+from .exact_linear import FieldSpec, Subspace, int_scaled, kernel_basis, rref
 from .records import record
 from .structure_analysis import (CheckStatus, center, core_algebra,
                                  lie_derivation_space)
@@ -338,35 +341,22 @@ def _slot_block_rows(alg: StructureAlgebra, icols) -> list:
     Unknowns X[a*d + w] stand for the coefficient tensor entry with Lie
     basis index a and the later slot at basis w. The later-slot law asks,
     for each slot-1 basis element b_a1, that the map
-    x -> sum_a X[a, x] D_a(b_a1) lie in L, the Lie derivation space. A map
-    lies in L exactly when every annihilator row of L kills it, and those
-    rows, the `kernel_basis` of L's basis flattened as D[t*d + s], span L's
-    orthogonal complement. So the rows range over a1 and the d*d - dim L
-    annihilator rows r, and the coefficient of X[a, x] is
-    sum_t r[t*d + x] D_a(b_a1)_t.
+    x -> sum_a X[a, x] D_a(b_a1) lie in L, the Lie derivation space. So the
+    rows are L's `preimage_rows` of X -> that map, flattened as D[t*d + x],
+    for each a1: the d*d - dim L annihilator rows r of L per a1, and the
+    coefficient of X[a, x] is sum_t r[t*d + x] D_a(b_a1)_t.
 
     `icols` are the int Lie columns of `_lie_basis_columns`, all scaled by
-    one positive factor, so L's basis, the annihilator rows and each block
-    row are int multiples of their rational forms, with the same kernels.
+    one positive factor, so each block row is an int multiple of its
+    rational form, with the same kernel.
     """
-    d, f = alg.dim, alg.field
-    basis = [[cols[s][t] for t in range(d) for s in range(d)] for cols in icols]
-    # per annihilator row, its nonzero entries as (t, x, value)
-    ann = [[(*divmod(k, d), r_k) for k, r_k in enumerate(r) if r_k]
-           for r in kernel_basis(f, d * d, basis)]
+    d = alg.dim
+    L = lie_derivation_space(alg)
     rows = []
     for a1 in range(d):
-        # per output t, the Lie basis indices with a nonzero D_a(b_a1)_t
-        nz = [[(a * d, x) for a, cols in enumerate(icols) if (x := cols[a1][t])]
-              for t in range(d)]
-        for r in ann:
-            row: dict[int, int] = {}
-            for t, x, r_k in r:
-                for ad, c in nz[t]:
-                    key = ad + x
-                    row[key] = row.get(key, 0) + r_k * c
-            if row:
-                rows.append(row)
+        rows += L.preimage_rows([{a * d + x: c for a, cols in enumerate(icols)
+                                  if (c := cols[a1][t])}
+                                 for t in range(d) for x in range(d)])
     return rows
 
 
@@ -375,9 +365,13 @@ def n_lie_derivation_space(g, n: int) -> list:
 
     Slot one restricts the map to sum_a c_a(x_2,...,x_n) D_a(x_1) over a Lie
     derivation basis {D_a}; the slot-k constraints for k >= 2 share one
-    block whose coefficients ignore the spectator slots, so each stage only
-    solves a system in (current dimension) * d unknowns. Every stage runs on
-    the int vectors `kernel_basis` returns; the final span gives the
+    block whose coefficients ignore the spectator slots. Its kernel K is
+    the arity-2 coefficient space. Stage k >= 3 keeps, of the combinations
+    sum_m s[m, w] R_m of the previous basis R at each new slot index w,
+    those whose restriction to each spectator J lies in span(K): span(K)'s
+    `preimage_rows` per J, so each stage solves a system in
+    (current dimension) * d unknowns. R stays sparse, {index: int} over
+    [a | i_2 .. i_k], through the stages; the final `rref` gives the
     canonical basis (Fractions over q). The maps are materialized from it in
     ints: each canonical row is `int_scaled` by a factor of its own, each
     value is one int sum over the int Lie columns, and over q it becomes one
@@ -400,52 +394,47 @@ def n_lie_derivation_space(g, n: int) -> list:
         return []
 
     # R holds coefficient tensors over [a | i_2 .. i_k], last index fastest
-    R = K
+    R = [{i: x for i, x in enumerate(v) if x} for v in K]
     if n >= 3:
-        # annihilator rows of K: the row space of the block, in reduced
-        # size, stored per w as sparse (a, coefficient) pairs
-        ann = [[[(al, r[al * d + w]) for al in range(ell) if r[al * d + w]]
-                for w in range(d)]
-               for r in kernel_basis(f, ell * d, K)]
+        span_k = Subspace.span(f, ell * d, K)
     for k in range(3, n + 1):
         spect = d ** (k - 2)
+        # per spectator J, the rows of s -> (sum_m s[m, w] R_m[a, J]) keyed
+        # a*d + w, with R_m[a, J] at index a*spect + J of R_m
+        ops = defaultdict(lambda: defaultdict(dict))
+        for m, Rm in enumerate(R):
+            for idx, val in Rm.items():
+                a, J = divmod(idx, spect)
+                op = ops[J]
+                for w in range(d):
+                    op[a * d + w][m * d + w] = val
         rows = []
-        for J in range(spect):
-            P = [Rm[J::spect] for Rm in R]
-            for r in ann:
-                row = {}
-                for w, r_w in enumerate(r):
-                    if r_w:
-                        for m_i, Pm in enumerate(P):
-                            acc = sum(rc * Pm[al] for al, rc in r_w)
-                            if acc:
-                                row[m_i * d + w] = acc
-                if row:
-                    rows.append(row)
+        for J in sorted(ops):
+            rows += span_k.preimage_rows(ops[J])
         new_r = []
         for s in kernel_basis(f, len(R) * d, rows):
-            t = [0] * (ell * spect * d)
+            t = {}
             for key, sval in enumerate(s):
                 if sval:
-                    m_i, w = divmod(key, d)
-                    # entry al * spect + J of R[m_i] moves to (al*spect + J)*d + w
-                    for idx, val in enumerate(R[m_i]):
-                        if val:
-                            t[idx * d + w] += sval * val
-            new_r.append(t if p is None else [x % p for x in t])
+                    m, w = divmod(key, d)
+                    # entry a * spect + J of R_m moves to (a*spect + J)*d + w
+                    for idx, val in R[m].items():
+                        i = idx * d + w
+                        t[i] = t.get(i, 0) + sval * val
+            new_r.append(f.sparse(t))
         R = new_r
         if not R:
             return []
 
     # canonical coefficient basis, then materialize value tensors
-    coeff_space = Subspace.span(f, ell * d ** (n - 1), R)
+    basis, _ = rref(f, R, ell * d ** (n - 1))
     spect = d ** (n - 1)
     # per Lie basis index and input, the nonzero (t, int) of its column
     scols = [[[(t, x) for t, x in enumerate(col) if x] for col in cols]
              for cols in icols]
     zero = f.zero
     maps = []
-    for coeffs in coeff_space.basis:
+    for coeffs in basis:
         ics = int_scaled(coeffs)
         # the row's pivot, 1, becomes the row's own factor
         scale = den * next(x for x in ics if x)

@@ -8,10 +8,11 @@ Constraint rows come from one view, `BilinearTable.operator_rows`: fix one
 argument of a structure table to a coordinate vector and it returns, per
 output basis element, the sparse row {free index: coefficient} of the
 linear map in the other argument. Each linear law has one writer. The
-upper central series has one: Z_0 = 0, and Z_j is cut out by the
-annihilator rows of Z_(j-1) composed with the rows of s -> [b_i, s] over all
-i. The center is its first term Z_1, and a membership question about any of
-them is `Subspace.contains`, read off the same annihilator rows.
+upper central series has one: Z_0 = 0, and Z_j is cut out by
+Z_(j-1)'s `Subspace.preimage_rows` of s -> [b_i, s] over all i, the one
+writer of a condition "A x lies in S". The center is its first term Z_1,
+and a membership question about any of them is `Subspace.contains`, read
+off the same annihilator rows.
 `leibniz_rows` writes the derivation law: it pairs one product cell b_u.b_v
 with the rows of x -> x.b_v and x -> b_u.x, all read off the table's int
 view, so no Fraction reaches the kernels of the derivation spaces.
@@ -58,24 +59,17 @@ def upper_central(alg: StructureAlgebra, n: int) -> Subspace:
     """Z_n, the n-th term of the upper central series of alg as a Lie algebra.
 
     Z_0 = 0 and Z_j = {s : [b_i, s] lies in Z_(j-1) for every i}: the kernel
-    of the annihilator rows of Z_(j-1) composed with the rows of s -> [b_i, s],
+    of Z_(j-1)'s `preimage_rows` of s -> [b_i, s] over all i, whose rows are
     read off the bracket's int view at int unit vectors.
     """
     d, f = alg.dim, alg.field
     if n == 0:
         return Subspace.zero(f, d)
-    ann = upper_central(alg, n - 1).annihilator
+    prev = upper_central(alg, n - 1)
     bt = alg.bracket_table.int_view
     rows = []
     for e in _int_units(d):
-        ad = bt.operator_rows(f, left=e)
-        for r in ann:
-            row = {}
-            for k, a in r:
-                for j, c in ad[k].items():
-                    row[j] = row.get(j, 0) + a * c
-            if row:
-                rows.append(row)
+        rows += prev.preimage_rows(bt.operator_rows(f, left=e))
     return Subspace.span(f, d, kernel_basis(f, d, rows))
 
 
@@ -228,8 +222,9 @@ def has_nonzero_central_ideal(alg: StructureAlgebra) -> Element | None:
 
     Such a z exists iff the algebra has a nonzero central ideal (the
     two-sided ideal generated by a central z is alg . z). The unknowns are
-    the coordinates c of z on Z's basis, and the rows apply Z's annihilator
-    rows to each b_i z_r, so that b_i z lies in Z for every i.
+    the coordinates c of z on Z's basis, and the rows are Z's
+    `preimage_rows` of c -> b_i sum_r c_r z_r for each i, so that b_i z lies
+    in Z for every i.
     """
     z = center(alg)
     if z.dim == 0:
@@ -239,11 +234,8 @@ def has_nonzero_central_ideal(alg: StructureAlgebra) -> Element | None:
     for i in range(d):
         e_i = f.unit(d, i)
         prods = [alg.mul_coords(e_i, list(zr)) for zr in z.basis]
-        for a in z.annihilator:
-            row = {r: x for r, prod in enumerate(prods)
-                   if (x := sum(c * prod[k] for k, c in a))}
-            if row:
-                rows.append(row)
+        rows += z.preimage_rows([{r: x for r, prod in enumerate(prods)
+                                  if (x := prod[k])} for k in range(d)])
     sols = kernel_basis(f, z.dim, rows)
     if not sols:
         return None

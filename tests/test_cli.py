@@ -272,6 +272,20 @@ def test_budget_exit_code_inside_verify(tmp_path, capsys, monkeypatch):
     assert "slot-restricted space" in err
 
 
+@pytest.mark.parametrize("value", ["abc", "1e6", "0", "-5"])
+def test_budget_that_is_not_a_positive_integer_is_an_input_error(tmp_path, capsys, value):
+    spec = gen(tmp_path, capsys, "m2.json",
+               "--kind", "full-matrix", "--r", "2", "--field", "q")
+    env = dict(os.environ, PYTHONPATH=str(Path(G.__file__).parents[1]),
+               GMALG_BUDGET=value)
+    proc = subprocess.run([sys.executable, "-m", "gmalg.cli", "center", spec],
+                          capture_output=True, text=True, env=env, timeout=30)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (f"gmalg: GMALG_BUDGET must be a positive integer, "
+                           f"got '{value}'\n")
+
+
 def test_spec_over_a_modulus_past_the_primality_bound_is_refused(tmp_path, capsys):
     spec = gen(tmp_path, capsys, "m2.json",
                "--kind", "full-matrix", "--r", "2", "--field", "gf:7")

@@ -489,6 +489,54 @@ def test_contains_and_coordinates_of_agree_with_dense_reduction(field, data):
             assert coords is None
 
 
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_preimage_rows_cut_out_the_preimage(field, data):
+    """{x : A x in S} against the dense residual `reduce(S, A x)` and
+    against dim ker A + dim(S ∩ im A), with ranks from the naive RREF.
+
+    S is spanned by random combinations of fewer base vectors, or is 0 or
+    the whole space; A has random op rows, some of them empty.
+    """
+    if field.p is None:
+        scalar = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    else:
+        scalar = st.integers(0, field.p - 1)
+    scalar = st.one_of(st.just(field.zero), scalar)
+    m = data.draw(st.integers(1, 6))  # S's ambient space, A's output
+    n = data.draw(st.integers(1, 6))  # A's input
+    kind = data.draw(st.sampled_from(["zero", "whole", "span"]))
+    if kind == "zero":
+        vectors = []
+    elif kind == "whole":
+        vectors = [field.unit(m, i) for i in range(m)]
+    else:
+        base = data.draw(st.lists(st.lists(scalar, min_size=m, max_size=m),
+                                  min_size=1, max_size=m))
+        vectors = [field.combine(data.draw(st.lists(scalar, min_size=len(base),
+                                                    max_size=len(base))), base, m)
+                   for _ in range(len(base) + 1)]
+    s = G.Subspace.span(field, m, vectors)
+    dense = [data.draw(st.lists(scalar, min_size=n, max_size=n))
+             if data.draw(st.booleans()) else field.vec_zero(n) for _ in range(m)]
+    op_rows = [{u: c for u, c in enumerate(row) if c} for row in dense]
+
+    rows = s.preimage_rows(op_rows)
+    assert all(rows) and len(rows) <= len(s.annihilator)
+    ker = G.kernel_basis(field, n, rows)
+    for x in ker:
+        assert not any(reduce(s, mat_vec(field, dense, x)))
+
+    def rank(vecs, ncols):
+        return len(naive_rref(field, vecs, ncols)[1])
+
+    image = [list(col) for col in zip(*dense)]
+    rank_a = rank(dense, n)
+    meet = s.dim + rank_a - rank(list(s.basis) + image, m)
+    assert len(ker) == (n - rank_a) + meet
+
+
 @pytest.mark.parametrize("vec", [[1, 2], [1, 2, 0, 0]], ids=["short", "long"])
 def test_coordinates_of_refuses_a_vector_of_another_length(vec):
     s = G.Subspace.span(Q, 3, [[1, 0, 0], [0, 1, 0]])
