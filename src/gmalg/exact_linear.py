@@ -16,14 +16,17 @@ division over q, which keeps entries primitive, and v - f * pivot mod p
 over GF(p). Both outputs are read off that basis. `kernel_basis` returns
 its vectors dense, primitive int vectors over q and residues over GF(p).
 `rref` reads the canonical reduced row echelon form off it, one entry per
-kernel vector and eliminated column, as Fractions over q. A `Subspace`
-stores the `rref` of a spanning set, so equality is plain entrywise
-comparison. Membership has one test, `Subspace.contains`: a vector lies in
-the subspace exactly when every row of its `annihilator`, the
-`kernel_basis` of the basis, has a zero dot product with the vector
-`int_scaled`. A condition "A x lies in S" has one writer,
-`Subspace.preimage_rows`: S's annihilator rows composed with the rows of
-A, whose joint kernel is the preimage of S under A.
+kernel vector and eliminated column, as sparse int rows: each is an RREF
+row times a positive scale of its own, 1 over GF(p).
+
+A `Subspace` stores the `rref` of a spanning set as dense field scalars,
+so equality is plain entrywise comparison; `Subspace.span` is the one place
+`rref` rows become Fractions, each int over its row's scale. Membership has
+one test, `Subspace.contains`: a vector lies in the subspace exactly when
+every row of its `annihilator`, the `kernel_basis` of the basis, has a zero
+dot product with the vector `int_scaled`. A condition "A x lies in S" has
+one writer, `Subspace.preimage_rows`: S's annihilator rows composed with
+the rows of A, whose joint kernel is the preimage of S under A.
 """
 
 from __future__ import annotations
@@ -98,7 +101,8 @@ class FieldSpec:
         t = text.strip().lower()
         if t in ("q", "qq", "rationals"):
             return FieldSpec()
-        if t.startswith("gf:"):
+        # decimal digits only: int() would also take '1_0_1' or ' 101'
+        if t.startswith("gf:") and t[3:].isascii() and t[3:].isdigit():
             return FieldSpec(int(t[3:]))
         raise ValueError(f"unknown field descriptor {text!r} (use 'q' or 'gf:P')")
 
@@ -354,9 +358,12 @@ def rref(field: FieldSpec, rows, ncols: int):
 
     Read off the running basis of `_kernel`. Its pivots are the columns the
     loop eliminated, and the row of pivot pc is 1 at pc and -v_s[pc] / v_s[s]
-    at each free column s, for the kernel vector v_s of s: Fractions over q,
-    with one shared zero, and -v_s[pc] mod p over GF(p), where v_s[s] = 1.
-    A column no row touched is free, and its unit vector adds nothing.
+    at each free column s, for the kernel vector v_s of s. A column no row
+    touched is free, and its unit vector adds nothing. Each row comes back
+    as a sparse int row (scale, {column: int}), the RREF row times
+    scale > 0: scale is the LCM of the v_s[s] in the row, so the row holds
+    scale at its pivot; over GF(p) every v_s[s] is 1, so scale is 1 and the
+    row holds residues.
 
     This is the RREF. Reduce an independent row against the RREF of the
     rows before it: the result vanishes on the eliminated columns, and its
@@ -368,20 +375,21 @@ def rref(field: FieldSpec, rows, ncols: int):
     so they lie in the row space; they are the identity on the eliminated
     set, and the only such basis of the row space is its RREF.
     """
-    p = field.p
     vecs, pivots = _kernel(field, ncols, rows)
     pivots.sort()
-    zero, one = field.zero, field.one
-    m = [[zero] * ncols for _ in pivots]
-    at = dict(zip(pivots, m))
-    for pc, row in at.items():
-        row[pc] = one
+    # per pivot, the (free column s, v_s[pivot], v_s[s]) of its row
+    terms = {pc: [] for pc in pivots}
     for s, v in vecs.items():
         t = v[s]
         for i, a in v.items():
             if i != s:
-                at[i][s] = Fraction(-a, t) if p is None else -a % p
-    return m, pivots
+                terms[i].append((s, a, t))
+    out = []
+    for pc, row in terms.items():
+        scale = lcm(*(t for _, _, t in row))
+        out.append((scale, field.sparse(
+            {pc: scale} | {s: -a * (scale // t) for s, a, t in row})))
+    return out, pivots
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +416,13 @@ class Subspace:
             if len(v) != ambient_dim:
                 raise DimensionMismatchError(
                     f"vector length {len(v)} != ambient {ambient_dim}")
-        rows, _ = rref(field, vecs, ambient_dim)
-        return cls(field, ambient_dim, tuple(tuple(r) for r in rows))
+        p, basis = field.p, []
+        for scale, row in rref(field, vecs, ambient_dim)[0]:
+            dense = [field.zero] * ambient_dim
+            for i, x in row.items():
+                dense[i] = Fraction(x, scale) if p is None else x
+            basis.append(tuple(dense))
+        return cls(field, ambient_dim, tuple(basis))
 
     @classmethod
     def zero(cls, field: FieldSpec, ambient_dim: int) -> "Subspace":

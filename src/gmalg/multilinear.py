@@ -14,10 +14,11 @@ in span(K), and its rows are span(K)'s `preimage_rows` of each slice. The
 solver runs on ints: the Lie-basis columns are cleared of denominators once
 by `exact_linear.int_scaled`, and every stage keeps its coefficient vectors
 as sparse {index: int} maps built from the int vectors `kernel_basis`
-returns (primitive over q, residues over GF(p)). Rationals come back only in
-the final canonical `rref`, and each materialized value is one int sum made
-a Fraction once. The arity has no cap of its own: the budgets bound the
-work.
+returns (primitive over q, residues over GF(p)). The final canonical `rref`
+hands out sparse int rows too, and the maps are built from their nonzero
+entries: rationals come back only there, each materialized value one int
+sum made a Fraction once. The arity has no cap of its own: the budgets
+bound the work.
 
 The Leibniz predicate checks k maps of one arity in one pass over the
 (slot, spectator tuple, pair) cases, with each case's residuals held as one
@@ -372,10 +373,10 @@ def n_lie_derivation_space(g, n: int) -> list:
     `preimage_rows` per J, so each stage solves a system in
     (current dimension) * d unknowns. R stays sparse, {index: int} over
     [a | i_2 .. i_k], through the stages; the final `rref` gives the
-    canonical basis (Fractions over q). The maps are materialized from it in
-    ints: each canonical row is `int_scaled` by a factor of its own, each
+    canonical basis as sparse int rows, each the canonical row times a scale
+    of its own. The maps are built from a row's nonzero entries alone: each
     value is one int sum over the int Lie columns, and over q it becomes one
-    Fraction, divided by both factors.
+    Fraction, divided by the row's scale times den.
     """
     alg = core_algebra(g)
     if n < 2:
@@ -427,34 +428,23 @@ def n_lie_derivation_space(g, n: int) -> list:
             return []
 
     # canonical coefficient basis, then materialize value tensors
-    basis, _ = rref(f, R, ell * d ** (n - 1))
     spect = d ** (n - 1)
-    # per Lie basis index and input, the nonzero (t, int) of its column
-    scols = [[[(t, x) for t, x in enumerate(col) if x] for col in cols]
-             for cols in icols]
-    zero = f.zero
+    # per Lie basis index, the nonzero (input, component, int) of its columns
+    scols = [[(i1, t, x) for i1, col in enumerate(cols)
+              for t, x in enumerate(col) if x] for cols in icols]
     maps = []
-    for coeffs in basis:
-        ics = int_scaled(coeffs)
-        # the row's pivot, 1, becomes the row's own factor
-        scale = den * next(x for x in ics if x)
+    for scale, row in rref(f, R, ell * spect)[0]:
+        # the value at rank i1 * spect + J, times scale * den
+        vals = defaultdict(lambda: [0] * d)
+        for idx, c in row.items():
+            al, J = divmod(idx, spect)
+            for i1, t, x in scols[al]:
+                vals[i1 * spect + J][t] += c * x
+        scale *= den
         entries = {}
-        for J in range(spect):
-            cs = [(c, scols[al]) for al in range(ell)
-                  if (c := ics[al * spect + J])]
-            if not cs:
-                continue
-            key_rest = _rank_digits(J, d, n - 1)
-            for i1 in range(d):
-                vec = [0] * d
-                for c, cols in cs:
-                    for t, x in cols[i1]:
-                        vec[t] += c * x
-                if p is not None:
-                    vec = [x % p for x in vec]
-                if any(vec):
-                    entries[(i1,) + key_rest] = tuple(
-                        vec if p is not None else
-                        (Fraction(x, scale) if x else zero for x in vec))
+        for rank, vec in vals.items():
+            vec = [Fraction(x, scale) if p is None else x % p for x in vec]
+            if any(vec):
+                entries[_rank_digits(rank, d, n)] = tuple(vec)
         maps.append(MultilinearMap(f, n, d, entries))
     return maps

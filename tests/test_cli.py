@@ -332,6 +332,30 @@ def test_non_string_field_is_an_input_error(tmp_path, capsys, target, field):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("field", ["gf:abc", "gf:", "gf:0x65", "gf:1_0_1",
+                                   "gf: 101", "gf:+101", "gf:\u0661\u0660\u0661"])
+@pytest.mark.parametrize("where", ["gen", "spec"])
+def test_malformed_field_descriptor_is_named(tmp_path, capsys, where, field):
+    """Only 'gf:' and decimal digits name a prime field; int() would take
+    '1_0_1' as 101 and refuse 'abc' with its own message."""
+    out_path = tmp_path / "x.json"
+    if where == "gen":
+        code, out, err = run(capsys, "gen", "--kind", "full-matrix", "--r", "2",
+                             "--field", field, "-o", str(out_path))
+        want = f"gmalg: unknown field descriptor {field!r} (use 'q' or 'gf:P')"
+    else:
+        spec = Path(gen(tmp_path, capsys, "m2.json",
+                        "--kind", "full-matrix", "--r", "2", "--field", "gf:101"))
+        data = json.loads(spec.read_text())
+        data["field"] = field
+        spec.write_text(json.dumps(data))
+        code, out, err = run(capsys, "validate", str(spec), "-o", str(out_path))
+        want = f"field: unknown field descriptor {field!r} (use 'q' or 'gf:P')"
+    assert (code, out) == (2, "")
+    assert want in err
+    assert not out_path.exists()
+
+
 def test_gen_requires_dimension_flags(capsys):
     code, _, err = run(capsys, "gen", "--kind", "full-matrix", "--field", "q")
     assert code == 2
@@ -343,6 +367,9 @@ def test_gen_field_guards(capsys, tmp_path):
     code, _, err = run(capsys, "gen", "--kind", "full-matrix", "--r", "3",
                        "--field", "gf:2", "-o", str(tmp_path / "x.json"))
     assert code == 2
+    code, _, err = run(capsys, "gen", "--kind", "full-matrix", "--r", "3",
+                       "--field", " GF:9 ", "-o", str(tmp_path / "x.json"))
+    assert (code, err) == (2, "gmalg: 9 is not prime\n")
     # a strong pseudoprime to every Miller-Rabin base used, refused by size
     code, _, err = run(capsys, "gen", "--kind", "full-matrix", "--r", "3",
                        "--field", f"gf:{PSEUDOPRIME_12}", "-o", str(tmp_path / "x.json"))

@@ -172,13 +172,23 @@ def test_fraction_free_rref_matches_naive_oracle():
 
 
 def check_rref_matches_naive(field, rows, ncols):
-    """The same rows and pivots as the naive oracle, as field scalars."""
+    """The same rows and pivots as the naive oracle: each sparse int row over
+    its scale is the naive row, and `Subspace.span` holds the naive rows."""
     got_rows, got_piv = rref(field, rows, ncols)
     want_rows, want_piv = naive_rref(field, dense_rows(field, rows, ncols), ncols)
     assert got_piv == want_piv
-    assert [list(r) for r in got_rows] == [list(r) for r in want_rows]
+    assert len(got_rows) == len(want_rows)
+    for (scale, row), pc, want in zip(got_rows, got_piv, want_rows):
+        assert type(scale) is int and scale > 0
+        assert all(type(x) is int and x for x in row.values())
+        assert row[pc] == scale
+        if field.p is not None:
+            assert scale == 1
+        assert row == {i: x * scale for i, x in enumerate(want) if x}
+    span = G.Subspace.span(field, ncols, dense_rows(field, rows, ncols))
+    assert [list(r) for r in span.basis] == [list(r) for r in want_rows]
     scalar = Fraction if field.p is None else int
-    assert all(type(x) is scalar for r in got_rows for x in r)
+    assert all(type(x) is scalar for r in span.basis for x in r)
 
 
 def wide_low_rank_system(rng, field, nrows, ncols, rank):
@@ -256,7 +266,7 @@ def test_rows_take_scalars_as_field_of_does():
     """A row entry means what `FieldSpec.of` makes of it, with its refusals."""
     # 1/2 = 4 in GF(7): the 1 x 1 system has rank 1 and no kernel
     assert G.kernel_basis(GF7, 1, [[Fraction(1, 2)]]) == []
-    assert rref(GF7, [[Fraction(1, 2)]], 1) == ([[1]], [0])
+    assert rref(GF7, [[Fraction(1, 2)]], 1) == ([(1, {0: 1})], [0])
     # 3/2 = 5 in GF(7), so [5, 1] has the kernel spanned by [4, 1] = 4 [1, 2]
     ker = G.kernel_basis(GF7, 2, [{0: Fraction(3, 2), 1: 1}])
     assert ker == [[4, 1]]

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -11,8 +12,9 @@ from gmalg.multilinear import (_leibniz_predicate, _lie_basis_columns,
 
 from helpers import (GF7, GF101, Q, basis_element, change_of_basis,
                      corpus_contexts, map_from_basis_function, maps_span,
-                     n_lie_derivation_space_direct, quotient_coordinates,
-                     random_central_map, swap_identity_check)
+                     n_lie_derivation_space_direct, naive_rref,
+                     quotient_coordinates, random_central_map,
+                     swap_identity_check)
 from test_algebra_core import dual_numbers
 
 
@@ -225,7 +227,10 @@ def test_slot_restriction_matches_direct_m2_gf7():
 def test_slot_restriction_matches_direct_on_dense_constants(field, kind, kw):
     """Seeded changes of basis give constants like 2, -1/2, 1/3 (over q),
     so the denominator scaling of the slot rows is exercised. At n = 4 two
-    later-slot stages run on the sparse coefficient vectors."""
+    later-slot stages run on the sparse coefficient vectors. The basis is
+    pinned, not only its span: the maps' coefficients on the Lie derivation
+    basis are already in RREF, which fails if a materialized value misses
+    the common denominator of the Lie basis columns."""
     ctx = change_of_basis(G.generate_builtin(kind, field, **kw),
                           f"slot:{kind}:{field.name}")
     g = G.assemble(ctx, validate=True)
@@ -238,6 +243,26 @@ def test_slot_restriction_matches_direct_on_dense_constants(field, kind, kw):
         direct = n_lie_derivation_space_direct(g, n)
         assert (maps_span(field, n, g.dim, slot)
                 == maps_span(field, n, g.dim, direct))
+        coeffs = lie_coefficient_rows(g, slot)
+        assert coeffs == naive_rref(field, coeffs, len(coeffs[0]))[0]
+
+
+def lie_coefficient_rows(g, maps):
+    """Each map's coefficients c[a * spect + J] on the Lie derivation basis
+    {D_a}: for spectator rank J, the coordinates in L of the slice
+    x_1 -> m(x_1, J), flattened as D[t * d + x_1]."""
+    L = G.lie_derivation_space(g.algebra)
+    d = g.dim
+    rows = []
+    for m in maps:
+        per_spect = []
+        for rest in product(range(d), repeat=m.arity - 1):
+            coords = L.coordinates_of([m.value_at((x,) + rest)[t]
+                                       for t in range(d) for x in range(d)])
+            assert coords is not None
+            per_spect.append(coords)
+        rows.append([c for cs in zip(*per_spect) for c in cs])
+    return rows
 
 
 @pytest.mark.parametrize("kind, kw, field, dim", [
