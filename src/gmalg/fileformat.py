@@ -148,21 +148,29 @@ def dumps_canonical(data) -> str:
 
 
 def save_atomic(path: str, text: str) -> None:
-    """Write `text` to `path` through a temporary file beside it.
+    """Write `text` to `path`, through a temporary file beside its target.
 
-    A path that cannot be written raises `SpecFileError`, and no temporary
-    file is left behind.
+    Only a missing target or a regular file is replaced by the temporary
+    file; anything else (a device, a FIFO, `/dev/stdout`) is written to
+    directly, never replaced. The path is resolved first, so a symlink
+    keeps pointing at the file it names. A path that cannot be written
+    raises `SpecFileError`, and no temporary file is left behind.
     """
-    # imported here, so that only a command writing to -o loads it
-    import tempfile
-
-    directory = os.path.dirname(os.path.abspath(path))
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".gmalg-", suffix=".tmp")
+        if os.path.exists(path) and not os.path.isfile(path):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            return
+        # imported here, so that only a command writing to -o loads it
+        import tempfile
+
+        target = os.path.realpath(path)
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".gmalg-",
+                                   suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except OSError as exc:
         raise SpecFileError(f"{path}: {exc}")
     finally:

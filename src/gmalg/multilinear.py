@@ -355,9 +355,11 @@ def _slot_block_rows(alg: StructureAlgebra, icols) -> list:
     L = lie_derivation_space(alg)
     rows = []
     for a1 in range(d):
-        rows += L.preimage_rows([{a * d + x: c for a, cols in enumerate(icols)
-                                  if (c := cols[a1][t])}
-                                 for t in range(d) for x in range(d)])
+        op = []
+        for t in range(d):
+            pairs = [(a, c) for a, cols in enumerate(icols) if (c := cols[a1][t])]
+            op += [{a * d + x: c for a, c in pairs} for x in range(d)]
+        rows += L.preimage_rows(op)
     return rows
 
 

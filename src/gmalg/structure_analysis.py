@@ -25,7 +25,6 @@ the multiplication, to one block of G.
 
 from __future__ import annotations
 
-import random
 from functools import lru_cache
 from itertools import product
 
@@ -282,6 +281,9 @@ def torsion_action_check(g: GMAlgebra | StructureAlgebra) -> CheckStatus:
         if ker is None:
             return CheckStatus("pass")
         return CheckStatus("fail", witness=(alg.element(zvec), alg.element(ker)))
+
+    # imported here, so that only the probes below load it
+    import random
 
     candidates = [list(b) for b in z.basis]
     rng = random.Random(_PROBE_SEED)

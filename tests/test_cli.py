@@ -1,14 +1,18 @@
 """Command-line behavior: formats, determinism, exit codes."""
 
+import gc
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
 import gmalg as G
+import gmalg.cli as cli
 from gmalg.cli import main
 from gmalg.fileformat import dumps_canonical, map_to_dict
 
@@ -29,17 +33,18 @@ def gen(tmp_path, capsys, name, *argv):
     return str(path)
 
 
-def test_cli_import_loads_none_of_dataclasses_inspect_typing_tempfile():
+def test_cli_import_loads_none_of_dataclasses_inspect_typing_tempfile_random():
     """Every invocation pays for what `import gmalg.cli` loads.
 
     `-S` skips the site module, so no site hook preloads any of them.
-    `tempfile` is loaded only by a command that writes to -o.
+    `tempfile` is loaded only by a command that writes to -o, and `random`
+    only by the torsion probes.
     """
     script = ("import sys\n"
               "sys.path.insert(0, sys.argv[1])\n"
               "import gmalg.cli\n"
-              "print(sorted({'dataclasses', 'inspect', 'typing', 'tempfile'}\n"
-              "             & sys.modules.keys()))\n"
+              "print(sorted({'dataclasses', 'inspect', 'typing', 'tempfile',\n"
+              "              'random'} & sys.modules.keys()))\n"
               "sys.exit(gmalg.cli.main(['--help']))\n")
     proc = subprocess.run([sys.executable, "-S", "-c", script,
                            str(Path(G.__file__).parents[1])],
@@ -225,6 +230,62 @@ def test_unwritable_output_is_an_input_error(tmp_path, capsys, command, target):
     assert err.startswith("gmalg: ")
     assert "Traceback" not in err
     assert list(tmp_path.rglob(".gmalg-*.tmp")) == []
+
+
+@pytest.mark.parametrize("existing", [True, False], ids=["target", "dangling"])
+def test_output_through_a_symlink_writes_its_target(tmp_path, capsys, existing):
+    spec = gen(tmp_path, capsys, "m2.json",
+               "--kind", "full-matrix", "--r", "2", "--field", "q")
+    target = tmp_path / "reports" / "center.json"
+    target.parent.mkdir()
+    if existing:
+        target.write_text("old report\n")
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    code, stdout, err = run(capsys, "center", spec, "-o", str(link))
+    assert (code, stdout, err) == (0, "", "")
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert json.loads(target.read_text())["command"] == "center"
+    assert list(tmp_path.rglob(".gmalg-*.tmp")) == []
+
+
+def test_output_to_a_fifo_is_written_not_replaced(tmp_path, capsys):
+    spec = gen(tmp_path, capsys, "m2.json",
+               "--kind", "full-matrix", "--r", "2", "--field", "q")
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    # a daemon, so that a writer that never opens the FIFO cannot hang the run
+    reader = threading.Thread(target=lambda: received.append(fifo.read_text()),
+                              daemon=True)
+    reader.start()
+    code, stdout, err = run(capsys, "center", spec, "-o", str(fifo))
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert (code, stdout, err) == (0, "", "")
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert len(received) == 1
+    assert json.loads(received[0])["command"] == "center"
+    assert list(tmp_path.rglob(".gmalg-*.tmp")) == []
+
+
+def test_console_main_freezes_before_main(monkeypatch):
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 0)
+    with pytest.raises(SystemExit) as exc:
+        cli.console_main()
+    assert exc.value.code == 0
+    assert calls == ["freeze", "main"]
+
+
+def test_main_leaves_the_freeze_count_unchanged(tmp_path, capsys):
+    frozen = gc.get_freeze_count()
+    spec = gen(tmp_path, capsys, "m2.json",
+               "--kind", "full-matrix", "--r", "2", "--field", "q")
+    code, _, _ = run(capsys, "verify", "--arity", "3", spec)
+    assert code == 1
+    assert gc.get_freeze_count() == frozen
 
 
 def test_parse_error_exit_code(tmp_path, capsys):
