@@ -10,10 +10,10 @@ center-structure failure becomes a report with one failing check. A
 report's `options` are the command's own arguments (for `decompose`, the
 arity is the map's).
 
-Every command writes one canonical JSON document on stdout, or atomically
-to -o. Exit codes: 0 all checks pass, 1 at least one check failed, 2 input
-or parse errors (an -o that cannot be written included), 3 resource budget
-exceeded.
+Every command writes one canonical JSON document on stdout, or to -o
+(atomically, where -o names a regular file or nothing yet). Exit codes: 0
+all checks pass, 1 at least one check failed, 2 input or parse errors (an
+-o that cannot be written included), 3 resource budget exceeded.
 
 `console_main`, the entry point of the `gmalg` script and of
 `python -m gmalg.cli`, calls `gc.freeze()` before `main`. The modules,

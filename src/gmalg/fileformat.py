@@ -148,13 +148,14 @@ def dumps_canonical(data) -> str:
 
 
 def save_atomic(path: str, text: str) -> None:
-    """Write `text` to `path`, through a temporary file beside its target.
+    """Write `text` to `path`.
 
-    Only a missing target or a regular file is replaced by the temporary
-    file; anything else (a device, a FIFO, `/dev/stdout`) is written to
-    directly, never replaced. The path is resolved first, so a symlink
-    keeps pointing at the file it names. A path that cannot be written
-    raises `SpecFileError`, and no temporary file is left behind.
+    A missing target or a regular file is replaced by a temporary file
+    written beside it; the path is resolved first, so a symlink keeps
+    pointing at the file it names. Anything else that exists (a device, a
+    FIFO, `/dev/stdout`) is written to directly, never replaced. A path
+    that cannot be written raises `SpecFileError`, and no temporary file
+    is left behind.
     """
     tmp = None
     try:
