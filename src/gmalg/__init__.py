@@ -8,8 +8,7 @@ remainder, verifying every claimed property instead of assuming it.
 """
 
 from .algebra_core import (BilinearTable, Element, StructureAlgebra,
-                           commutator_span, is_commutative, matrix_algebra,
-                           matrix_product_table, validate_algebra)
+                           commutator_span, is_commutative, validate_algebra)
 from .decompose import (Decomposition, ExtremalExistence, UniquenessProbe,
                         VerificationReport, build_extremal, decompose,
                         double_bracket_annihilator, extract_seed,

@@ -385,29 +385,3 @@ def commutator_span(alg: StructureAlgebra) -> Subspace:
 def is_commutative(alg: StructureAlgebra) -> bool:
     return alg.commutators.dim == 0
 
-
-# ---------------------------------------------------------------------------
-# stock constructions
-# ---------------------------------------------------------------------------
-
-
-def matrix_product_table(field: FieldSpec, a: int, b: int, c: int) -> BilinearTable:
-    """Constants of (a x b) @ (b x c) -> (a x c) on matrix-unit bases E_ij."""
-    quads = []
-    for i in range(a):
-        for j in range(b):
-            for l in range(c):
-                # E_ij (left) times E_jl (right) = E_il
-                quads.append((i * b + j, j * c + l, i * c + l, 1))
-    return BilinearTable.from_quadruples(field, a * b, b * c, a * c, quads)
-
-
-def matrix_algebra(field: FieldSpec, n: int) -> StructureAlgebra:
-    """Full matrix algebra M_n with basis E_ij ordered lexicographically."""
-    if n < 1:
-        raise ValueError("matrix algebra needs n >= 1")
-    table = matrix_product_table(field, n, n, n)
-    unit = [field.zero] * (n * n)
-    for i in range(n):
-        unit[i * n + i] = field.one
-    return StructureAlgebra(field, n * n, table, tuple(unit))

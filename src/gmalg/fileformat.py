@@ -11,6 +11,8 @@ import hashlib
 import json
 import os
 import re
+import stat
+import sys
 
 from .algebra_core import BilinearTable, StructureAlgebra
 from .budget import guard_power
@@ -150,33 +152,54 @@ def dumps_canonical(data) -> str:
 def save_atomic(path: str, text: str) -> None:
     """Write `text` to `path`.
 
-    A missing target or a regular file is replaced by a temporary file
-    written beside it; the path is resolved first, so a symlink keeps
-    pointing at the file it names. Anything else that exists (a device, a
-    FIFO, `/dev/stdout`) is written to directly, never replaced. A path
-    that cannot be written raises `SpecFileError`, and no temporary file
-    is left behind.
+    A path that names the file open as stdout (`/dev/stdout` under a shell
+    redirection, say) is written through stdout, so an append redirection
+    keeps what the file held. A missing target or any other regular file is
+    replaced by a temporary file written beside it; the path is resolved
+    first, so a symlink keeps pointing at the file it names. A replaced
+    file keeps its mode, and a new one gets 0o666 less the umask. Anything
+    else that exists (a device, a FIFO) is written to directly, never
+    replaced. A path that cannot be written raises `SpecFileError`, and no
+    temporary file is left behind.
     """
     tmp = None
     try:
-        if os.path.exists(path) and not os.path.isfile(path):
+        st = os.stat(path) if os.path.exists(path) else None
+        if st is not None and _is_stdout(st):
+            sys.stdout.write(text)
+            return
+        if st is not None and not stat.S_ISREG(st.st_mode):
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
             return
         # imported here, so that only a command writing to -o loads it
         import tempfile
 
+        if st is None:
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        else:
+            mode = stat.S_IMODE(st.st_mode)
         target = os.path.realpath(path)
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".gmalg-",
                                    suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+        os.chmod(tmp, mode)
         os.replace(tmp, target)
     except OSError as exc:
         raise SpecFileError(f"{path}: {exc}")
     finally:
         if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+
+
+def _is_stdout(st: os.stat_result) -> bool:
+    try:
+        return os.path.samestat(st, os.fstat(1))
+    except OSError:  # stdout is closed
+        return False
 
 
 def load_json(path: str) -> dict:

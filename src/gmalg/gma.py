@@ -11,14 +11,16 @@ is associativity on one of the 16 composable block triples (A A A, A A M,
 A M N, ..., B B B) or a unit law on one block. `validate_context` checks
 them as data, a law table walked by `algebra_core.block_violations` over the
 map from each composable block pair to its product table.
+
+Every stock context is a structural matrix algebra R_rho = span{e_ij :
+(i, j) in rho} with a Peirce split, built by `structural_context`.
 """
 
 from __future__ import annotations
 
 from .algebra_core import (BilinearTable, Element, StructureAlgebra,
                            ValidationReport, Violation, block_violations,
-                           matrix_algebra, matrix_product_table, stack_rows,
-                           validate_algebra)
+                           stack_rows, validate_algebra)
 from .budget import guard_tuples
 from .errors import DimensionMismatchError, FieldMismatchError, InvalidContextError
 from .exact_linear import FieldSpec, kernel_basis
@@ -241,10 +243,75 @@ def assemble(ctx: MoritaContext, validate: bool = True) -> GMAlgebra:
 
 
 # ---------------------------------------------------------------------------
-# builtin generators
+# structural matrix algebras and the stock kinds
 # ---------------------------------------------------------------------------
 
+
+def structural_context(field: FieldSpec, relation, split: int,
+                       zero_pairings: bool = False) -> MoritaContext:
+    """The structural matrix algebra R_rho = span{e_ij : (i, j) in rho},
+    split by the idempotent e = sum of e_ii over the points i < split.
+
+    `relation` is a quasi-order rho on integer points: reflexive, so that
+    A and B have units, and transitive, so that (i, l) is in rho whenever
+    (i, j) and (j, l) are. Block "AMNB"[2 (i >= split) + (j >= split)]
+    holds the pairs (i, j) of rho, in lexicographic order, so A = e R e,
+    M = e R (1 - e), N = (1 - e) R e and B = (1 - e) R (1 - e). Every table
+    comes from e_ij e_jl = e_il; the right factor's pairs are grouped by
+    their first point, so only nonzero cells are visited. The units of A
+    and B are their diagonal e_ii. With `zero_pairings` both pairings are
+    zero.
+    """
+    blocks = {x: [] for x in "AMNB"}
+    ends = {}  # (block, i): the points l with (i, l) in that block
+    for i, j in sorted(set(relation)):
+        x = "AMNB"[2 * (i >= split) + (j >= split)]
+        blocks[x].append((i, j))
+        ends.setdefault((x, i), []).append(j)
+    index = {pair: k for pairs in blocks.values() for k, pair in enumerate(pairs)}
+
+    def table(x, y):
+        out = "AMNB"[2 * (x in "NB") + (y in "MB")]
+        quads = [] if zero_pairings and x + y in ("MN", "NM") else [
+            (index[i, j], index[j, l], index[i, l], 1)
+            for i, j in blocks[x] for l in ends.get((y, j), ())]
+        return BilinearTable.from_quadruples(field, len(blocks[x]), len(blocks[y]),
+                                             len(blocks[out]), quads)
+
+    def corner(x):
+        unit = tuple(field.one if i == j else field.zero for i, j in blocks[x])
+        return StructureAlgebra(field, len(unit), table(x, x), unit)
+
+    return MoritaContext(
+        a=corner("A"), b=corner("B"), m_dim=len(blocks["M"]), n_dim=len(blocks["N"]),
+        act_am=table("A", "M"), act_mb=table("M", "B"), act_bn=table("B", "N"),
+        act_na=table("N", "A"), pair_mn=table("M", "N"), pair_nm=table("N", "M"))
+
+
 BUILTIN_KINDS = ("full_matrix", "upper_triangular", "lower_triangular", "zero_pairing")
+
+
+def _builtin_shape(kind: str, r: int, s: int, t: int) -> tuple:
+    """(s, t, full, zero_pairings) of a stock kind.
+
+    Its relation is on s + t points, split at s: the full relation, or the
+    block upper triangular one of the pairs (i, j) with i < s or j >= s.
+    full_matrix(r) is full with s, t = 1, r - 1; lower_triangular(s, t) is
+    upper_triangular(t, s); zero_pairing is full with both pairings zero.
+    Refuses an unknown kind or a size out of range.
+    """
+    kind = kind.replace("-", "_")
+    if kind == "full_matrix":
+        if r < 2:
+            raise ValueError("full_matrix needs r >= 2")
+        return 1, r - 1, True, False
+    if kind not in BUILTIN_KINDS:
+        raise ValueError(f"unknown builtin kind {kind!r} (choose from {BUILTIN_KINDS})")
+    if s < 1 or t < 1:
+        raise ValueError("block sizes s and t must be >= 1")
+    if kind == "lower_triangular":
+        s, t = t, s
+    return s, t, not kind.endswith("triangular"), kind == "zero_pairing"
 
 
 def builtin_dims(kind: str, *, r: int = 0, s: int = 0, t: int = 0) -> tuple:
@@ -252,74 +319,26 @@ def builtin_dims(kind: str, *, r: int = 0, s: int = 0, t: int = 0) -> tuple:
 
     Refuses the same kinds and sizes, and builds nothing.
     """
-    kind = kind.replace("-", "_")
-    if kind == "full_matrix":
-        if r < 2:
-            raise ValueError("full_matrix needs r >= 2")
-        s, t = 1, r - 1
-    elif kind not in BUILTIN_KINDS:
-        raise ValueError(f"unknown builtin kind {kind!r} (choose from {BUILTIN_KINDS})")
-    elif s < 1 or t < 1:
-        raise ValueError("block sizes s and t must be >= 1")
-    elif kind == "lower_triangular":
-        s, t = t, s
-    return s * s, s * t, 0 if kind.endswith("triangular") else t * s, t * t
+    s, t, full, _ = _builtin_shape(kind, r, s, t)
+    return s * s, s * t, t * s if full else 0, t * t
 
 
 def generate_builtin(kind: str, field: FieldSpec, *, r: int = 0,
                      s: int = 0, t: int = 0) -> MoritaContext:
-    """Stock Morita contexts assembled from square and rectangular matrix blocks.
+    """Stock Morita contexts: `structural_context` on the relation of a kind.
 
-    full_matrix(r): A = scalars, B = M_{r-1}, M = row vectors, N = column
-    vectors, pairings by matrix product; the assembled algebra is M_r.
-    upper_triangular(s, t): A = M_s, M = s x t matrices, B = M_t, N = 0.
+    full_matrix(r): the full relation on r points split at 1, so A =
+    scalars, M = row vectors, N = column vectors and B = M_{r-1}; the
+    assembled algebra is M_r.
+    upper_triangular(s, t): the pairs (i, j) of s + t points with i < s or
+    j >= s, split at s: A = M_s, M = s x t matrices, N = 0, B = M_t.
     lower_triangular(s, t): the block lower triangular algebra with A = M_s,
     N = t x s, B = M_t, realized in the canonical orientation (the nonzero
     bimodule occupies the M slot), so it equals upper_triangular(t, s).
-    zero_pairing(s, t): A = M_s, B = M_t, M = s x t, N = t x s, both
-    pairings identically zero.
+    zero_pairing(s, t): the full relation on s + t points split at s, so A =
+    M_s, B = M_t, M = s x t, N = t x s, with both pairings zero.
     """
-    kind = kind.replace("-", "_")
-    builtin_dims(kind, r=r, s=s, t=t)  # refuses a bad kind or size
-    if kind == "full_matrix":
-        return _rect_context(field, 1, r - 1, zero_pairings=False)
-    if kind == "upper_triangular":
-        return _triangular_context(field, s, t)
-    if kind == "lower_triangular":
-        return _triangular_context(field, t, s)
-    return _rect_context(field, s, t, zero_pairings=True)
-
-
-def _rect_context(field: FieldSpec, s: int, t: int, zero_pairings: bool) -> MoritaContext:
-    a = matrix_algebra(field, s)
-    b = matrix_algebra(field, t)
-    dm = s * t
-    dn = t * s
-    ctx = MoritaContext(
-        a=a, b=b, m_dim=dm, n_dim=dn,
-        act_am=matrix_product_table(field, s, s, t),
-        act_mb=matrix_product_table(field, s, t, t),
-        act_bn=matrix_product_table(field, t, t, s),
-        act_na=matrix_product_table(field, t, s, s),
-        pair_mn=(BilinearTable.zero(dm, dn, s * s) if zero_pairings
-                 else matrix_product_table(field, s, t, s)),
-        pair_nm=(BilinearTable.zero(dn, dm, t * t) if zero_pairings
-                 else matrix_product_table(field, t, s, t)),
-    )
-    return ctx
-
-
-def _triangular_context(field: FieldSpec, s: int, t: int) -> MoritaContext:
-    a = matrix_algebra(field, s)
-    b = matrix_algebra(field, t)
-    dm = s * t
-    ctx = MoritaContext(
-        a=a, b=b, m_dim=dm, n_dim=0,
-        act_am=matrix_product_table(field, s, s, t),
-        act_mb=matrix_product_table(field, s, t, t),
-        act_bn=BilinearTable.zero(t * t, 0, 0),
-        act_na=BilinearTable.zero(0, s * s, 0),
-        pair_mn=BilinearTable.zero(dm, 0, s * s),
-        pair_nm=BilinearTable.zero(0, dm, t * t),
-    )
-    return ctx
+    s, t, full, zero = _builtin_shape(kind, r, s, t)
+    points = range(s + t)
+    return structural_context(field, [(i, j) for i in points for j in points
+                                      if full or i < s or j >= s], s, zero)

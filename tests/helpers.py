@@ -10,11 +10,19 @@ import gmalg as G
 from gmalg.budget import guard_tuples, guard_unknowns
 from gmalg.exact_linear import _int_row
 from gmalg.fileformat import context_from_dict, context_to_dict, decode_scalar, encode_scalar
+from gmalg.gma import structural_context
 from gmalg.structure_analysis import core_algebra
 
 Q = G.FieldSpec()
 GF7 = G.FieldSpec(7)
 GF101 = G.FieldSpec(101)
+
+
+def matrix_algebra(field, n):
+    """M_n on the matrix units e_ij in lexicographic order: the A corner of
+    M_(n+1) split at n."""
+    points = range(n + 1)
+    return structural_context(field, [(i, j) for i in points for j in points], n).a
 
 
 def corpus_contexts(field):

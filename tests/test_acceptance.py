@@ -13,7 +13,7 @@ import gmalg as G
 
 from helpers import (GF7, GF101, Q, all_derivations_inner, condition,
                      contains_subspace, corpus_algebras, corpus_contexts,
-                     inner_derivation_space, maps_span, mat_vec,
+                     inner_derivation_space, maps_span, mat_vec, matrix_algebra,
                      n_lie_derivation_space_direct, perturb_context,
                      perturbation_sites, random_central_map,
                      swap_identity_check)
@@ -55,15 +55,15 @@ def test_criterion_1_context_validation_and_fuzz():
 
 def test_criterion_2_structure_dimensions():
     with criterion(2, "structure dimensions vs direct kernel", 10.0):
-        m3q = G.matrix_algebra(Q, 3)
+        m3q = matrix_algebra(Q, 3)
         assert G.center(m3q).dim == 1
-        m2q = G.matrix_algebra(Q, 2)
+        m2q = matrix_algebra(Q, 2)
         assert G.derivation_space(m2q).dim == 3
-        m3f = G.matrix_algebra(GF7, 3)
+        m3f = matrix_algebra(GF7, 3)
         assert G.derivation_space(m3f).dim == 8
         assert all_derivations_inner(m2q)
         assert all_derivations_inner(m3q)
-        assert all_derivations_inner(G.matrix_algebra(GF7, 2))
+        assert all_derivations_inner(matrix_algebra(GF7, 2))
         assert all_derivations_inner(m3f)
         block = gma("upper_triangular", Q, s=2, t=1)
         assert G.center(block.algebra).dim == 1

@@ -7,7 +7,7 @@ import pytest
 
 import gmalg as G
 
-from helpers import GF7, Q, basis_element
+from helpers import GF7, Q, basis_element, matrix_algebra
 
 
 def dual_numbers(field):
@@ -29,14 +29,14 @@ def t2_algebra(field):
 
 
 def test_matrix_unit_product():
-    m2 = G.matrix_algebra(Q, 2)
+    m2 = matrix_algebra(Q, 2)
     e11, e12 = basis_element(m2, 0), basis_element(m2, 1)
     assert (e11 * e12).coords == e12.coords
     assert (e12 * e11).is_zero
 
 
 def test_unit_law_random():
-    m2 = G.matrix_algebra(GF7, 2)
+    m2 = matrix_algebra(GF7, 2)
     rng = random.Random(2)
     for _ in range(20):
         x = m2.element([rng.randrange(7) for _ in range(4)])
@@ -45,7 +45,7 @@ def test_unit_law_random():
 
 
 def test_associativity_random_triples_gf7():
-    m2 = G.matrix_algebra(GF7, 2)
+    m2 = matrix_algebra(GF7, 2)
     rng = random.Random(3)
     for _ in range(30):
         x, y, z = (m2.element([rng.randrange(7) for _ in range(4)])
@@ -54,13 +54,13 @@ def test_associativity_random_triples_gf7():
 
 
 def test_bracket_matrix_units():
-    m2 = G.matrix_algebra(Q, 2)
+    m2 = matrix_algebra(Q, 2)
     e11, e12 = basis_element(m2, 0), basis_element(m2, 1)
     assert e11.bracket(e12).coords == e12.coords
 
 
 def test_bracket_alternating_and_jacobi():
-    m2 = G.matrix_algebra(GF7, 2)
+    m2 = matrix_algebra(GF7, 2)
     rng = random.Random(5)
     for _ in range(20):
         x, y, z = (m2.element([rng.randrange(7) for _ in range(4)])
@@ -72,7 +72,7 @@ def test_bracket_alternating_and_jacobi():
 
 
 def test_validate_m3_passes():
-    assert G.validate_algebra(G.matrix_algebra(GF7, 3)).ok
+    assert G.validate_algebra(matrix_algebra(GF7, 3)).ok
 
 
 def test_validate_dim1_field_algebra():
@@ -81,7 +81,7 @@ def test_validate_dim1_field_algebra():
 
 
 def test_validate_perturbed_constants_fail_with_witness():
-    m3 = G.matrix_algebra(GF7, 3)
+    m3 = matrix_algebra(GF7, 3)
     quads = m3.mul.quadruples()
     # bump one nonzero constant by +1
     i, j, k, c = quads[4]
@@ -99,14 +99,14 @@ def test_commutator_span_commutative_zero():
 
 
 def test_commutators_computed_once_per_algebra():
-    m2 = G.matrix_algebra(Q, 2)
+    m2 = matrix_algebra(Q, 2)
     assert m2.commutators is m2.commutators
     assert m2.commutators == G.commutator_span(m2)
-    assert G.matrix_algebra(Q, 2).commutators == m2.commutators
+    assert matrix_algebra(Q, 2).commutators == m2.commutators
 
 
 def test_commutator_span_m2_is_trace_zero():
-    m2 = G.matrix_algebra(Q, 2)
+    m2 = matrix_algebra(Q, 2)
     span = G.commutator_span(m2)
     # independent oracle: the trace-zero subspace of M2 in E_ij coordinates
     trace_zero = G.Subspace.span(Q, 4, [[1, 0, 0, -1], [0, 1, 0, 0], [0, 0, 1, 0]])
@@ -123,19 +123,19 @@ def test_commutator_span_t2():
 
 def test_is_commutative():
     assert G.is_commutative(G.StructureAlgebra.build(GF7, 1, [(0, 0, 0, 1)], [1]))
-    assert not G.is_commutative(G.matrix_algebra(GF7, 2))
+    assert not G.is_commutative(matrix_algebra(GF7, 2))
     assert not G.is_commutative(t2_algebra(Q))
 
 
 def test_algebra_mismatch_guard():
-    m2q = G.matrix_algebra(Q, 2)
-    m2f = G.matrix_algebra(GF7, 2)
+    m2q = matrix_algebra(Q, 2)
+    m2f = matrix_algebra(GF7, 2)
     with pytest.raises(G.FieldMismatchError):
         m2q.multiply(m2q.one, m2f.one)
 
 
 def test_element_arithmetic():
-    m2 = G.matrix_algebra(Q, 2)
+    m2 = matrix_algebra(Q, 2)
     x = m2.element([1, 2, 3, 4])
     y = m2.element([1, 1, 1, 1])
     assert (x + y - y).coords == x.coords

@@ -269,6 +269,47 @@ def test_output_to_a_fifo_is_written_not_replaced(tmp_path, capsys):
     assert list(tmp_path.rglob(".gmalg-*.tmp")) == []
 
 
+def gmalg_process(*argv, cwd, stdout=subprocess.PIPE):
+    """`gmalg argv` in a child process under umask 027."""
+    script = ("import os, sys\n"
+              "os.umask(0o027)\n"
+              "from gmalg.cli import main\n"
+              "sys.exit(main(sys.argv[1:]))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(G.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-c", script, *argv], cwd=cwd, env=env,
+                          stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          timeout=30)
+
+
+def test_output_file_gets_the_umask_mode_and_a_replaced_file_keeps_its_own(tmp_path):
+    argv = ("gen", "--kind", "full-matrix", "--r", "2", "--field", "q", "-o", "m2.json")
+    assert gmalg_process(*argv, cwd=tmp_path).returncode == 0
+    spec = tmp_path / "m2.json"
+    assert stat.S_IMODE(os.stat(spec).st_mode) == 0o640
+    spec.chmod(0o604)
+    assert gmalg_process(*argv, cwd=tmp_path).returncode == 0
+    assert stat.S_IMODE(os.stat(spec).st_mode) == 0o604
+    assert json.loads(spec.read_text())["format"] == "gma-spec/1"
+    assert list(tmp_path.glob(".gmalg-*.tmp")) == []
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+def test_output_to_stdout_appended_to_a_file_keeps_what_it_held(tmp_path):
+    argv = ("gen", "--kind", "full-matrix", "--r", "2", "--field", "q", "-o", "m2.json")
+    assert gmalg_process(*argv, cwd=tmp_path).returncode == 0
+    log = tmp_path / "log"
+    log.write_text("earlier line\n")
+    log.chmod(0o644)
+    with open(log, "a") as fh:
+        proc = gmalg_process("center", "m2.json", "-o", "/dev/stdout",
+                             cwd=tmp_path, stdout=fh)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    before, _, report = log.read_text().partition("\n")
+    assert before == "earlier line"
+    assert json.loads(report)["command"] == "center"
+    assert stat.S_IMODE(os.stat(log).st_mode) == 0o644
+
+
 def test_console_main_freezes_before_main(monkeypatch):
     calls = []
     monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))

@@ -11,7 +11,7 @@ from gmalg.fileformat import context_from_dict, context_to_dict
 from gmalg.gma import BUILTIN_KINDS, builtin_dims
 
 from helpers import (GF7, Q, assemble_element, basis_element, change_of_basis,
-                     corpus_contexts,
+                     corpus_contexts, matrix_algebra,
                      perturb_context, perturbation_sites, pierce_project)
 
 
@@ -67,7 +67,7 @@ def test_assemble_full_matrix_3_dim_and_validity():
 def test_assembled_full_matrix_isomorphic_to_direct_m3():
     """Map block basis onto matrix units and transport all products."""
     g = G.assemble(G.generate_builtin("full_matrix", Q, r=3), validate=False)
-    m3 = G.matrix_algebra(Q, 3)
+    m3 = matrix_algebra(Q, 3)
     # block order: A (E11), M rows (E12, E13), N cols (E21, E31), B (E22..E33)
     to_unit = {0: (0, 0), 1: (0, 1), 2: (0, 2), 3: (1, 0), 4: (2, 0),
                5: (1, 1), 6: (1, 2), 7: (2, 1), 8: (2, 2)}
@@ -163,7 +163,7 @@ def test_faithfulness_rejected_when_violated():
         Q, 2, [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 1, 1)], [1, 0])
     # a = (x, y) acts on M = k through x only; the second component kills M
     ctx = G.MoritaContext(
-        a=two_dim_a, b=G.matrix_algebra(Q, 1), m_dim=1, n_dim=0,
+        a=two_dim_a, b=matrix_algebra(Q, 1), m_dim=1, n_dim=0,
         act_am=G.BilinearTable.from_quadruples(Q, 2, 1, 1, [(0, 0, 0, 1)]),
         act_mb=G.BilinearTable.from_quadruples(Q, 1, 1, 1, [(0, 0, 0, 1)]),
         act_bn=G.BilinearTable.zero(1, 0, 0),

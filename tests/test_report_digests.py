@@ -11,7 +11,9 @@ commands on small stock instances over q and gf:7, and `center` on a context
 whose center has dimension 2, as built and in a seeded basis where its
 linking matrix is not the identity. `hypotheses --theorem 4.3` and
 `extremal` also run on zero_pairing(2,1) in a seeded basis, which pins the
-order of their witnesses off the stock basis. `hypotheses --theorem 4.3`
+order of their witnesses off the stock basis. `verify --arity 3` and
+`extremal` run on T_3, built by `structural_context`: the one instance here
+where a ruleset passes and an extremal part is not zero. `hypotheses --theorem 4.3`
 runs on the direct sum of full_matrix(2) and zero_pairing(1,1) in two
 seeded bases: there the annihilator of M in N has dimension 1 of 2, so over
 q the sign of its witness pins the order of the annihilator rows (over GF(p)
@@ -42,8 +44,9 @@ from gmalg.cli import main
 from gmalg.fileformat import (context_from_dict, context_to_dict, decode_scalar,
                               dumps_canonical, encode_scalar, load_context,
                               map_to_dict)
+from gmalg.gma import structural_context
 
-from helpers import change_of_basis, diagonal_context, m2_plus_zp11
+from helpers import change_of_basis, diagonal_context, m2_plus_zp11, matrix_algebra
 
 DIGESTS = Path(__file__).with_name("report_digests.json")
 FIELDS = ("q", "gf:7")
@@ -74,6 +77,12 @@ BROKEN = {
 
 # `helpers.diagonal_context` and its `change_of_basis` seeds (None: as built).
 DIAGONAL = {"diag2": None, "diag2-s5": 5}
+
+# Structural matrix algebras: the relation and the split point of
+# `structural_context`. T_3, the upper triangular 3 x 3 matrices split after
+# its first two points, has an extremal part that is not zero.
+STRUCTURAL = {"t3": ([(i, j) for i in range(3) for j in range(i, 3)], 2)}
+STRUCTURAL_COMMANDS = ("verify-3", "extremal")
 
 # Stock contexts in a `change_of_basis` seed: (kind, block sizes, seed).
 SEEDED = {"zp21-s3": ("zero_pairing", {"s": 2, "t": 1}, 3)}
@@ -113,6 +122,11 @@ def cases() -> dict:
             for name in SEEDED_COMMANDS:
                 argv = COMMANDS[name]
                 out[f"{instance}-{field}-{name}"] = (argv[0], spec, *argv[1:])
+        for instance in STRUCTURAL:
+            spec = spec_name(instance, field)
+            for name in STRUCTURAL_COMMANDS:
+                argv = COMMANDS[name]
+                out[f"{instance}-{field}-{name}"] = (argv[0], spec, *argv[1:])
         for instance in DIRECT_SUM:
             argv = COMMANDS["hypotheses-4.3"]
             out[f"{instance}-{field}-hypotheses-4.3"] = (
@@ -136,7 +150,7 @@ def nonfaithful_context(field):
         field, 2, [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 1, 1)],
         [1, 0])
     return G.MoritaContext(
-        a=a, b=G.matrix_algebra(field, 1), m_dim=1, n_dim=0,
+        a=a, b=matrix_algebra(field, 1), m_dim=1, n_dim=0,
         act_am=G.BilinearTable.from_quadruples(field, 2, 1, 1, [(0, 0, 0, 1)]),
         act_mb=G.BilinearTable.from_quadruples(field, 1, 1, 1, [(0, 0, 0, 1)]),
         act_bn=G.BilinearTable.zero(1, 0, 0),
@@ -175,6 +189,10 @@ def write_specs(directory: Path) -> None:
             ctx = G.generate_builtin(kind, G.FieldSpec.from_name(field), **sizes)
             (directory / spec_name(instance, field)).write_text(
                 dumps_canonical(context_to_dict(change_of_basis(ctx, seed))))
+        for instance, (relation, split) in STRUCTURAL.items():
+            ctx = structural_context(G.FieldSpec.from_name(field), relation, split)
+            (directory / spec_name(instance, field)).write_text(
+                dumps_canonical(context_to_dict(ctx)))
         for instance, seed in DIRECT_SUM.items():
             ctx = m2_plus_zp11(G.FieldSpec.from_name(field))
             (directory / spec_name(instance, field)).write_text(

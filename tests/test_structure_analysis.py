@@ -10,7 +10,7 @@ from helpers import (GF7, Q, all_derivations_inner, basis_element, change_of_bas
                      condition, contains_subspace, corpus_algebras,
                      corpus_contexts, dense_kernel_basis,
                      diagonal_context, inner_derivation_space, m2_plus_zp11,
-                     mat_vec, pierce_project, reduce)
+                     mat_vec, matrix_algebra, pierce_project, reduce)
 from test_algebra_core import dual_numbers, quadratic_extension, t2_algebra
 
 
@@ -19,7 +19,7 @@ def gma(kind, field, **kw):
 
 
 def test_center_m3_is_scalars():
-    m3 = G.matrix_algebra(Q, 3)
+    m3 = matrix_algebra(Q, 3)
     z = G.center(m3)
     assert z.dim == 1
     assert z.contains(m3.unit)
@@ -84,7 +84,7 @@ def test_e_not_central_when_m_nonzero():
 
 
 def test_central_ideal_m2_none():
-    assert G.has_nonzero_central_ideal(G.matrix_algebra(Q, 2)) is None
+    assert G.has_nonzero_central_ideal(matrix_algebra(Q, 2)) is None
 
 
 def test_central_ideal_commutative_self():
@@ -125,14 +125,14 @@ def test_torsion_check_exhaustive_over_gf7():
 
 
 def test_derivation_space_dims():
-    assert G.derivation_space(G.matrix_algebra(Q, 2)).dim == 3
-    assert G.derivation_space(G.matrix_algebra(GF7, 3)).dim == 8
+    assert G.derivation_space(matrix_algebra(Q, 2)).dim == 3
+    assert G.derivation_space(matrix_algebra(GF7, 3)).dim == 8
     one_dim = G.StructureAlgebra.build(Q, 1, [(0, 0, 0, 1)], [1])
     assert G.derivation_space(one_dim).dim == 0
 
 
 def test_derivation_members_satisfy_leibniz():
-    alg = G.matrix_algebra(GF7, 2)
+    alg = matrix_algebra(GF7, 2)
     d = alg.dim
     for flat in G.derivation_space(alg).basis:
         for i in range(d):
@@ -150,11 +150,11 @@ def test_derivation_members_satisfy_leibniz():
 
 
 def test_lie_derivation_contains_derivations():
-    for alg in (G.matrix_algebra(Q, 2), G.matrix_algebra(GF7, 3), t2_algebra(Q)):
+    for alg in (matrix_algebra(Q, 2), matrix_algebra(GF7, 3), t2_algebra(Q)):
         der = G.derivation_space(alg)
         lie = G.lie_derivation_space(alg)
         assert contains_subspace(lie, der)
-    assert G.lie_derivation_space(G.matrix_algebra(GF7, 3)).dim == 9
+    assert G.lie_derivation_space(matrix_algebra(GF7, 3)).dim == 9
 
 
 def test_lie_derivations_of_commutative_algebra_all_of_end():
@@ -163,11 +163,11 @@ def test_lie_derivations_of_commutative_algebra_all_of_end():
 
 
 def test_inner_derivations():
-    m3 = G.matrix_algebra(Q, 3)
+    m3 = matrix_algebra(Q, 3)
     inner = inner_derivation_space(m3)
     assert inner.dim == 9 - G.center(m3).dim
     assert all_derivations_inner(m3)
-    assert all_derivations_inner(G.matrix_algebra(GF7, 2))
+    assert all_derivations_inner(matrix_algebra(GF7, 2))
     comm = dual_numbers(Q)
     assert inner_derivation_space(comm).dim == 0
     assert all_derivations_inner(comm) == (G.derivation_space(comm).dim == 0)
@@ -217,7 +217,7 @@ def test_pair_spaces_triangular_special_is_hom_m():
 
 def test_pair_spaces_pathological_inflated_module():
     """A = B = k acting by scalars on M = k^2: every endo is a bimodule hom."""
-    scal = G.matrix_algebra(Q, 1)
+    scal = matrix_algebra(Q, 1)
     ctx = module_only(
         scal, scal, 2,
         G.BilinearTable.from_quadruples(Q, 1, 2, 2, [(0, 0, 0, 1), (0, 1, 1, 1)]),
