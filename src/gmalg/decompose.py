@@ -30,7 +30,6 @@ from .structure_analysis import (VARIANTS, CheckStatus, center,
 
 def extract_seed(g: GMAlgebra, mmap: MultilinearMap) -> Element:
     """e m(e,...,e) f + (-1)^n f m(e,...,e) e."""
-    alg = g.algebra
     n = mmap.arity
     value = mmap.evaluate([g.e] * n)
     ef_part = g.e * value * g.f

@@ -24,7 +24,7 @@ so equality is plain entrywise comparison; `Subspace.span` is the one place
 `rref` rows become Fractions, each int over its row's scale. Membership has
 one test, `Subspace.contains`: a vector lies in the subspace exactly when
 every row of its `annihilator`, the `kernel_basis` of the basis, has a zero
-dot product with the vector `int_scaled`. A condition "A x lies in S" has
+dot product with the vector's ints. A condition "A x lies in S" has
 one writer, `Subspace.preimage_rows`: S's annihilator rows composed with
 the rows of A, whose joint kernel is the preimage of S under A.
 """
@@ -450,16 +450,16 @@ class Subspace:
     def contains(self, vec) -> bool:
         """True when every annihilator row kills `vec`.
 
-        The vector is `int_scaled` once, which keeps each dot product's zero
-        pattern; over GF(p) a product is zero when p divides it.
+        The vector enters as the ints of `_int_row`, which keep each dot
+        product's zero pattern; over GF(p) a product is zero when p divides
+        it.
         """
         if len(vec) != self.ambient_dim:
             raise DimensionMismatchError(
                 f"vector length {len(vec)} != ambient {self.ambient_dim}")
-        f, p = self.field, self.field.p
-        v = int_scaled([f.of(x) for x in vec])
+        p, v = self.field.p, dict(_int_row(self.field, vec))
         for row in self.annihilator:
-            x = sum(a * v[i] for i, a in row)
+            x = sum(a * v.get(i, 0) for i, a in row)
             if x and (p is None or x % p):
                 return False
         return True

@@ -244,8 +244,7 @@ def map_to_dict(mmap: MultilinearMap) -> dict:
     f = mmap.field
     entries = []
     for key in sorted(mmap.entries):
-        vec = mmap.entries[key]
-        for j, c in enumerate(vec):
+        for j, c in enumerate(mmap.value_at(key)):
             if c:
                 entries.append(list(key) + [j, encode_scalar(f, c)])
     return {

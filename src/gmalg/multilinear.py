@@ -1,6 +1,10 @@
 """Multilinear maps on an algebra: predicates and n-Lie derivation spaces.
 
-Maps are sparse coefficient tensors on basis tuples. The full n-Lie
+A map holds one value format: sparse int tensor entries on basis tuples,
+den times the values, over one denominator den, normalized so that equal
+maps are equal records (`MultilinearMap.from_ints`). Every reader works on
+the ints as they are; a value is divided by den only at the boundary, in
+`value_at`, `evaluate` and the map file writer. The full n-Lie
 derivation space is computed by slot restriction: slot one confines the map
 to (Lie derivation space L) x (coefficient tensor), and the later-slot
 Leibniz constraints all reduce to one shared constraint block because their
@@ -16,19 +20,21 @@ by `exact_linear.int_scaled`, and every stage keeps its coefficient vectors
 as sparse {index: int} maps built from the int vectors `kernel_basis`
 returns (primitive over q, residues over GF(p)). The final canonical `rref`
 hands out sparse int rows too, and the maps are built from their nonzero
-entries: rationals come back only there, each materialized value one int
-sum made a Fraction once. The arity has no cap of its own: the budgets
-bound the work.
+entries: each value is one int sum, held over the row's scale. The arity
+has no cap of its own: the budgets bound the work.
 
 The Leibniz predicate checks k maps of one arity in one pass over the
 (slot, spectator tuple, pair) cases, with each case's residuals held as one
 sparse int dict over (output component, map index); each map gets the
-witness a pass over it alone would find. `is_n_lie_derivation` and
-`is_n_derivation` are that pass with k = 1, and `verify` runs it once on the
-whole space. The solver reaches `structure_analysis.leibniz_rows`, the one
-writer of the n = 1 law, through L. The dense-kernel oracle of the tests
-writes its own rows of the n-slot law, and the predicate writes the law out
-by hand, so both check the space independently of the solver.
+witness a pass over it alone would find. The values are indexed by the rank
+of their basis tuple, so each slot visits only the lines (the d tuples that
+differ only in that slot) through a tuple that some map stores.
+`is_n_lie_derivation` and `is_n_derivation` are that pass with k = 1, and
+`verify` runs it once on the whole space. The solver reaches
+`structure_analysis.leibniz_rows`, the one writer of the n = 1 law, through
+L. The dense-kernel oracle of the tests writes its own rows of the n-slot
+law, and the predicate writes the law out by hand, so both check the space
+independently of the solver.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from __future__ import annotations
 from collections import defaultdict
 from collections.abc import Sequence
 from fractions import Fraction
-from itertools import islice, product
+from math import gcd, lcm
 
 from .algebra_core import Element, StructureAlgebra
 from .budget import guard_power, guard_tuples, guard_unknowns
@@ -49,16 +55,23 @@ from .structure_analysis import (CheckStatus, center, core_algebra,
 
 @record
 class MultilinearMap:
-    """Arity-n map stored as tensor entries on basis tuples.
+    """Arity-n map stored as int tensor entries on basis tuples over one
+    denominator.
 
-    entries maps an index tuple (i_1, ..., i_n) to the coordinate tuple of
-    the image of that basis tuple; absent tuples are zero.
+    entries maps an index tuple (i_1, ..., i_n) to a tuple of ints, den
+    times the coordinates of the image of that basis tuple; absent tuples
+    are zero. The format is normalized by `from_ints`, so equal maps are
+    equal records: over q den > 0 and no prime divides den and every entry,
+    over GF(p) den is 1 and the entries are residues, and no stored tuple
+    is zero. Readers use the ints as they are; `value_at`, `evaluate` and
+    the map file writer divide by den.
     """
 
     field: FieldSpec
     arity: int
     dim: int
     entries: dict
+    den: int = 1
 
     def __post_init__(self):
         if self.arity < 1:
@@ -69,8 +82,25 @@ class MultilinearMap:
         return cls(field, arity, dim, {})
 
     @classmethod
+    def from_ints(cls, field: FieldSpec, arity: int, dim: int, entries: dict,
+                  den: int) -> "MultilinearMap":
+        """The map whose value at each key is entries[key] / den, normalized."""
+        p = field.p
+        if p is None:
+            g = gcd(den, *(x for vec in entries.values() for x in vec))
+            g = -g if den < 0 else g
+            den //= g
+            scaled = ((k, tuple(x // g for x in vec)) for k, vec in entries.items())
+        else:
+            inv, den = pow(den, -1, p), 1
+            scaled = ((k, tuple(x * inv % p for x in vec))
+                      for k, vec in entries.items())
+        return cls(field, arity, dim, {k: vec for k, vec in scaled if any(vec)}, den)
+
+    @classmethod
     def from_entries(cls, field: FieldSpec, arity: int, dim: int,
                      entries) -> "MultilinearMap":
+        """The map with the given field scalars, cleared of denominators."""
         clean = {}
         for key, vec in dict(entries).items():
             key = tuple(int(i) for i in key)
@@ -79,39 +109,39 @@ class MultilinearMap:
             coords = tuple(field.of(x) for x in vec)
             if len(coords) != dim:
                 raise DimensionMismatchError("value length != dim")
-            if any(coords):
-                clean[key] = coords
-        return cls(field, arity, dim, clean)
+            clean[key] = coords
+        den = lcm(1, *(x.denominator for vec in clean.values() for x in vec))
+        return cls.from_ints(field, arity, dim, {
+            k: tuple(x.numerator * (den // x.denominator) for x in vec)
+            for k, vec in clean.items()}, den)
 
     # -- access ----------------------------------------------------------
 
     def value_at(self, key: tuple) -> tuple:
-        got = self.entries.get(tuple(key))
-        if got is None:
-            return tuple(self.field.vec_zero(self.dim))
-        return got
+        got = self.entries.get(tuple(key), (0,) * self.dim)
+        return got if self.field.p else tuple(Fraction(x, self.den) for x in got)
 
     def evaluate_coords(self, args: Sequence[Sequence]) -> list:
+        """The image of the arguments' coordinates: each stored value times
+        the product of the arguments' coordinates at its indices."""
         if len(args) != self.arity:
             raise DimensionMismatchError(
                 f"expected {self.arity} arguments, got {len(args)}")
+        if any(len(a) != self.dim for a in args):
+            raise DimensionMismatchError("argument length != dim")
         f = self.field
-        supports = []
-        for a in args:
-            if len(a) != self.dim:
-                raise DimensionMismatchError("argument length != dim")
-            supports.append([(i, c) for i, c in enumerate(a) if c])
+        supports = [{i: c for i, c in enumerate(a) if c} for a in args]
         out = f.vec_zero(self.dim)
-        for combo in product(*supports):
-            key = tuple(i for i, _ in combo)
-            vec = self.entries.get(key)
-            if vec is None:
-                continue
-            w = f.one
-            for _, c in combo:
-                w = f.mul(w, c)
-            out = f.vec_add(out, f.vec_scale(w, vec))
-        return out
+        for key, vec in self.entries.items():
+            w = 1
+            for support, i in zip(supports, key):
+                if i not in support:
+                    break
+                w *= support[i]
+            else:
+                for t, x in enumerate(vec):
+                    out[t] += w * x
+        return [x % f.p for x in out] if f.p else [x / self.den for x in out]
 
     def evaluate(self, args: Sequence[Element]) -> Element:
         if not args:
@@ -126,30 +156,21 @@ class MultilinearMap:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _compatible(self, other: "MultilinearMap") -> None:
+    def add(self, other: "MultilinearMap", sign: int = 1) -> "MultilinearMap":
+        """self + sign * other, over the LCM of the two denominators."""
         if (self.field, self.arity, self.dim) != (other.field, other.arity,
                                                   other.dim):
             raise DimensionMismatchError("maps live on different spaces")
-
-    def add(self, other: "MultilinearMap") -> "MultilinearMap":
-        self._compatible(other)
-        f = self.field
-        keys = set(self.entries) | set(other.entries)
-        entries = {}
-        for k in keys:
-            v = f.vec_add(self.value_at(k), other.value_at(k))
-            if any(v):
-                entries[k] = tuple(v)
-        return MultilinearMap(f, self.arity, self.dim, entries)
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, sign * (den // other.den)
+        zero = (0,) * self.dim
+        entries = {k: tuple(a * x + b * y for x, y in
+                            zip(self.entries.get(k, zero), other.entries.get(k, zero)))
+                   for k in self.entries.keys() | other.entries.keys()}
+        return self.from_ints(self.field, self.arity, self.dim, entries, den)
 
     def sub(self, other: "MultilinearMap") -> "MultilinearMap":
-        return self.add(other.neg())
-
-    def neg(self) -> "MultilinearMap":
-        f = self.field
-        return MultilinearMap(
-            f, self.arity, self.dim,
-            {k: tuple(f.neg(x) for x in v) for k, v in self.entries.items()})
+        return self.add(other, -1)
 
     @property
     def is_zero(self) -> bool:
@@ -188,24 +209,21 @@ def is_n_derivation(g, mmap: MultilinearMap) -> CheckStatus:
     return _leibniz_predicate(g, [mmap], lie=False)[0]
 
 
-def _integer_values(maps: list) -> list:
-    """Per basis-tuple rank, the values of all maps as sparse int entries.
+def _integer_values(maps: list) -> dict:
+    """Per basis-tuple rank that some map touches, the values of all maps as
+    sparse int entries.
 
     An entry (t, m, t * k + m, x) says that map m (of k) has the int x at
-    component t there. Each map's values are `int_scaled` by one common
-    factor of its own.
+    component t there: its stored int, den times the value.
     """
-    d, n, k = maps[0].dim, maps[0].arity, len(maps)
-    vals = [[] for _ in range(d ** n)]
+    d, k = maps[0].dim, len(maps)
+    vals = defaultdict(list)
     for m, mmap in enumerate(maps):
-        scaled = iter(int_scaled([x for vec in mmap.entries.values()
-                                  for x in vec]))
         for key, vec in mmap.entries.items():
             rank = 0
             for i in key:
                 rank = rank * d + i
-            vals[rank] += [(t, m, t * k + m, x) for t, x in
-                           enumerate(islice(scaled, len(vec))) if x]
+            vals[rank] += [(t, m, t * k + m, x) for t, x in enumerate(vec) if x]
     return vals
 
 
@@ -223,12 +241,12 @@ def _leibniz_predicate(g, maps: Sequence[MultilinearMap],
 
     The residual is linear in the map and linear in the structure constants,
     so scaling the constants by one nonzero int and a map's values by
-    another scales every residual of that map by their product: over q,
-    clearing both sets of denominators gives integer residuals with the same
-    zero pattern. Over GF(p) the values and constants are residues, and
-    reduction mod p is a ring homomorphism from the ints, so the unreduced
-    int residual is zero in GF(p) exactly when it is divisible by p; that is
-    the only place p enters.
+    another scales every residual of that map by their product: over q, the
+    int cells and each map's stored ints (den times its values) give integer
+    residuals with the same zero pattern. Over GF(p) the values and
+    constants are residues, and reduction mod p is a ring homomorphism from
+    the ints, so the unreduced int residual is zero in GF(p) exactly when it
+    is divisible by p; that is the only place p enters.
     """
     alg = core_algebra(g)
     maps = list(maps)
@@ -239,7 +257,7 @@ def _leibniz_predicate(g, maps: Sequence[MultilinearMap],
         _check_algebra_map(alg, mmap)
         if mmap.arity != n:
             raise DimensionMismatchError("maps of different arities")
-    d, k, p = alg.dim, len(maps), alg.field.p
+    d, k = alg.dim, len(maps)
     guard_tuples("leibniz predicate", d ** n)
     witnesses = [None] * k
     open_maps = k
@@ -261,8 +279,10 @@ def _nonzero_residuals(alg: StructureAlgebra, maps: list, lie: bool):
     Cases come in loop order. A case's residuals, for all k maps, are one
     sparse int dict keyed by output component times k plus map index, so a
     case that no cell and no value reaches holds nothing. A line, the d
-    tuples that differ only in the slot, on which every map vanishes is
-    skipped whole: all of its residuals are zero.
+    tuples that differ only in the slot, on which every map vanishes holds
+    only zero residuals, so each slot visits only the lines through a
+    stored tuple: the sorted set of their spectator ranks, which keeps the
+    loop order.
     """
     d, n, k, p = alg.dim, maps[0].arity, len(maps), alg.field.p
     cells = (alg.bracket_table if lie else alg.mul).int_entries
@@ -273,12 +293,9 @@ def _nonzero_residuals(alg: StructureAlgebra, maps: list, lie: bool):
     vals = _integer_values(maps)
     for slot in range(n):
         st = d ** (n - 1 - slot)
-        for spect in range(d ** (n - 1)):
-            lo = spect % st
-            base = (spect // st) * (st * d) + lo
-            line = [vals[base + w * st] for w in range(d)]
-            if not any(line):
-                continue
+        for spect in sorted({r // (st * d) * st + r % st for r in vals}):
+            base = (spect // st) * (st * d) + spect % st
+            line = [vals.get(base + w * st, ()) for w in range(d)]
             for u in range(d):
                 t_u = line[u]
                 left = keyed[u * d:(u + 1) * d]
@@ -302,8 +319,9 @@ def _nonzero_residuals(alg: StructureAlgebra, maps: list, lie: bool):
 def is_centrally_valued(g, mmap: MultilinearMap) -> CheckStatus:
     """Every stored basis-tuple value must lie in the center.
 
-    Each value is tested by `Subspace.contains` on Z(G); the witness is the
-    first failing basis tuple in sorted order.
+    Each stored int tuple, den times a value, is tested by
+    `Subspace.contains` on Z(G); the witness is the first failing basis
+    tuple in sorted order.
     """
     alg = core_algebra(g)
     _check_algebra_map(alg, mmap)
@@ -377,13 +395,13 @@ def n_lie_derivation_space(g, n: int) -> list:
     [a | i_2 .. i_k], through the stages; the final `rref` gives the
     canonical basis as sparse int rows, each the canonical row times a scale
     of its own. The maps are built from a row's nonzero entries alone: each
-    value is one int sum over the int Lie columns, and over q it becomes one
-    Fraction, divided by the row's scale times den.
+    value is one int sum over the int Lie columns, and the map holds these
+    sums over the row's scale times den, normalized by `from_ints`.
     """
     alg = core_algebra(g)
     if n < 2:
         raise DimensionMismatchError("full-space computation needs arity >= 2")
-    d, f, p = alg.dim, alg.field, alg.field.p
+    d, f = alg.dim, alg.field
     guard_power("space materialization", d, n)
     den, icols = _lie_basis_columns(alg)
     ell = len(icols)
@@ -442,11 +460,7 @@ def n_lie_derivation_space(g, n: int) -> list:
             al, J = divmod(idx, spect)
             for i1, t, x in scols[al]:
                 vals[i1 * spect + J][t] += c * x
-        scale *= den
-        entries = {}
-        for rank, vec in vals.items():
-            vec = [Fraction(x, scale) if p is None else x % p for x in vec]
-            if any(vec):
-                entries[_rank_digits(rank, d, n)] = tuple(vec)
-        maps.append(MultilinearMap(f, n, d, entries))
+        maps.append(MultilinearMap.from_ints(
+            f, n, d, {_rank_digits(rank, d, n): tuple(vec)
+                      for rank, vec in vals.items()}, scale * den))
     return maps

@@ -114,26 +114,35 @@ def basis_element(alg, i):
 def map_from_basis_function(alg, arity, fn):
     """The arity-n map on alg whose value at a basis tuple key is fn(key)."""
     guard_tuples("map materialization", alg.dim ** arity)
-    entries = {}
-    for key in product(range(alg.dim), repeat=arity):
-        vec = tuple(alg.field.of(x) for x in fn(key))
-        if any(vec):
-            entries[key] = vec
-    return G.MultilinearMap(alg.field, arity, alg.dim, entries)
+    entries = {key: fn(key) for key in product(range(alg.dim), repeat=arity)}
+    return G.MultilinearMap.from_entries(alg.field, arity, alg.dim, entries)
 
 
 def flatten(mmap):
     """Dense vector of length dim**(arity+1), tuple-major then component."""
     f, d, n = mmap.field, mmap.dim, mmap.arity
     out = f.vec_zero(d ** (n + 1))
-    for key, vec in mmap.entries.items():
+    for key in mmap.entries:
         rank = 0
         for i in key:
             rank = rank * d + i
         base = rank * d
-        for j, c in enumerate(vec):
+        for j, c in enumerate(mmap.value_at(key)):
             out[base + j] = c
     return out
+
+
+def is_normalized(mmap):
+    """The map is in its one value format: nonzero int tuples over a den that
+    is positive and shares no prime with them all over q, and residues over
+    den 1 over GF(p)."""
+    vecs = mmap.entries.values()
+    ints = [x for vec in vecs for x in vec]
+    if not all(type(x) is int for x in ints) or not all(any(vec) for vec in vecs):
+        return False
+    if mmap.field.p is None:
+        return mmap.den > 0 and gcd(mmap.den, *ints) == 1
+    return mmap.den == 1 and all(0 <= x < mmap.field.p for x in ints)
 
 
 def maps_span(field, arity, dim, maps):
@@ -371,7 +380,7 @@ def n_lie_derivation_space_direct(g, n):
             vec = flat[rank * d:(rank + 1) * d]
             if any(vec):
                 entries[key] = tuple(vec)
-        maps.append(G.MultilinearMap(f, n, d, entries))
+        maps.append(G.MultilinearMap.from_entries(f, n, d, entries))
     return maps
 
 
@@ -379,11 +388,11 @@ def _dense_values(mmap):
     d, n = mmap.dim, mmap.arity
     vals = [None] * (d ** n)
     zero = mmap.field.vec_zero(d)
-    for key, vec in mmap.entries.items():
+    for key in mmap.entries:
         rank = 0
         for i in key:
             rank = rank * d + i
-        vals[rank] = list(vec)
+        vals[rank] = list(mmap.value_at(key))
     for r in range(len(vals)):
         if vals[r] is None:
             vals[r] = zero

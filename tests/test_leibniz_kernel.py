@@ -76,7 +76,7 @@ def single_entry_perturbations(mmap, rng, count):
         vec = list(mmap.value_at(key))
         t = rng.randrange(d)
         vec[t] = f.add(vec[t], f.of(rng.choice((1, -2, 3))))
-        entries = dict(mmap.entries)
+        entries = {k: mmap.value_at(k) for k in mmap.entries}
         entries[key] = vec
         out.append(G.MultilinearMap.from_entries(f, n, d, entries))
     return out

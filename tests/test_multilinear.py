@@ -7,12 +7,13 @@ from itertools import product
 import pytest
 
 import gmalg as G
+from gmalg.fileformat import map_from_dict, map_to_dict
 from gmalg.multilinear import (_leibniz_predicate, _lie_basis_columns,
                                _slot_block_rows)
 
 from helpers import (GF7, GF101, Q, basis_element, change_of_basis,
-                     corpus_contexts, map_from_basis_function, maps_span,
-                     n_lie_derivation_space_direct, naive_rref,
+                     corpus_contexts, is_normalized, map_from_basis_function,
+                     maps_span, n_lie_derivation_space_direct, naive_rref,
                      quotient_coordinates, random_central_map,
                      swap_identity_check)
 from test_algebra_core import dual_numbers
@@ -144,14 +145,15 @@ def test_is_centrally_valued_matches_center_membership(field):
             for m in list(maps):
                 if m.entries:
                     key = rng.choice(sorted(m.entries))
-                    vec = list(m.entries[key])
+                    vec = list(m.value_at(key))
                     t = rng.randrange(g.dim)
                     vec[t] = field.add(vec[t], field.of(rng.choice((1, -2, 3))))
+                    values = {k: m.value_at(k) for k in m.entries}
                     maps.append(G.MultilinearMap.from_entries(
-                        field, 2, g.dim, {**m.entries, key: vec}))
+                        field, 2, g.dim, {**values, key: vec}))
             for m in maps:
                 expected = next((key for key in sorted(m.entries)
-                                 if not z.contains(m.entries[key])), None)
+                                 if not z.contains(m.value_at(key))), None)
                 res = G.is_centrally_valued(g, m)
                 assert res.witness == expected
                 assert res.ok == (expected is None)
@@ -239,7 +241,8 @@ def test_slot_restriction_matches_direct_on_dense_constants(field, kind, kw):
         slot = G.n_lie_derivation_space(g, n)
         assert slot
         assert all(type(x) is scalar
-                   for m in slot for vec in m.entries.values() for x in vec)
+                   for m in slot for key in m.entries for x in m.value_at(key))
+        assert all(is_normalized(m) for m in slot)
         direct = n_lie_derivation_space_direct(g, n)
         assert (maps_span(field, n, g.dim, slot)
                 == maps_span(field, n, g.dim, direct))
@@ -333,17 +336,50 @@ def test_arity_4_space_t2():
 
 
 @pytest.mark.parametrize("field", [Q, GF101], ids=lambda f: f.name)
-def test_arity_5_space_of_ut21_has_dimension_two_to_the_five(field, monkeypatch):
-    """The triangular corollary at the frontier: dim nLie_5(ut(2,1)) = 2^5.
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_space_of_ut21_has_dimension_two_to_the_n(n, field, monkeypatch):
+    """The triangular corollary at the frontier: dim nLie_n(ut(2,1)) = 2^n,
+    and every basis map splits without a failure.
 
-    The default budget refuses it (19208 unknowns); the final canonical span
-    is 32 rows over those 19208 columns.
+    The default budget refuses these (19208 unknowns at n = 5); at n = 5 the
+    final canonical span is 32 rows over those 19208 columns.
     """
-    monkeypatch.setenv("GMALG_BUDGET", "1000000")
+    monkeypatch.setenv("GMALG_BUDGET", "10000000")
     g = gma("upper_triangular", field, s=2, t=1)
-    space = G.n_lie_derivation_space(g, 5)
-    assert len(space) == 2 ** 5
+    space = G.n_lie_derivation_space(g, n)
+    assert len(space) == 2 ** n
     assert all(st.ok for st in _leibniz_predicate(g, space, lie=True))
+    report = G.verify_decomposition(g, n)
+    assert report.space_dim == 2 ** n
+    assert report.failures == ()
+
+
+@pytest.mark.parametrize("field", [Q, GF101], ids=lambda f: f.name)
+def test_one_map_one_record(field):
+    """A map is the same normalized record however it is built: by the
+    solver, from its field values, from any nonzero multiple of its ints
+    over the same multiple of its den, and as m + k - k. A map file
+    document survives a load and a write unchanged."""
+    ctx = change_of_basis(G.generate_builtin("upper_triangular", field, s=1, t=1),
+                          f"record:{field.name}")
+    g = G.assemble(ctx, validate=True)
+    d = g.dim
+    space = G.n_lie_derivation_space(g, 3)
+    assert space
+    if field.p is None:
+        assert any(m.den > 1 for m in space)
+    k = G.MultilinearMap.from_entries(field, 3, d, {(0, 1, 2): [Fraction(1, 7)] * d})
+    for m in space:
+        assert is_normalized(m)
+        values = {key: m.value_at(key) for key in m.entries}
+        assert G.MultilinearMap.from_entries(field, 3, d, values) == m
+        scaled = {key: tuple(-6 * x for x in vec) for key, vec in m.entries.items()}
+        assert G.MultilinearMap.from_ints(field, 3, d, scaled, -6 * m.den) == m
+        assert m.add(k).sub(k) == m
+        assert m.add(space[0]).sub(space[0]) == m
+        assert m.sub(m) == G.MultilinearMap.zero(field, 3, d)
+        doc = map_to_dict(m)
+        assert map_to_dict(map_from_dict(doc, field, d)) == doc
 
 def test_evaluate_guards():
     g = gma("upper_triangular", Q, s=1, t=1)

@@ -38,7 +38,7 @@ FIELDS = {
     G.MoritaContext: ("a", "b", "m_dim", "n_dim", "act_am", "act_mb",
                       "act_bn", "act_na", "pair_mn", "pair_nm"),
     G.GMAlgebra: ("context", "algebra", "e", "f"),
-    G.MultilinearMap: ("field", "arity", "dim", "entries"),
+    G.MultilinearMap: ("field", "arity", "dim", "entries", "den"),
     G.LeibnizWitness: ("slot", "args", "partner"),
     G.CenterData: ("center_g", "center_a", "center_b", "a_part", "b_part",
                    "a_to_b"),
