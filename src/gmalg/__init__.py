@@ -14,10 +14,9 @@ from .decompose import (Decomposition, ExtremalExistence, UniquenessProbe,
                         double_bracket_annihilator, extract_seed,
                         extremal_exists, probe_seed_uniqueness,
                         verify_decomposition)
-from .errors import (BudgetExceededError, CenterStructureError,
-                     DimensionMismatchError, ExtremalPreconditionError,
-                     FieldMismatchError, GmalgError, InvalidContextError,
-                     LieLeibnizError, SpecFileError)
+from .errors import (BudgetExceededError, DimensionMismatchError,
+                     ExtremalPreconditionError, FieldMismatchError, GmalgError,
+                     InvalidContextError, LieLeibnizError, SpecFileError)
 from .exact_linear import FieldSpec, Subspace, kernel_basis, rref
 from .gma import (GMAlgebra, MoritaContext, assemble, generate_builtin,
                   validate_context)

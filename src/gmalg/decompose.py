@@ -1,7 +1,9 @@
 """Splitting an n-Lie derivation into a nested-bracket part plus a central part.
 
-The seed element is read off the diagonal idempotents: eval the map on
-(e, ..., e), keep e..f and (-1)^n f..e corners. When the seed lies in
+The seed element is read off the Peirce blocks: eval the map on (e, ..., e)
+and keep its M block plus (-1)^n times its N block, which on a validated
+context are e..f and f..e. The seed has no A or B part, and Z(G) lies in
+A (+) B, so the seed is central exactly when it is zero. When the seed lies in
 W = {s : [[G, G], s] = 0}, its iterated ad-brackets give an extremal
 n-derivation and the remainder is checked for central values; the seed check
 is `W.contains`. An independent brute-force annihilator ties the existence
@@ -23,20 +25,21 @@ from .multilinear import (MultilinearMap, _leibniz_predicate,
                           is_centrally_valued, is_n_lie_derivation,
                           n_lie_derivation_space)
 from .records import record
-from .structure_analysis import (VARIANTS, CheckStatus, center,
-                                 center_data, check_hypotheses, pair_spaces,
+from .structure_analysis import (VARIANTS, CheckStatus, check_hypotheses,
                                  two_sided_annihilator, upper_central)
 
 
 def extract_seed(g: GMAlgebra, mmap: MultilinearMap) -> Element:
-    """e m(e,...,e) f + (-1)^n f m(e,...,e) e."""
+    """e m(e,...,e) f + (-1)^n f m(e,...,e) e.
+
+    The unit laws of a validated context make e x f the M block of x and
+    f x e its N block, so both are read off the coordinates.
+    """
     n = mmap.arity
-    value = mmap.evaluate([g.e] * n)
-    ef_part = g.e * value * g.f
-    fe_part = g.f * value * g.e
-    if n % 2:
-        return ef_part - fe_part
-    return ef_part + fe_part
+    value = mmap.evaluate([g.e] * n).coords
+    _, lo, mid, hi = g.offsets
+    n_part = g.embed_n(value[mid:hi])
+    return g.embed_m(value[lo:mid]) + (-n_part if n % 2 else n_part)
 
 
 def build_extremal(g: GMAlgebra, seed: Element, n: int) -> MultilinearMap:
@@ -109,7 +112,7 @@ def _split(g: GMAlgebra, mmap: MultilinearMap) -> Decomposition:
         seed_annihilates_commutators=annihilates,
         central_part_is_central=is_centrally_valued(g, central_part),
         exact_sum=extremal.add(central_part) == mmap,
-        seed_is_central=center(g.algebra).contains(seed.coords),
+        seed_is_central=seed.is_zero,
     )
     return Decomposition(seed, extremal, central_part, checks)
 
@@ -234,27 +237,21 @@ def verify_decomposition(g: GMAlgebra, n: int) -> VerificationReport:
     One pass of the Leibniz predicate checks the whole space first, and each
     map is then split. exact-sum is asserted unconditionally; seed-annihilation
     and central remainders are asserted only when one hypothesis set fully
-    passes, and the triangular seed form is asserted whenever the context has
-    N = 0. That form asks f T(e, ..., e) e = 0, and f seed e is that corner up
-    to sign, so it is read off the seed.
+    passes. The triangular seed form f T(e, ..., e) e = 0 is recorded as a
+    pass whenever the context has N = 0: f G e is the N block, so the form
+    holds there on every map.
     """
-    cd, ps = center_data(g), pair_spaces(g)
-    reports = tuple(check_hypotheses(g, v, cd, ps) for v in VARIANTS)
+    reports = tuple(check_hypotheses(g, v) for v in VARIANTS)
     applicable = any(r.all_pass for r in reports)
     space = n_lie_derivation_space(g, n)
     for ok in _leibniz_predicate(g, space, lie=True):
         if not ok:
             raise LieLeibnizError(ok.witness)
-    triangular = g.context.n_dim == 0
+    tri_ok = True if g.context.n_dim == 0 else None
     verdicts = []
     failures = []
     for idx, mmap in enumerate(space):
         dec = _split(g, mmap)
-        tri_ok = None
-        if triangular:
-            tri_ok = (g.f * dec.seed * g.e).is_zero
-            if not tri_ok:
-                failures.append(f"element {idx}: triangular seed form violated")
         if not dec.checks.exact_sum:
             failures.append(f"element {idx}: parts do not sum back")
         if applicable:

@@ -56,9 +56,5 @@ class LieLeibnizError(GmalgError):
         self.witness = witness
 
 
-class CenterStructureError(GmalgError):
-    """Center-linkage construction failed on (likely hand-edited) input."""
-
-
 class SpecFileError(GmalgError):
     """A spec or map file could not be parsed or failed validation on load."""

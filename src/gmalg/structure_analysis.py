@@ -29,7 +29,6 @@ from functools import lru_cache
 from itertools import product
 
 from .algebra_core import Element, StructureAlgebra, is_commutative, stack_rows
-from .errors import CenterStructureError
 from .exact_linear import Subspace, int_scaled, kernel_basis
 from .gma import GMAlgebra
 from .records import record
@@ -133,8 +132,9 @@ class CenterData:
 
     The linking map eta carries the A part of a central element to its B
     part. a_to_b is its matrix as a tuple of rows: a_to_b[r][c] is the
-    coordinate on b_part.basis[r] of the image of a_part.basis[c]. It
-    satisfies a.m = m.eta(a) and n.a = eta(a).n on all module basis vectors.
+    coordinate on b_part.basis[r] of the image of a_part.basis[c]. On a
+    validated context it satisfies a.m = m.eta(a), n.a = eta(a).n and
+    eta(x y) = eta(x) eta(y); `center_data` says why.
     """
 
     center_g: Subspace
@@ -145,70 +145,31 @@ class CenterData:
     a_to_b: tuple
 
 
+@lru_cache(maxsize=None)
 def center_data(g: GMAlgebra) -> CenterData:
     """The center of G, its projections to A and B, and the linking map.
 
-    The basis of Z(G) is in RREF and vanishes on M and N, so once the A
-    projection is injective every pivot lies in A: the A parts of the basis
-    rows are a_part.basis, in order, and their B parts are the linked images.
+    A validated context fixes the shape of Z(G) through its Peirce blocks,
+    so none of it is checked here:
+    - [e, z] is the M part of z minus its N part, so Z(G) lies in A (+) B;
+    - a central b with no A part has m.b = b.m = 0 for every m, and a
+      central a with no B part has a.m = m.a = 0, so M faithful on both
+      sides makes both projections injective;
+    - a central a + b commutes with every m and n, which is a.m = m.b and
+      n.a = b.n, so eta links the actions;
+    - Z(G) is a subalgebra, so a_part is one and eta is multiplicative.
+    The basis of Z(G) is in RREF and has injective projections, so every
+    pivot lies in A: the A parts of the basis rows are a_part.basis, in
+    order, and their B parts are the linked images.
     """
     ctx, f = g.context, g.field
     da, _, _, db = ctx.dims
-    off = g.offsets
     zg = center(g.algebra)
-    za = center(ctx.a)
-    zb = center(ctx.b)
-
-    for row in zg.basis:
-        if any(row[off[1]:off[3]]):
-            raise CenterStructureError(
-                "central element with nonzero off-diagonal part")
-
     a_part = Subspace.span(f, da, [row[:da] for row in zg.basis])
-    b_vecs = [row[off[3]:] for row in zg.basis]
+    b_vecs = [row[g.offsets[3]:] for row in zg.basis]
     b_part = Subspace.span(f, db, b_vecs)
-    if a_part.dim != zg.dim:
-        raise CenterStructureError(
-            "A-projection of the center is not injective; "
-            "the context cannot have a faithful M")
-    if b_part.dim != zg.dim:
-        raise CenterStructureError("linking map is singular")
     a_to_b = tuple(zip(*(b_part.coordinates_of(v) for v in b_vecs)))
-
-    _verify_link(g, a_part, b_vecs)
-    return CenterData(zg, za, zb, a_part, b_part, a_to_b)
-
-
-def _verify_link(g: GMAlgebra, a_part: Subspace, b_vecs) -> None:
-    """Check the linking map a_part.basis[i] -> b_vecs[i] on modules and products."""
-    ctx, f = g.context, g.field
-    _, dm, dn, db = ctx.dims
-
-    def linked_image(avec):
-        coords = a_part.coordinates_of(avec)
-        return None if coords is None else f.combine(coords, b_vecs, db)
-
-    for arow in a_part.basis:
-        bvec = linked_image(arow)
-        for j in range(dm):
-            m = f.unit(dm, j)
-            if ctx.act_am.apply(f, arow, m) != ctx.act_mb.apply(f, m, bvec):
-                raise CenterStructureError("a.m != m.eta(a) on module basis")
-        for j in range(dn):
-            n = f.unit(dn, j)
-            if ctx.act_na.apply(f, n, arow) != ctx.act_bn.apply(f, bvec, n):
-                raise CenterStructureError("n.a != eta(a).n on module basis")
-    # multiplicativity on basis products
-    for x in a_part.basis:
-        for y in a_part.basis:
-            prod = ctx.a.mul_coords(x, y)
-            lhs = linked_image(prod)
-            if lhs is None:
-                raise CenterStructureError("a_part not closed under product")
-            bx = linked_image(x)
-            by = linked_image(y)
-            if lhs != ctx.b.mul_coords(bx, by):
-                raise CenterStructureError("linking map not multiplicative")
+    return CenterData(zg, center(ctx.a), center(ctx.b), a_part, b_part, a_to_b)
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +298,7 @@ class PairSpaces:
     standard: Subspace
 
 
+@lru_cache(maxsize=None)
 def pair_spaces(g: GMAlgebra) -> PairSpaces:
     ctx, f = g.context, g.field
     da, _, _, db = ctx.dims
@@ -402,24 +364,19 @@ class HypothesisReport:
         return all(st.ok for _, st in self.conditions)
 
 
-def check_hypotheses(g: GMAlgebra, variant: str,
-                     cd: CenterData | None = None,
-                     ps: PairSpaces | None = None) -> HypothesisReport:
+def check_hypotheses(g: GMAlgebra, variant: str) -> HypothesisReport:
     """Evaluate the five decomposition hypotheses, ruleset 4.1 or 4.3.
 
     Both rulesets share (1) the center projections are onto, (2) A or B has
     no nonzero central ideal, and (5) special pairs are standard. 4.1 adds
     the central-action condition (3) and the pairing/noncommutativity
     condition (4); 4.3 instead requires the two-sided annihilators of M in
-    N (3) and of N in M (4) to vanish. `cd` and `ps` are `center_data(g)` and
-    `pair_spaces(g)`, computed here unless a caller checking both rulesets
-    passes them in.
+    N (3) and of N in M (4) to vanish. Both rulesets read the same cached
+    `center_data(g)` and `pair_spaces(g)`.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown hypothesis variant {variant!r}")
-    ctx = g.context
-    if cd is None:
-        cd = center_data(g)
+    ctx, cd = g.context, center_data(g)
     conds: list[tuple[int, CheckStatus]] = []
 
     ok_a = cd.a_part == cd.center_a
@@ -464,8 +421,7 @@ def check_hypotheses(g: GMAlgebra, variant: str,
         conds.append((4, _vanishes(two_sided_annihilator(g, n_basis, off[1], off[2]),
                                    g.embed_m, "nonzero m with N m = 0 = m N")))
 
-    if ps is None:
-        ps = pair_spaces(g)
+    ps = pair_spaces(g)
     if ps.special == ps.standard:
         conds.append((5, CheckStatus("pass")))
     else:

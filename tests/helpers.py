@@ -302,6 +302,31 @@ def assemble_element(g, a, m, n, b):
     return g.algebra.element([*a, *m, *n, *b])
 
 
+def linked_image(field, cd, avec):
+    """eta(avec) in B, for avec in `cd.a_part`, through the matrix a_to_b."""
+    coords = mat_vec(field, cd.a_to_b, cd.a_part.coordinates_of(avec))
+    return field.combine(coords, cd.b_part.basis, cd.b_part.ambient_dim)
+
+
+def link_violations(g, cd):
+    """The (law, a, module index) at which a.m = m.eta(a) or n.a = eta(a).n
+    fails, for a over `cd.a_part.basis` and m, n over the module bases."""
+    ctx, f = g.context, g.field
+    _, dm, dn, _ = ctx.dims
+    bad = []
+    for a in cd.a_part.basis:
+        b = linked_image(f, cd, a)
+        for j in range(dm):
+            m = f.unit(dm, j)
+            if ctx.act_am.apply(f, a, m) != ctx.act_mb.apply(f, m, b):
+                bad.append(("a.m", a, j))
+        for j in range(dn):
+            n = f.unit(dn, j)
+            if ctx.act_na.apply(f, n, a) != ctx.act_bn.apply(f, b, n):
+                bad.append(("n.a", a, j))
+    return bad
+
+
 def inner_derivation_space(alg):
     """Span of the maps ad_{b_i} : y -> [b_i, y], flattened like
     `derivation_space`."""

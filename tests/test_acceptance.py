@@ -13,7 +13,8 @@ import gmalg as G
 
 from helpers import (GF7, GF101, Q, all_derivations_inner, condition,
                      contains_subspace, corpus_algebras, corpus_contexts,
-                     inner_derivation_space, maps_span, mat_vec, matrix_algebra,
+                     inner_derivation_space, link_violations, linked_image,
+                     maps_span, matrix_algebra,
                      n_lie_derivation_space_direct, perturb_context,
                      perturbation_sites, random_central_map,
                      swap_identity_check)
@@ -185,19 +186,19 @@ def test_criterion_9_link_and_pierce_invariants():
             assert (e * f).is_zero and (f * e).is_zero
             cd = G.center_data(g)
             assert cd.a_part.dim == cd.center_g.dim, name
-            # linking map multiplicativity, re-derived through the matrix
+            assert cd.b_part.dim == cd.center_g.dim, name
+            # the linking map, re-derived through the matrix: it links the
+            # actions on both modules and is multiplicative
             fld = g.field
+            assert link_violations(g, cd) == [], name
             for x in cd.a_part.basis:
                 for y in cd.a_part.basis:
                     prod = g.context.a.mul_coords(list(x), list(y))
-                    cx = cd.a_part.coordinates_of(x)
-                    cy = cd.a_part.coordinates_of(y)
-                    cp = cd.a_part.coordinates_of(prod)
-                    assert cp is not None, name
-                    bx = _expand(fld, mat_vec(fld, cd.a_to_b, cx), cd.b_part)
-                    by = _expand(fld, mat_vec(fld, cd.a_to_b, cy), cd.b_part)
-                    bp = _expand(fld, mat_vec(fld, cd.a_to_b, cp), cd.b_part)
-                    assert bp == g.context.b.mul_coords(bx, by), name
+                    assert cd.a_part.contains(prod), name
+                    bx = linked_image(fld, cd, x)
+                    by = linked_image(fld, cd, y)
+                    assert (linked_image(fld, cd, prod)
+                            == g.context.b.mul_coords(bx, by)), name
             alg = g.algebra
             inner = inner_derivation_space(alg)
             der = G.derivation_space(alg)
@@ -205,11 +206,3 @@ def test_criterion_9_link_and_pierce_invariants():
             assert contains_subspace(der, inner), name
             assert contains_subspace(lie, der), name
             assert inner.dim == g.dim - G.center(alg).dim, name
-
-
-def _expand(field, coords, subspace):
-    out = field.vec_zero(subspace.ambient_dim)
-    for c, row in zip(coords, subspace.basis):
-        if c:
-            out = field.vec_add(out, field.vec_scale(c, row))
-    return out

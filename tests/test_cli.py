@@ -191,29 +191,6 @@ def test_verify_exit_codes(tmp_path, capsys):
     assert rep["details"]["space_dim"] > 0
 
 
-@pytest.mark.parametrize("argv", [["hypotheses", "--theorem", "4.1"],
-                                  ["hypotheses", "--theorem", "4.3"],
-                                  ["verify", "--arity", "2"],
-                                  ["center"]])
-def test_center_structure_error_is_a_failing_check(tmp_path, capsys,
-                                                   monkeypatch, argv):
-    spec = gen(tmp_path, capsys, "m2.json",
-               "--kind", "full-matrix", "--r", "2", "--field", "q")
-
-    def broken(g):
-        raise G.CenterStructureError("linking map is singular")
-
-    for module in ("structure_analysis", "decompose", "cli"):
-        monkeypatch.setattr(sys.modules[f"gmalg.{module}"], "center_data", broken)
-    code, out, err = run(capsys, argv[0], spec, *argv[1:])
-    assert code == 1
-    assert err == ""
-    rep = json.loads(out)
-    assert rep["command"] == argv[0]
-    assert rep["checks"] == [{"name": "center-structure", "status": "fail",
-                              "reason": "linking map is singular"}]
-
-
 @pytest.mark.parametrize("target", ["missing-directory", "directory"])
 @pytest.mark.parametrize("command", ["gen", "center"])
 def test_unwritable_output_is_an_input_error(tmp_path, capsys, command, target):

@@ -6,8 +6,9 @@ import pytest
 
 import gmalg as G
 
-from helpers import (GF101, GF7, Q, basis_element, contains_subspace,
-                     corpus_algebras, map_from_basis_function,
+from helpers import (GF101, GF7, Q, assemble_element, basis_element,
+                     change_of_basis, contains_subspace, corpus_algebras,
+                     corpus_contexts, map_from_basis_function, pierce_project,
                      probe_kernel_dim_by_flats, random_central_map)
 from test_multilinear import trace_power_map
 
@@ -58,6 +59,31 @@ def test_extract_seed_even_arity_sign():
     assert G.extract_seed(g, kappa).coords == seed.coords
     kappa3 = G.build_extremal(g, seed, 3)
     assert G.extract_seed(g, kappa3).coords == seed.coords
+
+
+@pytest.mark.parametrize("field", [Q, GF7], ids=["q", "gf7"])
+def test_extract_seed_is_the_idempotent_corners(field):
+    """extract_seed reads the M block of m(e, ..., e) plus (-1)^n times its
+    N block; the oracle computes e m(e,...,e) f and f m(e,...,e) e by
+    products, at n = 2 and 3, on the corpus, on zero_pairing(1, 1), whose
+    seeds have N parts, and on a change of basis of each."""
+    seen = {"m": 0, "n": 0}
+    zp11 = G.generate_builtin("zero_pairing", field, s=1, t=1)
+    for name, ctx in corpus_contexts(field) + [("zero_pairing_1_1", zp11)]:
+        for ctx in (ctx, change_of_basis(ctx, f"seed:{name}")):
+            g = G.assemble(ctx)
+            da, _, _, db = g.context.dims
+            for n in (2, 3):
+                sign = field.of((-1) ** n)
+                for mmap in G.n_lie_derivation_space(g, n):
+                    parts = pierce_project(g, mmap.evaluate([g.e] * n))
+                    want = assemble_element(g, [0] * da, parts.m,
+                                            [field.mul(sign, c) for c in parts.n],
+                                            [0] * db)
+                    assert G.extract_seed(g, mmap).coords == want.coords, (name, n)
+                    seen["m"] += any(parts.m)
+                    seen["n"] += any(parts.n)
+    assert seen["m"] and seen["n"]
 
 
 def test_build_extremal_t2():

@@ -125,13 +125,34 @@ def test_pierce_of_idempotents():
 
 
 def test_pierce_reassembles_random_elements():
+    """e x e, e x f, f x e and f x f are the A, M, N and B blocks of x.
+
+    Checked over q and gf:7 on the corpus and on three changes of basis, in
+    which e is not a basis vector: code downstream of validation reads the
+    blocks off the coordinates instead of multiplying by e and f.
+    """
     rng = random.Random(17)
-    g = G.assemble(G.generate_builtin("full_matrix", GF7, r=3), validate=False)
-    for _ in range(20):
-        x = g.algebra.element([rng.randrange(7) for _ in range(9)])
-        parts = pierce_project(g, x)
-        back = assemble_element(g, parts.a, parts.m, parts.n, parts.b)
-        assert back.coords == x.coords
+    for field in (Q, GF7):
+        corpus = corpus_contexts(field)
+        moved = [(f"{name}-moved", change_of_basis(ctx, f"pierce:{name}"))
+                 for name, ctx in corpus
+                 if name in ("full_matrix_3", "upper_2_1", "zero_pairing_2_1")]
+        for name, ctx in corpus + moved:
+            g = G.assemble(ctx)
+            e, f = g.e, g.f
+            if name.endswith("-moved"):
+                assert any(c not in (0, 1) for c in e.coords), name
+            bounds = list(zip(g.offsets, (*g.offsets[1:], g.dim)))
+            corners = ((e, e), (e, f), (f, e), (f, f))
+            for _ in range(20):
+                x = g.algebra.element([rng.randint(-3, 3) for _ in range(g.dim)])
+                parts = pierce_project(g, x)
+                back = assemble_element(g, parts.a, parts.m, parts.n, parts.b)
+                assert back.coords == x.coords, name
+                for (lo, hi), (left, right) in zip(bounds, corners):
+                    block = [c if lo <= i < hi else 0 for i, c in enumerate(x.coords)]
+                    assert ((left * x * right).coords
+                            == g.algebra.element(block).coords), (field.name, name)
 
 
 def test_block_multiplication_matches_formula():

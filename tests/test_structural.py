@@ -1,7 +1,8 @@
-"""Structural matrix algebras R_rho with a Peirce split: T_m and every split of
-a quasi-order on two or three points."""
+"""Structural matrix algebras R_rho with a Peirce split: T_m, every split of
+a quasi-order on two or three points, and a seeded sample on four."""
 
-from itertools import combinations, product
+import random
+from itertools import chain, combinations, product
 
 import pytest
 
@@ -72,23 +73,38 @@ def test_t4_space_at_arity_3_is_m_cubed_plus_one(field):
     assert len(G.n_lie_derivation_space(g, 3)) == 4 ** 3 + 1
 
 
+def split_counts(field, pairs):
+    """(splits, valid, applicable, failing, extremal) over (relation, split)
+    pairs: how many validate, how many pass a ruleset, how many fail a
+    per-map check of verify at n = 3, and how many of the applicable ones
+    have a basis map with a nonzero extremal part."""
+    splits = valid = applicable = failing = extremal = 0
+    for relation, split in pairs:
+        splits += 1
+        ctx = structural_context(field, relation, split)
+        if not G.validate_context(ctx).ok:
+            continue
+        valid += 1
+        rep = verify_decomposition(G.assemble(ctx, validate=False), 3)
+        applicable += rep.theorem_applicable
+        failing += bool(rep.failures)
+        extremal += rep.theorem_applicable and any(
+            dec.extremal_part.entries for dec, _ in rep.verdicts)
+    return splits, valid, applicable, failing, extremal
+
+
 @pytest.mark.parametrize("field", [Q, GF101], ids=["q", "gf101"])
 def test_peirce_splits_on_two_and_three_points(field):
-    """Counts over every split: how many validate, how many pass a ruleset,
-    how many fail a per-map check of verify at n = 3, and how many of the
-    applicable ones have a basis map with a nonzero extremal part."""
-    splits = valid = applicable = failing = extremal = 0
-    for r in (2, 3):
-        for relation, split in peirce_splits(r):
-            splits += 1
-            ctx = structural_context(field, relation, split)
-            if not G.validate_context(ctx).ok:
-                continue
-            valid += 1
-            rep = verify_decomposition(G.assemble(ctx, validate=False), 3)
-            applicable += rep.theorem_applicable
-            failing += bool(rep.failures)
-            extremal += rep.theorem_applicable and any(
-                dec.extremal_part.entries for dec, _ in rep.verdicts)
-    assert (splits, valid, applicable, failing, extremal) == (182, 46, 36, 0, 12)
+    """`split_counts` over every split on 2 and 3 points."""
+    splits = chain(peirce_splits(2), peirce_splits(3))
+    assert split_counts(field, splits) == (182, 46, 36, 0, 12)
 
+
+def test_seeded_sample_of_peirce_splits_on_four_points():
+    """`split_counts` over q on a seeded sample of 250 of the 4970 splits on
+    4 points. The sample is drawn before validation: validating every
+    split takes about 14 s."""
+    splits = list(peirce_splits(4))
+    assert len(splits) == 4970
+    sample = random.Random(1).sample(splits, 250)
+    assert split_counts(Q, sample) == (250, 42, 26, 0, 12)

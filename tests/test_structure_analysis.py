@@ -9,7 +9,8 @@ from gmalg.structure_analysis import (leibniz_rows, two_sided_annihilator,
 from helpers import (GF7, Q, all_derivations_inner, basis_element, change_of_basis,
                      condition, contains_subspace, corpus_algebras,
                      corpus_contexts, dense_kernel_basis,
-                     diagonal_context, inner_derivation_space, m2_plus_zp11,
+                     diagonal_context, inner_derivation_space,
+                     link_violations, m2_plus_zp11,
                      mat_vec, matrix_algebra, pierce_project, reduce)
 from test_algebra_core import dual_numbers, quadratic_extension, t2_algebra
 
@@ -65,6 +66,7 @@ def test_linking_matrix_carries_a_coordinates_to_b_coordinates(field):
             a_coords = cd.a_part.coordinates_of(z[:off[1]])
             b_coords = cd.b_part.coordinates_of(z[off[3]:])
             assert list(b_coords) == mat_vec(field, cd.a_to_b, a_coords), seed
+        assert link_violations(g, cd) == [], seed
         non_identity += cd.a_to_b != ((1, 0), (0, 1))
     assert non_identity >= 5
 
@@ -122,6 +124,14 @@ def test_torsion_check_exhaustive_over_gf7():
     assert st.status == "fail"
     alpha, a = st.witness
     assert (alpha * a).is_zero
+
+
+def test_torsion_check_exhaustive_over_gf5_passes():
+    """2 is a non-residue mod 5, so the center is the field F_25: no probe
+    finds a zero divisor, and the enumeration of all 24 nonzero central
+    elements decides the check."""
+    st = G.torsion_action_check(quadratic_extension(G.FieldSpec(5)))
+    assert st == G.CheckStatus("pass", reason="exhaustive over the finite center")
 
 
 def test_derivation_space_dims():
