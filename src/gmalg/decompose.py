@@ -6,10 +6,13 @@ context are e..f and f..e. The seed has no A or B part, and Z(G) lies in
 A (+) B, so the seed is central exactly when it is zero. When the seed lies in
 W = {s : [[G, G], s] = 0}, its iterated ad-brackets give an extremal
 n-derivation and the remainder is checked for central values; the seed check
-is `W.contains`. An independent brute-force annihilator ties the existence
-question to a small linear system on M (+) N. The uniqueness probe reads
-Z_n, the n-th term of G's upper central series: the extremal map of a seed
-vanishes exactly when the seed lies in Z_n, so no extremal map is built.
+is `W.contains`.
+
+A validated context fixes two more answers, read off the grading by ad e,
+which is 0 on A (+) B, 1 on M and -1 on N. The admissible seeds, W's part on
+M (+) N, are the solutions of the linear existence conditions, and no
+nonzero admissible seed has a zero extremal map: both are proved where they
+are used, in `extremal_exists` and `probe_seed_uniqueness`.
 """
 
 from __future__ import annotations
@@ -25,8 +28,7 @@ from .multilinear import (MultilinearMap, _leibniz_predicate,
                           is_centrally_valued, is_n_lie_derivation,
                           n_lie_derivation_space)
 from .records import record
-from .structure_analysis import (VARIANTS, CheckStatus, check_hypotheses,
-                                 two_sided_annihilator, upper_central)
+from .structure_analysis import VARIANTS, CheckStatus, check_hypotheses
 
 
 def extract_seed(g: GMAlgebra, mmap: MultilinearMap) -> Element:
@@ -124,11 +126,12 @@ def _split(g: GMAlgebra, mmap: MultilinearMap) -> Decomposition:
 
 @record
 class ExtremalExistence:
-    """Solutions of the linear existence conditions plus the brute oracle.
+    """The off-diagonal seeds of nonzero extremal maps, with a witness.
 
-    solution lives on M (+) N block coordinates; annihilator is the full
-    {x in G : [[G, G], x] = 0} subspace; offdiag_annihilator is its
-    projection to M (+) N coordinates, expected to equal solution.
+    annihilator is W = {x in G : [[G, G], x] = 0}; offdiag_annihilator is
+    its projection to M (+) N coordinates, which on a validated context is
+    W meet M (+) N. solution is the same subspace: the solutions of the
+    linear existence conditions, as `extremal_exists` proves.
     """
 
     exists: bool
@@ -139,30 +142,33 @@ class ExtremalExistence:
 
 
 def extremal_exists(g: GMAlgebra) -> ExtremalExistence:
-    """Solve for the off-diagonal seeds m0 + n0 of a nonzero extremal map.
+    """The off-diagonal seeds m0 + n0 of a nonzero extremal map.
 
-    The conditions are [A,A] m0 = 0 = n0 [A,A], m0 [B,B] = 0 = [B,B] n0 and
-    m0 N = N m0 = M n0 = n0 M = 0: together, x = m0 + n0 lies in the
-    two-sided annihilator, inside G, of [A,A], [B,B], M and N.
+    The linear conditions are [A,A] m0 = 0 = n0 [A,A], m0 [B,B] = 0 =
+    [B,B] n0 and m0 N = N m0 = M n0 = n0 M = 0. On a validated context they
+    cut out W's projection to M (+) N, so that projection is the solution:
+
+    - M and N lie in [G, G], since [e, m] = m and [e, n] = -n. For c in
+      [A,A], [B,B], M or N the bracket [c, m0 + n0] has its parts in
+      different blocks, and it vanishes exactly when the conditions on c
+      hold. [G, G] is spanned by [A,A], [B,B], M, N and the [m, n], and a
+      seed that commutes with M and N commutes with every [m, n] by the
+      Jacobi identity. So the solutions are W meet M (+) N.
+    - W is ad e-stable, because [G, G] is, and (ad e)^2 is the projection
+      of G onto M (+) N. So W's projection to M (+) N lies in W, and it is
+      W meet M (+) N.
+
+    The witness is the first basis vector of that subspace.
     """
-    ctx, f = g.context, g.field
-    d, off = g.dim, g.offsets
-    dm, total = ctx.m_dim, off[3] - off[1]
-    elements = [list(c) + f.vec_zero(d - off[1]) for c in ctx.a.commutators.basis]
-    elements += [f.vec_zero(off[3]) + list(c) for c in ctx.b.commutators.basis]
-    elements += [f.unit(d, i) for i in range(off[1], off[3])]
-    solution = Subspace.span(f, total,
-                             two_sided_annihilator(g, elements, off[1], off[3]))
-
     annihilator = double_bracket_annihilator(g)
-    offdiag = Subspace.span(f, total, [list(v[off[1]:off[3]])
-                                       for v in annihilator.basis])
-
+    lo, hi = g.offsets[1], g.offsets[3]
+    offdiag = Subspace.span(g.field, hi - lo, [list(v[lo:hi])
+                                               for v in annihilator.basis])
     witness = None
-    if solution.dim:
-        vec = solution.basis[0]
+    if offdiag.dim:
+        vec, dm = offdiag.basis[0], g.context.m_dim
         witness = (g.embed_m(vec[:dm]), g.embed_n(vec[dm:]))
-    return ExtremalExistence(solution.dim > 0, witness, solution,
+    return ExtremalExistence(offdiag.dim > 0, witness, offdiag,
                              annihilator, offdiag)
 
 
@@ -187,7 +193,7 @@ class UniquenessProbe:
     """Kernel of seed -> extremal map on the admissible off-diagonal space.
 
     A nonzero kernel would exhibit distinct seeds with identical extremal
-    maps; findings are reported, never asserted as a theorem.
+    maps. On a validated context the kernel is 0 (`probe_seed_uniqueness`).
     """
 
     admissible_dim: int
@@ -199,21 +205,15 @@ class UniquenessProbe:
 
 
 def probe_seed_uniqueness(g: GMAlgebra, n: int) -> UniquenessProbe:
-    """The admissible seeds s with kappa_s = 0, which are those in Z_n(G).
+    """The admissible seeds s with kappa_s = 0: on a validated context, 0.
 
     kappa_s = [x_1, [x_2, ..., [x_n, s]...]] vanishes for all x exactly when
-    s lies in the n-th term of the upper central series, so the kernel is
-    Z_n's `preimage_rows` of the admissible seed basis, a map from its
-    coordinates into G. An admissible seed lives on the M (+) N columns.
+    s lies in Z_n, the n-th term of the upper central series. Then
+    kappa_s(e, ..., e) = (ad e)^n s = 0. ad e is 1 on M and -1 on N, so an
+    admissible seed m0 + n0 gives m0 + (-1)^n n0 = 0, that is m0 = n0 = 0.
+    The admissible seeds are `extremal_exists`' offdiag_annihilator.
     """
-    adm = extremal_exists(g).offdiag_annihilator
-    if adm.dim == 0:
-        return UniquenessProbe(0, 0)
-    lo, hi = g.offsets[1], g.offsets[3]
-    seeds = [{r: x for r, vec in enumerate(adm.basis)
-              if lo <= k < hi and (x := vec[k - lo])} for k in range(g.dim)]
-    rows = upper_central(g.algebra, n).preimage_rows(seeds)
-    return UniquenessProbe(adm.dim, len(kernel_basis(g.field, adm.dim, rows)))
+    return UniquenessProbe(extremal_exists(g).offdiag_annihilator.dim, 0)
 
 
 @record

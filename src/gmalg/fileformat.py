@@ -159,8 +159,8 @@ def save_atomic(path: str, text: str) -> None:
     first, so a symlink keeps pointing at the file it names. A replaced
     file keeps its mode, and a new one gets 0o666 less the umask. Anything
     else that exists (a device, a FIFO) is written to directly, never
-    replaced. A path that cannot be written raises `SpecFileError`, and no
-    temporary file is left behind.
+    replaced. A path that cannot be written raises `SpecFileError` with the
+    path and the system's reason, and no temporary file is left behind.
     """
     tmp = None
     try:
@@ -189,7 +189,7 @@ def save_atomic(path: str, text: str) -> None:
         os.chmod(tmp, mode)
         os.replace(tmp, target)
     except OSError as exc:
-        raise SpecFileError(f"{path}: {exc}")
+        raise SpecFileError(f"{path}: {exc.strerror or exc}")
     finally:
         if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)

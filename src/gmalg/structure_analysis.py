@@ -221,27 +221,22 @@ class CheckStatus:
 def torsion_action_check(g: GMAlgebra | StructureAlgebra) -> CheckStatus:
     """Decide whether nonzero central elements act without kernel.
 
-    dim Z <= 1 is decided exactly. For larger centers a fixed deterministic
-    probe set is tried first; over GF(p) small centers are then enumerated
+    The algebra is unital, so 1 lies in Z, and a center of dimension at
+    most 1 is k 1, whose nonzero elements act as nonzero scalars: it passes
+    with no kernel computed. For larger centers a fixed deterministic probe
+    set is tried first; over GF(p) small centers are then enumerated
     exhaustively, otherwise the answer stays "unknown" (the singular locus
     over the rationals is a hypersurface no finite probe set can exclude).
     """
     alg = core_algebra(g)
     z = center(alg)
     d, f = alg.dim, alg.field
-    if z.dim == 0:
-        return CheckStatus("pass", reason="center is zero")
+    if z.dim <= 1:
+        return CheckStatus("pass")
 
     def singular_witness(zvec):
         ker = kernel_basis(f, d, stack_rows([alg.mul.operator_rows(f, left=zvec)]))
         return ker[0] if ker else None
-
-    if z.dim == 1:
-        zvec = z.basis[0]
-        ker = singular_witness(zvec)
-        if ker is None:
-            return CheckStatus("pass")
-        return CheckStatus("fail", witness=(alg.element(zvec), alg.element(ker)))
 
     # imported here, so that only the probes below load it
     import random

@@ -11,7 +11,7 @@ from gmalg.budget import guard_tuples, guard_unknowns
 from gmalg.exact_linear import _int_row
 from gmalg.fileformat import context_from_dict, context_to_dict, decode_scalar, encode_scalar
 from gmalg.gma import structural_context
-from gmalg.structure_analysis import core_algebra
+from gmalg.structure_analysis import core_algebra, two_sided_annihilator
 
 Q = G.FieldSpec()
 GF7 = G.FieldSpec(7)
@@ -175,6 +175,20 @@ def probe_kernel_dim_by_flats(g, n):
     flats = [flatten(G.build_extremal(g, g.embed_m(v[:dm]) + g.embed_n(v[dm:]), n))
              for v in adm.basis]
     return len(G.kernel_basis(g.field, len(flats), [list(r) for r in zip(*flats)]))
+
+
+def extremal_linear_conditions(g):
+    """The seeds m0 + n0, on M (+) N coordinates, of the linear existence
+    conditions [A,A] m0 = 0 = n0 [A,A], m0 [B,B] = 0 = [B,B] n0 and
+    m0 N = N m0 = M n0 = n0 M = 0: the two-sided annihilator, inside
+    M (+) N, of [A,A], [B,B], M and N, solved on its own rows."""
+    ctx, f = g.context, g.field
+    d, off = g.dim, g.offsets
+    elements = [list(c) + f.vec_zero(d - off[1]) for c in ctx.a.commutators.basis]
+    elements += [f.vec_zero(off[3]) + list(c) for c in ctx.b.commutators.basis]
+    elements += [f.unit(d, i) for i in range(off[1], off[3])]
+    return G.Subspace.span(f, off[3] - off[1],
+                           two_sided_annihilator(g, elements, off[1], off[3]))
 
 
 def contains_subspace(space, other) -> bool:

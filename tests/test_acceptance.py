@@ -13,7 +13,8 @@ import gmalg as G
 
 from helpers import (GF7, GF101, Q, all_derivations_inner, condition,
                      contains_subspace, corpus_algebras, corpus_contexts,
-                     inner_derivation_space, link_violations, linked_image,
+                     extremal_linear_conditions, inner_derivation_space,
+                     link_violations, linked_image,
                      maps_span, matrix_algebra,
                      n_lie_derivation_space_direct, perturb_context,
                      perturbation_sites, random_central_map,
@@ -121,7 +122,7 @@ def test_criterion_6_extremal_existence_equivalence():
         results = {}
         for name, g in corpus_algebras(Q):
             ex = G.extremal_exists(g)
-            assert ex.solution == ex.offdiag_annihilator, name
+            assert ex.solution == extremal_linear_conditions(g), name
             results[name] = ex
         t2 = results["t2"]
         assert t2.exists and t2.solution.dim == 1

@@ -1,16 +1,21 @@
 """Seed extraction, extremal construction, decomposition and verification."""
 
 import random
+from itertools import chain
 
 import pytest
 
 import gmalg as G
+from gmalg.decompose import DecompositionChecks, _split
+from gmalg.gma import structural_context
 
 from helpers import (GF101, GF7, Q, assemble_element, basis_element,
                      change_of_basis, contains_subspace, corpus_algebras,
-                     corpus_contexts, map_from_basis_function, pierce_project,
+                     corpus_contexts, extremal_linear_conditions,
+                     map_from_basis_function, pierce_project,
                      probe_kernel_dim_by_flats, random_central_map)
 from test_multilinear import trace_power_map
+from test_structural import peirce_splits, triangular
 
 
 def gma(kind, field, **kw):
@@ -176,7 +181,33 @@ def test_extremal_exists_zero_pairing_2_1_false():
 def test_prop_equivalence_on_corpus():
     for name, g in corpus_algebras(Q):
         ex = G.extremal_exists(g)
-        assert ex.solution == ex.offdiag_annihilator, name
+        assert ex.solution == extremal_linear_conditions(g), name
+
+
+@pytest.mark.parametrize("field", [Q, GF101], ids=["q", "gf101"])
+def test_extremal_solution_is_the_linear_conditions(field):
+    """`extremal_exists` reads its solution off the projected annihilator;
+    the linear conditions, solved on their own rows, give the same subspace
+    on the corpus and zp(1,1), whose seeds have N parts, a change of basis
+    of each, T_3, T_4 and every valid split on 2 and 3 points, 26 of the 60
+    with a nonzero seed."""
+    stocks = corpus_contexts(field) + [
+        ("zp11", G.generate_builtin("zero_pairing", field, s=1, t=1))]
+    contexts = [ctx for name, stock in stocks
+                for ctx in (stock, change_of_basis(stock, f"conditions:{name}"))]
+    contexts += [triangular(field, 3), triangular(field, 4)]
+    for relation, split in chain(peirce_splits(2), peirce_splits(3)):
+        ctx = structural_context(field, relation, split)
+        if G.validate_context(ctx).ok:
+            contexts.append(ctx)
+    seeded = 0
+    for ctx in contexts:
+        g = G.assemble(ctx, validate=False)
+        ex = G.extremal_exists(g)
+        assert (ex.solution == extremal_linear_conditions(g)
+                == ex.offdiag_annihilator)
+        seeded += ex.exists
+    assert (len(contexts), seeded) == (60, 26)
 
 
 def test_double_bracket_annihilator_contains_center():
@@ -210,40 +241,40 @@ def test_uniqueness_probe():
     assert probe3.admissible_dim == 0
 
 
-def half_unital_context(field):
-    """A = B = k and M = k^2 with 1_A m_1 = m_1 = m_1 1_B and m_2 killed on
-    both sides, N = 0. M is not unital, so validation refuses the context;
-    m_2 is central, and the admissible seeds m_1, m_2 meet Z_n in k m_2."""
-    k = G.StructureAlgebra.build(field, 1, [(0, 0, 0, 1)], [1])
-    return G.MoritaContext(
-        a=k, b=k, m_dim=2, n_dim=0,
-        act_am=G.BilinearTable.from_quadruples(field, 1, 2, 2, [(0, 0, 0, 1)]),
-        act_mb=G.BilinearTable.from_quadruples(field, 2, 1, 2, [(0, 0, 0, 1)]),
-        act_bn=G.BilinearTable.zero(1, 0, 0),
-        act_na=G.BilinearTable.zero(0, 1, 0),
-        pair_mn=G.BilinearTable.zero(2, 0, 1),
-        pair_nm=G.BilinearTable.zero(0, 2, 1),
-    )
-
-
 @pytest.mark.parametrize("field", [Q, GF7], ids=["q", "gf7"])
 @pytest.mark.parametrize("n", [2, 3])
 def test_probe_kernel_matches_the_extremal_maps(field, n):
-    """The kernel read off Z_n against the kernel of the flattened extremal
-    maps of the admissible seeds. On a valid context ad e is 1 on M and -1
-    on N, so no admissible seed lies in Z_n and the kernel is 0; the
-    half-unital context has a kernel of dimension 1."""
+    """The flattened extremal maps of the admissible seeds are independent:
+    on a valid context ad e is 1 on M and -1 on N, so no admissible seed
+    lies in Z_n, and the probe's kernel is 0."""
     admissible = 0
     for name, g in corpus_algebras(field):
         probe = G.probe_seed_uniqueness(g, n)
         assert probe.kernel_dim == probe_kernel_dim_by_flats(g, n) == 0, name
         admissible += probe.admissible_dim
     assert admissible
-    g = G.assemble(half_unital_context(field), validate=False)
-    assert not G.validate_context(g.context).ok
-    probe = G.probe_seed_uniqueness(g, n)
-    assert (probe.admissible_dim, probe.kernel_dim) == (2, 1)
-    assert probe_kernel_dim_by_flats(g, n) == 1
+
+
+def test_split_of_a_seed_outside_w_keeps_the_map_as_its_remainder():
+    """The map of M_2 whose only entry is (0, 0, 0) -> e_12 has the seed
+    e_12, outside W = k 1: the extremal part is zero, and the remainder,
+    the map itself, fails the central check at (0, 0, 0). It is no 3-Lie
+    derivation, so `decompose` refuses it; `_split` takes it as given."""
+    g = gma("full_matrix", Q, r=2)
+    e12 = g.embed_m([1]).coords
+    mmap = G.MultilinearMap.from_entries(Q, 3, g.dim, {(0, 0, 0): e12})
+    dec = _split(g, mmap)
+    assert dec.seed.coords == e12
+    assert dec.extremal_part == G.MultilinearMap.zero(Q, 3, g.dim)
+    assert dec.central_part == mmap
+    assert dec.checks == DecompositionChecks(
+        seed_annihilates_commutators=False,
+        central_part_is_central=G.CheckStatus("fail", witness=(0, 0, 0)),
+        exact_sum=True,
+        seed_is_central=False,
+    )
+    with pytest.raises(G.LieLeibnizError):
+        G.decompose(g, mmap)
 
 
 def test_verify_decomposition_dim7():

@@ -94,6 +94,27 @@ def split_counts(field, pairs):
 
 
 @pytest.mark.parametrize("field", [Q, GF101], ids=["q", "gf101"])
+def test_one_dimensional_centers_of_the_splits_are_spanned_by_the_unit(field):
+    """Over every split on 2 and 3 points and the seeded sample on 4, each
+    valid one whose center has dimension 1 has Z(G) = k 1, and the torsion
+    check passes there with no reason. 3 of the 88 valid ones, all on 4
+    points, have a center of dimension 2."""
+    sample = random.Random(1).sample(list(peirce_splits(4)), 250)
+    dims = []
+    for relation, split in chain(peirce_splits(2), peirce_splits(3), sample):
+        ctx = structural_context(field, relation, split)
+        if not G.validate_context(ctx).ok:
+            continue
+        alg = G.assemble(ctx, validate=False).algebra
+        z = G.center(alg)
+        if z.dim == 1:
+            assert z == G.Subspace.span(field, alg.dim, [list(alg.unit)])
+            assert G.torsion_action_check(alg) == G.CheckStatus("pass")
+        dims.append(z.dim)
+    assert (dims.count(1), dims.count(2), len(dims)) == (85, 3, 88)
+
+
+@pytest.mark.parametrize("field", [Q, GF101], ids=["q", "gf101"])
 def test_peirce_splits_on_two_and_three_points(field):
     """`split_counts` over every split on 2 and 3 points."""
     splits = chain(peirce_splits(2), peirce_splits(3))
